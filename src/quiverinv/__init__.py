@@ -97,7 +97,6 @@ from .vertexalg import (
     zero_pl,
 )
 from .wallcoeff import (
-    FreeWord,
     LieElementError,
     LieWord,
     dynkin_word,

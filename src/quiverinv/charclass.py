@@ -24,20 +24,21 @@ Duals flip the sign of odd Chern classes; negative multiplicities invert
 the Chern series; rank-zero factors give the unit series.
 
 scaling_coaction expands the effect of twisting every tautological bundle
-by a varying line bundle with first Chern class z:
+by a varying line bundle with first Chern class z.  That twist is exp(zD)
+for the derivation
 
-    c[v, i] -> sum_j binom(d(v) - i + j, j) z^j c[v, i - j],
+    D(c[v, i]) = (d(v) - i + 1) c[v, i - 1],   c[v, 0] = 1,
 
-extended multiplicatively.  Its z^1 component is the infinitesimal action
-whose kernel is the weight-zero subring, and its z^j components transpose
-to the divided translation operators on homology.
+(weight_zero_component), so its z^j component is D^j / j!.  The kernel of
+D is the weight-zero subring, and the transposes of the D^j / j! are the
+divided translation operators on homology.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterable, Mapping
 
 from .quiver import DimVector, Quiver, QuiverMorphism
@@ -557,58 +558,39 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
     return result
 
 
-_COACT_MEMO: dict[tuple, dict[int, Poly]] = {}
+def weight_zero_component(poly: Poly) -> Poly:
+    """The translation derivation D; a class is weight zero when D kills it.
 
-
-def _coaction_monomial(ring: ChernRing, m: Monomial, factor: int) -> dict[int, Poly]:
-    key = (ring.key(), m, factor)
-    if key in _COACT_MEMO:
-        return _COACT_MEMO[key]
-    series: dict[int, Poly] = {0: Poly.one(ring)}
-    for g, e in m:
-        f, v, i = g
-        if f != factor:
-            gen_series = {0: Poly.generator(ring, g)}
-        else:
-            r = ring.rank(f, v)
-            gen_series = {}
-            for j in range(0, i + 1):
-                coeff = comb(r - i + j, j)
-                if i - j == 0:
-                    gen_series[j] = Poly.constant(ring, coeff)
-                else:
-                    gen_series[j] = Poly.generator(ring, (f, v, i - j)).scale(coeff)
-        for _ in range(e):
-            nxt: dict[int, Poly] = {}
-            for za, pa in series.items():
-                for zb, pb in gen_series.items():
-                    z = za + zb
-                    prod = pa * pb
-                    nxt[z] = nxt[z] + prod if z in nxt else prod
-            series = {z: p for z, p in nxt.items() if not p.is_zero()}
-    _COACT_MEMO[key] = series
-    return series
-
-
-def scaling_coaction(poly: Poly, factor: int = 0) -> dict[int, Poly]:
-    """Coaction of the scaling line bundle on the given ring factor.
-
-    Returns the finite z-expansion {j: coefficient polynomial}; the j = 0
-    part is the input and the weight of the z^j part drops by j.
+    D(c[0, v, i]) = (d(v) - i + 1) c[0, v, i - 1] with c[0, v, 0] = 1, and
+    D vanishes on the generators of every other factor.
     """
-    if not 0 <= factor < poly.ring.factors():
-        raise ValueError(f"no factor {factor} in this ring")
-    out: dict[int, Poly] = {}
+    ring = poly.ring
+    acc: dict[Monomial, Fraction] = {}
     for m, c in poly.terms.items():
-        for z, p in _coaction_monomial(poly.ring, m, factor).items():
-            piece = p.scale(c)
-            out[z] = out[z] + piece if z in out else piece
-    return {z: p for z, p in out.items() if not p.is_zero()}
+        for g, e in m:
+            f, v, i = g
+            if f != 0:
+                continue
+            lowered = divide_monomial(m, ((g, 1),))
+            if i > 1:
+                lowered = mul_monomials(lowered, (((f, v, i - 1), 1),))
+            acc[lowered] = acc.get(lowered, 0) + c * (e * (ring.rank(f, v) - i + 1))
+    return Poly(ring, acc)
 
 
-def weight_zero_component(poly: Poly, factor: int = 0) -> Poly:
-    """The z^1 coaction component; a class is weight zero when this is 0."""
-    return scaling_coaction(poly, factor).get(1, Poly.zero(poly.ring))
+def scaling_coaction(poly: Poly) -> dict[int, Poly]:
+    """Coaction exp(zD) of the scaling line bundle on ring factor 0.
+
+    Returns the finite z-expansion {j: D^j(poly) / j!}; the j = 0 part is
+    the input and the weight of the z^j part drops by j.
+    """
+    out: dict[int, Poly] = {}
+    j = 0
+    while not poly.is_zero():
+        out[j] = poly.scale(Fraction(1, factorial(j)))
+        j += 1
+        poly = weight_zero_component(poly)
+    return out
 
 
 _MONO_RE = re.compile(r"^c\[([^,\]]+),(\d+)\](?:\^(\d+))?$")

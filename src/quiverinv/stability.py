@@ -11,10 +11,12 @@ condition are ever compared.  Three realizations are provided:
     on a framed quiver, used to compare framed-vector orderings against
     honest perturbed slopes.
 
-Each condition carries a hashable token identifying it, which downstream
-memo tables use as part of their keys.  Tokens of conditions with equal
-value functions on a common quiver may differ; equality of tokens implies
-equality of conditions, not conversely.
+Each condition carries a hashable token.  Only the tokens of
+SlopeStability and trivial_stability() are bound to follow from the
+condition's data, so equal tokens there mean equal conditions, and the
+u_coeff memo keys on those alone.  A token passed to WeakStability is the
+caller's choice: two conditions with different value functions may share
+one, and conditions with equal value functions may have different ones.
 
 framed_slope builds the perturbed slope on a framed quiver: the framing
 vertex gets slope(d) +- epsilon with epsilon > 0 small enough that the

@@ -10,8 +10,9 @@ The operations:
 
   * kunneth(u, v): product class on the two-factor ring;
   * cap(u, p): lower the degree by pairing against multiplication by p;
-  * divided_translation(u, j): transpose of the z^j scaling coaction
-    component, the j-th divided power of the translation operator;
+  * divided_translation(u, j): the j-th divided power of the translation
+    operator, the transpose of D^j / j! for the derivation D of the Chern
+    class ring (charclass.weight_zero_component);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
   * state_field(u, v, powers): the two-point expansion
@@ -40,6 +41,7 @@ considerations and are cross-checked in the tests).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping
 
 import sympy
@@ -48,7 +50,6 @@ from .charclass import (
     ChernRing,
     Monomial,
     Poly,
-    _coaction_monomial,
     chern_kclass,
     direct_sum_pullback,
     divide_monomial,
@@ -56,6 +57,8 @@ from .charclass import (
     merge_pullback,
     monomial_basis,
     monomial_weight,
+    mul_monomials,
+    weight_zero_component,
 )
 from .quiver import (
     DimVector,
@@ -212,23 +215,41 @@ def cap(u: HClass, poly: Poly) -> HClass:
     return HClass(u.quiver, u.ring, u.degree - 2 * w, out)
 
 
-def divided_translation(u: HClass, j: int, factor: int = 0) -> HClass:
-    """Transpose of the z^j coaction component; raises the degree by 2j."""
+def divided_translation(u: HClass, j: int) -> HClass:
+    """Transpose of D^j / j! on ring factor 0; raises the degree by 2j.
+
+    The transpose of D raises one index of a support monomial,
+    c[0, v, i - 1] -> c[0, v, i] with c[0, v, 0] = 1, with coefficient
+    (d(v) - i + 1) times the new exponent of c[0, v, i].
+    """
     if j < 0:
         raise ValueError("translation exponent must be >= 0")
     if j == 0:
         return u
-    degree = u.degree + 2 * j
-    out: dict[Monomial, Fraction] = {}
-    if u.degree >= 0:
-        for m in monomial_basis(u.ring, degree // 2):
-            part = _coaction_monomial(u.ring, m, factor).get(j)
-            if part is None:
-                continue
-            val = u.pair(part)
-            if val:
-                out[m] = val
-    return HClass(u.quiver, u.ring, degree, out)
+    raising = [
+        (g, (g[0], g[1], g[2] - 1), u.ring.rank(0, g[1]) - g[2] + 1)
+        for g in u.ring.generators()
+        if g[0] == 0
+    ]
+    func = u.functional
+    for _ in range(j):
+        out: dict[Monomial, Fraction] = {}
+        for s, x in func.items():
+            exps = dict(s)
+            for g, lower, k in raising:
+                if lower[2] == 0:
+                    m = s
+                elif lower in exps:
+                    m = divide_monomial(s, ((lower, 1),))
+                else:
+                    continue
+                m = mul_monomials(m, ((g, 1),))
+                out[m] = out.get(m, 0) + x * (k * (exps.get(g, 0) + 1))
+        func = out
+    scale = factorial(j)
+    return HClass(
+        u.quiver, u.ring, u.degree + 2 * j, {m: x / scale for m, x in func.items()}
+    )
 
 
 _SUM_PULL_MEMO: dict[tuple, Poly] = {}
@@ -325,7 +346,7 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
             j = p - chi + i
             if j < 0:
                 continue
-            term = direct_sum_pushforward(divided_translation(w_i, j, factor=0))
+            term = direct_sum_pushforward(divided_translation(w_i, j))
             if not term.is_zero():
                 out[p] = out[p] + term.scale(prefactor)
     return out
@@ -387,22 +408,18 @@ def unit_pl(quiver: Quiver, d: DimVector) -> PlClass:
 _D1_MATRIX_MEMO: dict[tuple, sympy.Matrix] = {}
 
 
-def _translation_matrix(ring: ChernRing, degree: int) -> sympy.Matrix:
-    """Matrix of the z^1 coaction on cohomology: rows index the weight
-    degree/2 basis, columns the weight degree/2 - 1 basis."""
-    key = (ring.key(), degree)
+def _translation_matrix(ring: ChernRing, weight: int) -> sympy.Matrix:
+    """Matrix of D on cohomology: rows index the weight - 1 basis, columns
+    the weight basis."""
+    key = (ring.key(), weight)
     if key in _D1_MATRIX_MEMO:
         return _D1_MATRIX_MEMO[key]
-    rows_basis = monomial_basis(ring, degree // 2)
-    cols_basis = monomial_basis(ring, degree // 2 - 1)
-    col_index = {m: k for k, m in enumerate(cols_basis)}
-    mat = sympy.zeros(len(rows_basis), len(cols_basis))
-    for r, m in enumerate(rows_basis):
-        part = _coaction_monomial(ring, m, 0).get(1)
-        if part is None:
-            continue
-        for mono, c in part.terms.items():
-            mat[r, col_index[mono]] = _rat(c)
+    cols_basis = monomial_basis(ring, weight)
+    row_index = {m: k for k, m in enumerate(monomial_basis(ring, weight - 1))}
+    mat = sympy.zeros(len(row_index), len(cols_basis))
+    for c, m in enumerate(cols_basis):
+        for mono, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
+            mat[row_index[mono], c] = _rat(x)
     _D1_MATRIX_MEMO[key] = mat
     return mat
 
@@ -416,12 +433,10 @@ def is_translation_image(w: HClass) -> bool:
     n = w.degree
     if n < 2 or n % 2:
         return False
-    cols = monomial_basis(w.ring, n // 2 - 1)
-    if not cols:
-        return False
-    rows = monomial_basis(w.ring, n // 2)
-    mat = _translation_matrix(w.ring, n)
-    b = sympy.Matrix([[_rat(w.functional.get(m, Fraction(0)))] for m in rows])
+    mat = _translation_matrix(w.ring, n // 2).T
+    b = sympy.Matrix(
+        [[_rat(w.functional.get(m, Fraction(0)))] for m in monomial_basis(w.ring, n // 2)]
+    )
     return mat.rank() == mat.row_join(b).rank()
 
 
@@ -444,7 +459,7 @@ _W0_MEMO: dict[tuple, tuple[Poly, ...]] = {}
 def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     """Canonical basis of the weight-zero subspace in the given weight.
 
-    Kernel of the z^1 coaction component on cohomology, presented in row
+    Kernel of the translation derivation D on cohomology, presented in row
     reduced echelon form over the graded monomial order ('weight0-rref-
     gradedlex-v1').  Pairing with it computes canonical coordinates on the
     rigidified homology: translation images pair to zero, and the pairing
@@ -456,40 +471,12 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     if key in _W0_MEMO:
         return _W0_MEMO[key]
     basis = monomial_basis(ring, weight)
-    if weight < 0 or not basis:
-        result: tuple[Poly, ...] = ()
-        _W0_MEMO[key] = result
-        return result
-    lower = monomial_basis(ring, weight - 1)
-    if not lower:
-        result = tuple(Poly(ring, {m: Fraction(1)}) for m in basis)
-        _W0_MEMO[key] = result
-        return result
-    low_index = {m: k for k, m in enumerate(lower)}
-    mat = sympy.zeros(len(lower), len(basis))
-    for c, m in enumerate(basis):
-        part = _coaction_monomial(ring, m, 0).get(1)
-        if part is None:
-            continue
-        for mono, x in part.terms.items():
-            mat[low_index[mono], c] = _rat(x)
-    null = mat.nullspace()
-    if not null:
-        result = ()
-        _W0_MEMO[key] = result
-        return result
-    stacked = sympy.Matrix([list(vec.T) for vec in null])
-    reduced, _ = stacked.rref()
-    polys = []
-    for r in range(reduced.rows):
-        terms = {
-            basis[c]: _frac(reduced[r, c])
-            for c in range(reduced.cols)
-            if reduced[r, c] != 0
-        }
-        if terms:
-            polys.append(Poly(ring, terms))
-    result = tuple(polys)
+    null = _translation_matrix(ring, weight).nullspace()
+    reduced, _ = sympy.Matrix([list(vec.T) for vec in null]).rref()
+    result = tuple(
+        Poly(ring, {basis[c]: _frac(x) for c, x in enumerate(reduced.row(r)) if x != 0})
+        for r in range(reduced.rows)
+    )
     _W0_MEMO[key] = result
     return result
 

@@ -27,16 +27,11 @@ from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .quiver import DimVector
-from .stability import WeakStability
+from .stability import SlopeStability, WeakStability, trivial_stability
 
 
 class LieElementError(Exception):
     """A word sum expected to be a Lie element is not one."""
-
-
-class FreeWord(NamedTuple):
-    letters: tuple
-    coefficient: Fraction
 
 
 class LieWord(NamedTuple):
@@ -102,8 +97,14 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
+    # only these conditions derive their tokens from their data; two other
+    # conditions may share a token and still differ
+    memoize = all(
+        isinstance(s, SlopeStability) or s is trivial_stability()
+        for s in (from_stab, to_stab)
+    )
     key = (alphas, from_stab.token, to_stab.token)
-    if key in _U_MEMO:
+    if memoize and key in _U_MEMO:
         return _U_MEMO[key]
 
     n = len(alphas)
@@ -143,7 +144,8 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
                         continue
                     result += Fraction((-1) ** (l - 1), l) * signs * weight
 
-    _U_MEMO[key] = result
+    if memoize:
+        _U_MEMO[key] = result
     return result
 
 

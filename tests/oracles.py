@@ -241,6 +241,41 @@ def framed_u_oracle(n, k):
     return Fraction((-1) ** (n + k - 1), factorial(k - 1) * factorial(n + 1 - k))
 
 
+def substitution_coaction_oracle(ranks, monomial):
+    """z-expansion of a monomial under the substitution definition
+
+        c[0, v, i] -> sum_j binom(r - i + j, j) z^j c[0, v, i - j],
+
+    with r = ranks[(0, v)], c[0, v, 0] = 1, and generators of every other
+    factor left alone, multiplied out factor by factor.  The monomial and
+    the result use the package's data format: a sorted tuple of
+    ((factor, vertex, index), exponent) pairs, and {j: {monomial: Fraction}}
+    with zero coefficients dropped.
+    """
+    # terms are keyed by (power of z, sorted tuple of generators with repeats)
+    series = {(0, ()): Fraction(1)}
+    for (f, v, i), e in monomial:
+        if f == 0:
+            r = ranks[(f, v)]
+            image = {(j, ((f, v, i - j),) if j < i else ()): comb(r - i + j, j)
+                     for j in range(i + 1)}
+        else:
+            image = {(0, ((f, v, i),)): 1}
+        for _ in range(e):
+            nxt = {}
+            for (za, ga), ca in series.items():
+                for (zb, gb), cb in image.items():
+                    key = (za + zb, tuple(sorted(ga + gb)))
+                    nxt[key] = nxt.get(key, 0) + ca * cb
+            series = nxt
+    out = {}
+    for (z, gens), c in series.items():
+        if c:
+            mono = tuple((g, gens.count(g)) for g in sorted(set(gens)))
+            out.setdefault(z, {})[mono] = Fraction(c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # frozen literals
 

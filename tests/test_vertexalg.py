@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from quiverinv.charclass import ChernRing, Poly, monomial_basis
+from quiverinv.charclass import ChernRing, Poly, monomial_basis, scaling_coaction
 from quiverinv.quiver import (
     DimVector,
     Quiver,
@@ -98,6 +99,44 @@ def test_divided_translation_frozen_pairings():
         ring = du.ring
         for vtx, val in want.items():
             assert du.pair(Poly.generator(ring, (0, vtx, 1))) == val
+
+
+@pytest.mark.parametrize("dims", [
+    ({"v": 2},),
+    ({"v": 2, "w": 1},),
+    ({"v": 3, "w": 2},),
+    ({"v": 2, "w": 1}, {"v": 1, "w": 2}),  # only factor 0 translates
+])
+def test_translation_matches_substitution_oracle(dims):
+    ring = ChernRing(tuple(DimVector(d) for d in dims))
+    ranks = {(f, v): n for f, d in enumerate(dims) for v, n in d.items()}
+    top, max_j = 5, 4
+    expected = {}
+    for w in range(top + max_j + 1):
+        for m in monomial_basis(ring, w):
+            expected[m] = oracles.substitution_coaction_oracle(ranks, m)
+            if w <= top:
+                got = scaling_coaction(Poly(ring, {m: Fraction(1)}))
+                assert {j: p.terms for j, p in got.items()} == expected[m]
+    # divided_translation(u, j) is the transpose of the z^j component
+    rng = random.Random(5)
+    for w in range(top + 1):
+        u = HClass(A2, ring, 2 * w, {
+            m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for m in monomial_basis(ring, w)
+        })
+        for j in range(max_j + 1):
+            want = {}
+            for m in monomial_basis(ring, w + j):
+                val = sum(
+                    (c * u.functional.get(s, 0) for s, c in expected[m].get(j, {}).items()),
+                    Fraction(0),
+                )
+                if val:
+                    want[m] = val
+            got = divided_translation(u, j)
+            assert got.degree == 2 * (w + j)
+            assert got.functional == want
 
 
 def test_divided_powers_compose():

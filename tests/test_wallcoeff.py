@@ -145,6 +145,15 @@ def test_u_vanishing_under_domination():
             assert u_coeff(tup, coarse, LO) == 0
 
 
+def test_u_memo_not_shared_through_caller_tokens():
+    # two conditions with one caller-chosen token but different values
+    a = WeakStability(HI.value, ("mine",))
+    b = WeakStability(trivial_stability().value, ("mine",))
+    tup = (DV, DW)
+    assert u_coeff(tup, LO, a) == u_coeff(tup, LO, HI) == -1
+    assert u_coeff(tup, LO, b) == u_coeff(tup, LO, trivial_stability()) == Fraction(-1, 2)
+
+
 def test_order_isomorphic_conditions_agree():
     # doubling every weight rescales all values monotonically
     lo2 = slope_stability(A2, {"v": 0, "w": 2})
