@@ -45,9 +45,10 @@ is injective on the computed classes when every framing multiplicity is
 positive.
 
 Computed classes can persist in a content-addressed disk cache keyed by
-(quiver, stability token, d); cache writes are atomic and idempotent,
-reads verify the stored canonical coordinates against the stored
-representative.
+(quiver, stability token, d), used only for conditions whose token
+follows from their data (stability.token_is_faithful); cache writes are
+atomic and idempotent, reads verify the stored canonical coordinates
+against the stored representative.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Mapping
-
-from sympy.utilities.iterables import multiset_permutations
+from typing import Iterator, Mapping
 
 from .charclass import (
     ChernRing,
@@ -90,6 +89,7 @@ from .stability import (
     pullback_stability,
     reference_increasing_slope,
     slope_stability,
+    token_is_faithful,
 )
 from .vertexalg import (
     HClass,
@@ -169,6 +169,24 @@ def _eval_unit_word_payload(payload: tuple) -> tuple[int, list]:
     return rep.degree, [[monomial_string(m), fraction_str(c)] for m, c in items]
 
 
+def _distinct_orderings(letters: list[str]) -> Iterator[tuple[str, ...]]:
+    """Distinct orderings of the letters, in lexicographic order."""
+    seq = sorted(letters)
+    while True:
+        yield tuple(seq)
+        # step to the next ordering: raise the last ascent, reverse the tail
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
     """Invariant class for an increasing slope: unit for unit vectors, else 0."""
     d = _check_class(q, d)
@@ -202,6 +220,8 @@ def invariant(
     elif not is_increasing(q, reference):
         raise ValueError("reference stability condition must be increasing")
 
+    if not token_is_faithful(tau):
+        cache = None  # the cache key is the token
     if cache is not None:
         hit = cache.get(q, tau, d)
         if hit is not None:
@@ -210,7 +230,7 @@ def invariant(
     degree = natural_degree(q, d)
     letters = [v for v, n in d.items() for _ in range(n)]
     words: dict[tuple, Fraction] = {}
-    for perm in multiset_permutations(letters):
+    for perm in _distinct_orderings(letters):
         tup = tuple(unit_vector(v) for v in perm)
         c = u_coeff(tup, reference, tau)
         if c:

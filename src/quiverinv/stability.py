@@ -13,10 +13,11 @@ condition are ever compared.  Three realizations are provided:
 
 Each condition carries a hashable token.  Only the tokens of
 SlopeStability and trivial_stability() are bound to follow from the
-condition's data, so equal tokens there mean equal conditions, and the
-u_coeff memo keys on those alone.  A token passed to WeakStability is the
-caller's choice: two conditions with different value functions may share
-one, and conditions with equal value functions may have different ones.
+condition's data, so equal tokens there mean equal conditions
+(token_is_faithful), and the u_coeff memo and the invariant disk cache key
+on those alone.  A token passed to WeakStability is the caller's choice:
+two conditions with different value functions may share one, and
+conditions with equal value functions may have different ones.
 
 framed_slope builds the perturbed slope on a framed quiver: the framing
 vertex gets slope(d) +- epsilon with epsilon > 0 small enough that the
@@ -128,6 +129,12 @@ _TRIVIAL = WeakStability(lambda d: 0, ("trivial",), name="trivial")
 def trivial_stability() -> WeakStability:
     """All nonzero vectors have equal value."""
     return _TRIVIAL
+
+
+def token_is_faithful(stab: WeakStability) -> bool:
+    """Whether equal tokens imply equal conditions, so results may be
+    stored under the token."""
+    return isinstance(stab, SlopeStability) or stab is _TRIVIAL
 
 
 def reference_increasing_slope(q: Quiver) -> SlopeStability:

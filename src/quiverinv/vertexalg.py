@@ -31,11 +31,14 @@ The operations:
 
 Classes of the projective linear (rigidified) moduli stack in shifted
 degree are represented by classes of the full stack modulo translations:
-PlClass wraps a representative, pl_equal decides equality by solving an
-exact linear system for membership in the image of the translation
-operator, and canonical_coordinates pairs against a fixed basis of the
-weight-zero subspace of cohomology (the two procedures agree by rank
-considerations and are cross-checked in the tests).
+PlClass wraps a representative.  A class is a translation image exactly
+when it vanishes on the kernel of D, and with cbar = sum_v c[0, v, 1] / |d|
+(so D(cbar) = 1) the map P(f) = sum_j (-cbar)^j D^j(f) / j! projects onto
+that kernel; pl_equal therefore tests whether the transpose of P, a normal
+form needing no linear algebra, kills the difference.  canonical_coordinates
+pairs against the row reduced basis of the kernel of D, which one sparse
+exact elimination produces (weight_zero_basis).  The two procedures agree
+by duality and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
-
-import sympy
 
 from .charclass import (
     ChernRing,
@@ -68,14 +69,6 @@ from .quiver import (
     sign_epsilon,
     sym_euler_form,
 )
-
-
-def _rat(x: Fraction) -> sympy.Rational:
-    return sympy.Rational(x.numerator, x.denominator)
-
-
-def _frac(x) -> Fraction:
-    return Fraction(int(x.p), int(x.q))
 
 
 class HClass:
@@ -405,39 +398,25 @@ def unit_pl(quiver: Quiver, d: DimVector) -> PlClass:
     return PlClass(unit_class(quiver, d))
 
 
-_D1_MATRIX_MEMO: dict[tuple, sympy.Matrix] = {}
-
-
-def _translation_matrix(ring: ChernRing, weight: int) -> sympy.Matrix:
-    """Matrix of D on cohomology: rows index the weight - 1 basis, columns
-    the weight basis."""
-    key = (ring.key(), weight)
-    if key in _D1_MATRIX_MEMO:
-        return _D1_MATRIX_MEMO[key]
-    cols_basis = monomial_basis(ring, weight)
-    row_index = {m: k for k, m in enumerate(monomial_basis(ring, weight - 1))}
-    mat = sympy.zeros(len(row_index), len(cols_basis))
-    for c, m in enumerate(cols_basis):
-        for mono, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
-            mat[row_index[mono], c] = _rat(x)
-    _D1_MATRIX_MEMO[key] = mat
-    return mat
-
-
 def is_translation_image(w: HClass) -> bool:
-    """Whether w = divided_translation(x, 1) has a solution x."""
-    if w.is_zero():
-        return True
+    """Whether w = divided_translation(x, 1) has a solution x, i.e. whether
+    w o P = sum_j Dt^j (w cap (-cbar)^j / j!) vanishes (P from the module
+    docstring, Dt the transpose of D), summed Horner fashion."""
     if w.ring.factors() != 1:
         raise ValueError("translation image test works on one-factor classes")
-    n = w.degree
-    if n < 2 or n % 2:
-        return False
-    mat = _translation_matrix(w.ring, n // 2).T
-    b = sympy.Matrix(
-        [[_rat(w.functional.get(m, Fraction(0)))] for m in monomial_basis(w.ring, n // 2)]
-    )
-    return mat.rank() == mat.row_join(b).rank()
+    ring = w.ring
+    minus_cbar = Poly(ring, {
+        ((g, 1),): Fraction(-1, ring.dims[0].total()) for g in ring.generators() if g[2] == 1
+    })
+    terms = [w]
+    power = Poly.one(ring)
+    for j in range(1, w.degree // 2 + 1):
+        power = (power * minus_cbar).scale(Fraction(1, j))
+        terms.append(cap(w, power))
+    acc = terms.pop()
+    while terms:
+        acc = terms.pop() + divided_translation(acc, 1)
+    return acc.is_zero()
 
 
 def pl_is_zero(x: PlClass) -> bool:
@@ -464,6 +443,12 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     gradedlex-v1').  Pairing with it computes canonical coordinates on the
     rigidified homology: translation images pair to zero, and the pairing
     is perfect on the quotient.
+
+    One exact Gauss-Jordan elimination on the matrix of D (rows the
+    weight - 1 basis, columns the weight basis) taken with the columns in
+    reverse graded order gives the basis directly: the kernel vector at a
+    free column c is 1 at c and nonzero only at later pivot columns, so
+    these vectors, sorted by c, are the graded-order rref of the kernel.
     """
     if ring.factors() != 1:
         raise ValueError("weight-zero basis is for one-factor rings")
@@ -471,12 +456,40 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     if key in _W0_MEMO:
         return _W0_MEMO[key]
     basis = monomial_basis(ring, weight)
-    null = _translation_matrix(ring, weight).nullspace()
-    reduced, _ = sympy.Matrix([list(vec.T) for vec in null]).rref()
-    result = tuple(
-        Poly(ring, {basis[c]: _frac(x) for c, x in enumerate(reduced.row(r)) if x != 0})
-        for r in range(reduced.rows)
-    )
+    # rows of the matrix of D: one per weight - 1 monomial, keyed by column
+    rows: dict[Monomial, dict[int, Fraction]] = {}
+    for c, m in enumerate(basis):
+        for lower, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
+            rows.setdefault(lower, {})[c] = x
+    # Gauss-Jordan with the last column of each row as its pivot
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows.values():
+        for p, prow in pivots.items():
+            x = row.get(p)
+            if x:
+                for c, y in prow.items():
+                    row[c] = row.get(c, 0) - x * y
+        row = {c: x for c, x in row.items() if x}
+        if not row:
+            continue
+        p = max(row)
+        lead = row[p]
+        row = {c: x / lead for c, x in row.items()}
+        for prow in pivots.values():
+            x = prow.get(p)
+            if x:
+                for c, y in row.items():
+                    prow[c] = prow.get(c, 0) - x * y
+                del prow[p]
+        pivots[p] = row
+    kernel: dict[int, dict[Monomial, Fraction]] = {
+        c: {m: Fraction(1)} for c, m in enumerate(basis) if c not in pivots
+    }
+    for p, prow in pivots.items():
+        for c, x in prow.items():
+            if c != p and x:
+                kernel[c][basis[p]] = -x
+    result = tuple(Poly(ring, kernel[c]) for c in sorted(kernel))
     _W0_MEMO[key] = result
     return result
 

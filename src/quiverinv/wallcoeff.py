@@ -27,7 +27,7 @@ from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .quiver import DimVector
-from .stability import SlopeStability, WeakStability, trivial_stability
+from .stability import WeakStability, token_is_faithful
 
 
 class LieElementError(Exception):
@@ -97,12 +97,7 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
-    # only these conditions derive their tokens from their data; two other
-    # conditions may share a token and still differ
-    memoize = all(
-        isinstance(s, SlopeStability) or s is trivial_stability()
-        for s in (from_stab, to_stab)
-    )
+    memoize = token_is_faithful(from_stab) and token_is_faithful(to_stab)
     key = (alphas, from_stab.token, to_stab.token)
     if memoize and key in _U_MEMO:
         return _U_MEMO[key]

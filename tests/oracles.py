@@ -3,9 +3,11 @@
 Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
-subset search for stable points of binary tree classes.  The frozen literal
-tables were worked out by hand from the defining formulas and are committed
-as data; the tests compare the package against them, never the reverse.
+subset search for stable points of binary tree classes, sympy rank,
+nullspace and rref on the matrix of the translation derivation.  The
+frozen literal tables were worked out by hand from the defining formulas
+and are committed as data; the tests compare the package against them,
+never the reverse.
 """
 
 from fractions import Fraction
@@ -274,6 +276,46 @@ def substitution_coaction_oracle(ranks, monomial):
             mono = tuple((g, gens.count(g)) for g in sorted(set(gens)))
             out.setdefault(z, {})[mono] = Fraction(c)
     return out
+
+
+def _rat(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _translation_matrix_oracle(ranks, basis, lower_basis):
+    """Matrix of D as a sympy Matrix: rows index lower_basis, columns basis.
+
+    D is read off as the z^1 part of substitution_coaction_oracle, so this
+    shares no code with the package's derivation.
+    """
+    row = {m: k for k, m in enumerate(lower_basis)}
+    mat = sympy.zeros(len(lower_basis), len(basis))
+    for c, m in enumerate(basis):
+        for mono, x in substitution_coaction_oracle(ranks, m).get(1, {}).items():
+            mat[row[mono], c] = _rat(x)
+    return mat
+
+
+def translation_image_oracle(ranks, basis, lower_basis, functional):
+    """Rank test: the functional {monomial: Fraction} on basis is the
+    transpose of D applied to something iff appending it as a column to
+    that transpose leaves the rank unchanged."""
+    mat = _translation_matrix_oracle(ranks, basis, lower_basis).T
+    b = sympy.Matrix([[_rat(functional.get(m, 0))] for m in basis])
+    return mat.rank() == mat.row_join(b).rank()
+
+
+def weight_zero_rref_oracle(ranks, basis, lower_basis):
+    """Kernel of D as sympy's nullspace, brought to row reduced echelon
+    form over the order of basis; rows as {monomial: Fraction}."""
+    null = _translation_matrix_oracle(ranks, basis, lower_basis).nullspace()
+    reduced, _ = sympy.Matrix([list(vec.T) for vec in null]).rref()
+    return [
+        {basis[c]: Fraction(int(x.p), int(x.q))
+         for c, x in enumerate(reduced.row(r)) if x != 0}
+        for r in range(reduced.rows)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quiverinv
 from quiverinv.cli import main
 from quiverinv.quiver import Quiver, edge_deletion_morphism
 
@@ -172,6 +177,35 @@ def test_cache_flag_and_environment(qfiles, tmp_path, monkeypatch):
     code, out3 = run(argv[:-2])
     assert code == 0 and out3 == out
     assert list(envdir.glob("*.json"))
+
+
+NO_SYMPY_MAIN = (
+    "import sys\n"
+    "sys.modules['sympy'] = None  # any import of sympy now raises\n"
+    "from quiverinv.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_runtime_does_not_import_sympy(qfiles, tmp_path):
+    src = str(Path(quiverinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, dimvec in (("k2", '{"v":1,"w":1}'), ("k3", '{"v":2,"w":2}')):
+        argv = [
+            "invariant",
+            "--quiver", qfiles[name],
+            "--dimvec", dimvec,
+            "--slope", '{"v":"1","w":"0"}',
+        ]
+        code, want = run(argv)
+        assert code == 0
+        for _ in range(2):  # the first run fills the cache, the second reads it
+            proc = subprocess.run(
+                [sys.executable, "-c", NO_SYMPY_MAIN, *argv, "--cache", str(tmp_path / name)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == want
 
 
 def test_wallcross_check_command(qfiles):

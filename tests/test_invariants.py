@@ -15,12 +15,14 @@ from quiverinv.quiver import (
     unit_vector,
 )
 from quiverinv.stability import (
+    WeakStability,
     is_generic_pair,
     reference_increasing_slope,
     slope_stability,
 )
 from quiverinv.invariants import (
     CacheStore,
+    _distinct_orderings,
     build_invariant_table,
     check_morphism_identity,
     check_wallcross,
@@ -34,7 +36,7 @@ from quiverinv.invariants import (
     selftest,
     wallcross_transform,
 )
-from quiverinv.vertexalg import pl_equal, pl_is_zero, unit_pl
+from quiverinv.vertexalg import canonical_coordinates, pl_equal, pl_is_zero, unit_pl
 
 from . import oracles
 
@@ -52,6 +54,14 @@ def test_natural_degree():
     assert natural_degree(K3, DimVector({"v": 1, "w": 1})) == 4
     assert natural_degree(K3, DimVector({"v": 2, "w": 3})) == 12
     assert natural_degree(K2, DimVector({"v": 1})) == 0
+
+
+@pytest.mark.parametrize("counts", [(1,), (1, 1), (2, 1), (3, 3), (4, 2)])
+def test_distinct_orderings_lexicographic(counts):
+    letters = [v for v, n in zip("vw", counts) for _ in range(n)]
+    want = sorted(set(itertools.permutations(letters)))
+    assert list(_distinct_orderings(letters)) == want
+    assert list(_distinct_orderings(letters[::-1])) == want
 
 
 def test_increasing_slope_cases():
@@ -190,6 +200,19 @@ def test_cache_roundtrip(tmp_path):
     assert hit.rep.functional == cls.rep.functional
     # distinct stability tokens do not collide
     assert store.get(K3, slope_stability(K3, LO), d) is None
+
+
+def test_cache_not_shared_through_caller_tokens(tmp_path):
+    d = DimVector({"v": 1, "w": 1})
+    lo = slope_stability(K2, LO)
+    hi = slope_stability(K2, HI)
+    mine_lo = WeakStability(lo.value, ("mine",))
+    mine_hi = WeakStability(hi.value, ("mine",))
+    fresh = canonical_coordinates(invariant(K2, mine_lo, d))
+    store = CacheStore(tmp_path)
+    assert canonical_coordinates(invariant(K2, mine_hi, d, cache=store)) != fresh
+    assert canonical_coordinates(invariant(K2, mine_lo, d, cache=store)) == fresh
+    assert not list(tmp_path.iterdir())
 
 
 def test_cache_rejects_corruption(tmp_path):

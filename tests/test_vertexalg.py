@@ -326,6 +326,70 @@ def test_weight_zero_basis_shape():
             assert weight_zero_component(p).is_zero()
 
 
+ORACLE_RINGS = {
+    **{f"K3-{a}-{b}": (K3, {"v": a, "w": b}) for a in (1, 2, 3) for b in (1, 2, 3)},
+    "T4-1-2-1": (T4, {"a": 1, "b": 2, "c": 1}),
+}
+
+
+def _oracle_args(d, weight):
+    ring = ChernRing((DimVector(d),))
+    ranks = {(0, v): n for v, n in d.items()}
+    return ring, ranks, monomial_basis(ring, weight), monomial_basis(ring, weight - 1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_weight_zero_basis_matches_sympy_oracle(name):
+    _, d = ORACLE_RINGS[name]
+    for weight in range(11):
+        ring, ranks, basis, lower = _oracle_args(d, weight)
+        want = oracles.weight_zero_rref_oracle(ranks, basis, lower)
+        assert weight_zero_basis(ring, weight) == tuple(Poly(ring, row) for row in want)
+
+
+def _random_functional(rng, basis):
+    return {m: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for m in basis}
+
+
+@pytest.mark.parametrize("name", ["K3-2-2", "K3-3-2", "T4-1-2-1"])
+def test_is_translation_image_matches_rank_oracle(name):
+    q, d = ORACLE_RINGS[name]
+    rng = random.Random(7)
+    verdicts = set()
+    for weight in range(1, 6):
+        ring, ranks, basis, lower = _oracle_args(d, weight)
+        for _ in range(4):
+            w = divided_translation(
+                HClass(q, ring, 2 * weight - 2, _random_functional(rng, lower)), 1
+            )
+            kind = rng.randrange(3)  # image, image plus one unit, random class
+            if kind == 1:
+                w = w + HClass(q, ring, 2 * weight, {rng.choice(basis): Fraction(1)})
+            elif kind == 2:
+                w = HClass(q, ring, 2 * weight, _random_functional(rng, basis))
+            want = oracles.translation_image_oracle(ranks, basis, lower, w.functional)
+            assert is_translation_image(w) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["K3-2-2", "K3-3-3", "T4-1-2-1"])
+def test_images_accepted_and_unit_off_image_rejected(name):
+    q, d = ORACLE_RINGS[name]
+    rng = random.Random(11)
+    for weight in range(1, 7):
+        ring, _, basis, lower = _oracle_args(d, weight)
+        image = divided_translation(
+            HClass(q, ring, 2 * weight - 2, _random_functional(rng, lower)), 1
+        )
+        assert is_translation_image(image)
+        # the leading monomial of a weight-zero vector pairs to 1 with it,
+        # and images pair to 0, so a unit there is off the image
+        for p in weight_zero_basis(ring, weight):
+            unit = HClass(q, ring, 2 * weight, {min(p.terms): Fraction(1)})
+            assert not is_translation_image(image + unit)
+
+
 def test_weak_commutativity_small():
     u = unit_class(K3, DimVector({"v": 1}))
     v = unit_class(K3, DimVector({"w": 1}))
