@@ -25,7 +25,8 @@ The operations:
     (u x v) capped with the i-th Chern class of the symmetrized
     Hom-minus-Ext complex.  Only finitely many i contribute to each p;
     powers must be requested explicitly since arbitrarily large p can be
-    nonzero;
+    nonzero.  All terms at p share one degree, so their sum over i is taken
+    Horner fashion in the transpose of D and pushed forward once;
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
 
@@ -104,6 +105,14 @@ class HClass:
             raise ValueError(f"no nonzero classes in degree {degree}")
         self.functional = clean
 
+    @classmethod
+    def _trusted(cls, quiver, ring, degree, functional) -> "HClass":
+        """An internal result, valid as it stands: only drops zero values."""
+        self = object.__new__(cls)
+        self.quiver, self.ring, self.degree = quiver, ring, degree
+        self.functional = {m: c for m, c in functional.items() if c}
+        return self
+
     @property
     def dims(self) -> tuple[DimVector, ...]:
         return self.ring.dims
@@ -122,14 +131,14 @@ class HClass:
         acc = dict(self.functional)
         for m, c in other.functional.items():
             acc[m] = acc.get(m, Fraction(0)) + c
-        return HClass(self.quiver, self.ring, self.degree, acc)
+        return HClass._trusted(self.quiver, self.ring, self.degree, acc)
 
     def __sub__(self, other: "HClass") -> "HClass":
         return self + other.scale(-1)
 
     def scale(self, c) -> "HClass":
         c = Fraction(c)
-        return HClass(
+        return HClass._trusted(
             self.quiver, self.ring, self.degree,
             {m: c * x for m, x in self.functional.items()},
         )
@@ -187,7 +196,7 @@ def kunneth(u: HClass, v: HClass) -> HClass:
         for m2, c2 in v.functional.items():
             m = tuple(sorted(m1 + tuple(((1, g[1], g[2]), e) for g, e in m2)))
             out[m] = c1 * c2
-    return HClass(u.quiver, ring, u.degree + v.degree, out)
+    return HClass._trusted(u.quiver, ring, u.degree + v.degree, out)
 
 
 def cap(u: HClass, poly: Poly) -> HClass:
@@ -205,7 +214,7 @@ def cap(u: HClass, poly: Poly) -> HClass:
             m = divide_monomial(s, g)
             if m is not None:
                 out[m] = out.get(m, Fraction(0)) + cg * us
-    return HClass(u.quiver, u.ring, u.degree - 2 * w, out)
+    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * w, out)
 
 
 def divided_translation(u: HClass, j: int) -> HClass:
@@ -240,7 +249,7 @@ def divided_translation(u: HClass, j: int) -> HClass:
                 out[m] = out.get(m, 0) + x * (k * (exps.get(g, 0) + 1))
         func = out
     scale = factorial(j)
-    return HClass(
+    return HClass._trusted(
         u.quiver, u.ring, u.degree + 2 * j, {m: x / scale for m, x in func.items()}
     )
 
@@ -265,7 +274,7 @@ def direct_sum_pushforward(w: HClass) -> HClass:
             val = w.pair(pulled)
             if val:
                 out[m] = val
-    return HClass(w.quiver, ring, w.degree, out)
+    return HClass._trusted(w.quiver, ring, w.degree, out)
 
 
 _MERGE_PULL_MEMO: dict[tuple, Poly] = {}
@@ -290,7 +299,7 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
             val = u.pair(pulled)
             if val:
                 out[m] = val
-    return HClass(mor.target, ring, u.degree, out)
+    return HClass._trusted(mor.target, ring, u.degree, out)
 
 
 def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass]:
@@ -303,6 +312,10 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
 
     on the stack of the sum; classes for powers that receive no
     contribution are zero classes of that degree.
+    With caps[i] = (u x v) cap c_i, k = p - chi, i0 = max(0, -k) and
+    n = k + i0, the coefficient at p is epsilon times the pushforward of the
+    n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
+    (Dt the transpose of D), summed Horner fashion from i = imax down.
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
@@ -324,24 +337,26 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     if u.is_zero() or v.is_zero():
         return out
 
-    pair_ring = ChernRing((a, b))
     imax = (u.degree + v.degree) // 2
-    total_chern = chern_kclass(ext_pairing_kexpr(q), pair_ring, imax)
     uv = kunneth(u, v)
-    for i in range(0, imax + 1):
-        ci = total_chern.weight_part(i)
-        if ci.is_zero():
+    total_chern = chern_kclass(ext_pairing_kexpr(q), uv.ring, imax)
+    # cap with a zero polynomial keeps the degree, so zero c_i are built here
+    caps = [
+        HClass._trusted(q, uv.ring, uv.degree - 2 * i, {}) if ci.is_zero() else cap(uv, ci)
+        for i, ci in enumerate(map(total_chern.weight_part, range(imax + 1)))
+    ]
+    for p in powers:
+        k = p - chi
+        i0 = max(0, -k)
+        if i0 > imax:
             continue
-        w_i = cap(uv, ci)
-        if w_i.is_zero():
-            continue
-        for p in powers:
-            j = p - chi + i
-            if j < 0:
-                continue
-            term = direct_sum_pushforward(divided_translation(w_i, j))
-            if not term.is_zero():
-                out[p] = out[p] + term.scale(prefactor)
+        n = k + i0
+        acc = caps[imax].scale(Fraction(factorial(n), factorial(k + imax)))
+        for i in range(imax - 1, i0 - 1, -1):
+            acc = caps[i].scale(Fraction(factorial(n), factorial(k + i))) + divided_translation(acc, 1)
+        term = divided_translation(acc, n)
+        if not term.is_zero():
+            out[p] = direct_sum_pushforward(term).scale(prefactor)
     return out
 
 

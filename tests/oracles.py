@@ -4,7 +4,9 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  The
+nullspace and rref on the matrix of the translation derivation.  The one
+exception is the state-field oracle, which sums the defining series term by
+term from the package's own primitives.  The
 frozen literal tables were worked out by hand from the defining formulas
 and are committed as data; the tests compare the package against them,
 never the reverse.
@@ -316,6 +318,41 @@ def weight_zero_rref_oracle(ranks, basis, lower_basis):
          for c, x in enumerate(reduced.row(r)) if x != 0}
         for r in range(reduced.rows)
     ]
+
+
+def state_field_oracle(u, v, powers):
+    """Coefficients of Y(u, z) v summed term by term, straight from the
+    definition: for each i, its own chain of divided translations and its
+    own direct-sum pushforward.  Built from the package's primitives, but
+    independent of the package's Horner summation over i."""
+    from quiverinv.charclass import ChernRing, chern_kclass, ext_pairing_kexpr
+    from quiverinv.quiver import sign_epsilon, sym_euler_form
+    from quiverinv.vertexalg import (
+        cap, direct_sum_pushforward, divided_translation, kunneth, zero_class,
+    )
+
+    q = u.quiver
+    a, b = u.ring.dims[0], v.ring.dims[0]
+    chi = sym_euler_form(q, a, b)
+    sign = sign_epsilon(q, a, b)
+    out = {p: zero_class(q, (a + b,), u.degree + v.degree + 2 * p - 2 * chi)
+           for p in powers}
+    if u.is_zero() or v.is_zero():
+        return out
+    imax = (u.degree + v.degree) // 2
+    total_chern = chern_kclass(ext_pairing_kexpr(q), ChernRing((a, b)), imax)
+    uv = kunneth(u, v)
+    for i in range(imax + 1):
+        ci = total_chern.weight_part(i)
+        if ci.is_zero():
+            continue
+        w_i = cap(uv, ci)
+        for p in powers:
+            j = p - chi + i
+            if j >= 0:
+                term = direct_sum_pushforward(divided_translation(w_i, j))
+                out[p] = out[p] + term.scale(sign)
+    return out
 
 
 # ---------------------------------------------------------------------------

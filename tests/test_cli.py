@@ -179,6 +179,24 @@ def test_cache_flag_and_environment(qfiles, tmp_path, monkeypatch):
     assert list(envdir.glob("*.json"))
 
 
+FROZEN_OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
+
+
+@pytest.mark.parametrize("label,dimvec", [
+    ("invariant k3 3,3 jobs 2", '{"v":3,"w":3}'),
+    ("invariant k3 4,2", '{"v":4,"w":2}'),
+])
+def test_invariant_matches_frozen_output(qfiles, monkeypatch, label, dimvec):
+    # stdout frozen by perfbench/freeze_oracle.py; --jobs does not change it
+    want = json.loads(FROZEN_OUTPUTS.read_text())["cli-cache"][label]
+    monkeypatch.delenv("QUIVERINV_CACHE", raising=False)
+    code, out = run(
+        ["invariant", "--quiver", qfiles["k3"], "--dimvec", dimvec, "--slope", '{"v":1,"w":0}']
+    )
+    assert code == 0
+    assert out == want
+
+
 NO_SYMPY_MAIN = (
     "import sys\n"
     "sys.modules['sympy'] = None  # any import of sympy now raises\n"

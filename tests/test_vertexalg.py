@@ -390,6 +390,35 @@ def test_images_accepted_and_unit_off_image_rejected(name):
             assert not is_translation_image(image + unit)
 
 
+A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
+    {"id": "e1", "from": "a", "to": "b"},
+    {"id": "e2", "from": "a", "to": "b"},
+    {"id": "e3", "from": "b", "to": "c"},
+]})
+
+
+@pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
+def test_state_field_matches_termwise_oracle(q):
+    rng = random.Random(17)
+    powers = range(-4, 4)
+    samples = []
+    for _ in range(5):
+        verts = rng.sample(q.vertices, rng.randint(1, 2))
+        ring = ChernRing((DimVector({x: rng.randint(1, 2) for x in verts}),))
+        weight = rng.randint(0, 1)
+        samples.append(HClass(q, ring, 2 * weight,
+                              _random_functional(rng, monomial_basis(ring, weight))))
+    pairs = [(x, y) for x in samples for y in samples if rng.random() < 0.4]
+    pairs += [(vacuum(q), samples[0]), (samples[-1], vacuum(q))]
+    beyond_imax = False  # some power gets no term at all: chi - p > imax
+    for u, v in pairs:
+        chi = sym_euler_form(q, u.dims[0], v.dims[0])
+        if not (u.is_zero() or v.is_zero()):
+            beyond_imax |= chi - powers[0] > (u.degree + v.degree) // 2
+        assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
+    assert beyond_imax
+
+
 def test_weak_commutativity_small():
     u = unit_class(K3, DimVector({"v": 1}))
     v = unit_class(K3, DimVector({"w": 1}))
