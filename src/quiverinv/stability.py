@@ -5,7 +5,8 @@ vector a value in some totally ordered set; only values of the same
 condition are ever compared.  Three realizations are provided:
 
   * slope_stability: value(d) = sum_v mu_v d(v) / sum_v d(v), exact Fraction
-    arithmetic throughout;
+    arithmetic throughout; each instance memoizes its values by vector,
+    storing only vectors that value() has accepted;
   * trivial_stability: all values equal (every vector semistable);
   * pair_lex_stability: lexicographic pairs with formal +-infinity endpoints
     on a framed quiver, used to compare framed-vector orderings against
@@ -95,16 +96,21 @@ class SlopeStability(WeakStability):
     def __init__(self, mu: Mapping[str, Fraction], epsilon: Fraction | None = None):
         self.mu: dict[str, Fraction] = {v: parse_fraction(x) for v, x in mu.items()}
         self.epsilon = epsilon  # set by framed_slope, None otherwise
+        self._memo: dict[DimVector, Fraction] = {}
         token = ("slope",) + tuple(sorted((v, fraction_str(x)) for v, x in self.mu.items()))
         super().__init__(self._slope, token, name="slope")
 
     def _slope(self, d: DimVector) -> Fraction:
-        num = Fraction(0)
-        for v, n in d.items():
-            if v not in self.mu:
-                raise ValueError(f"slope has no weight for vertex {v!r}")
-            num += self.mu[v] * n
-        return num / d.total()
+        # value() has validated d; mu is never changed after construction
+        s = self._memo.get(d)
+        if s is None:
+            num = Fraction(0)
+            for v, n in d.items():
+                if v not in self.mu:
+                    raise ValueError(f"slope has no weight for vertex {v!r}")
+                num += self.mu[v] * n
+            s = self._memo[d] = num / d.total()
+        return s
 
     def to_json(self) -> dict[str, str]:
         return {v: fraction_str(x) for v, x in sorted(self.mu.items())}

@@ -7,6 +7,13 @@ the stability condition changes: the transformed class is the u-weighted
 sum over all ordered decompositions, applied to products (for the algebra
 version) or iterated brackets (for the Lie version) of the input classes.
 
+Every stability value either coefficient compares is the value of a
+contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
+superblock, or the head or tail at a cut.  So each call forms the
+n(n+1)/2 contiguous sums once, evaluates both conditions on them into two
+interval tables, and runs the regroupings on indices into those tables;
+one sign rule, shared by both coefficients, reads the cuts off them.
+
 The Lie version has no closed formula.  It is produced here from the
 u-weighted free word sum by the Dynkin projection: a sum p of words of
 length n with theta(p) = n p, where theta replaces each word by its left
@@ -41,11 +48,32 @@ class LieWord(NamedTuple):
     coefficient: Fraction
 
 
-def _sum_letters(letters: Sequence) -> object:
-    total = letters[0]
-    for x in letters[1:]:
-        total = total + x
-    return total
+def _interval_values(alphas: tuple, *stabs: WeakStability) -> list[list[list]]:
+    """One table per condition: entry [i][j], for i < j, is the value of
+    alphas[i] + ... + alphas[j-1].  Each sum is formed once."""
+    sums = []
+    for i, x in enumerate(alphas):
+        row = [None] * (i + 1) + [x]
+        for y in alphas[i + 1 :]:
+            row.append(row[-1] + y)
+        sums.append(row)
+    return [
+        [row[: i + 1] + [stab.value(x) for x in row[i + 1 :]] for i, row in enumerate(sums)]
+        for stab in stabs
+    ]
+
+
+def _cut_sign(frm: list[list], to: list[list], bounds: Sequence[int]) -> int:
+    """s_coeff of the blocks between consecutive bounds, read off the
+    interval tables frm and to; each inner bound is a cut."""
+    first, last = bounds[0], bounds[-1]
+    r = 0
+    for lo, cut, hi in zip(bounds, bounds[1:], bounds[2:]):
+        ascending = frm[lo][cut] <= frm[cut][hi]
+        if ascending != (to[first][cut] > to[cut][last]):
+            return 0
+        r += ascending
+    return -1 if r % 2 else 1
 
 
 def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> int:
@@ -54,26 +82,14 @@ def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     At each cut position the tuple must either ascend under from_stab while
     the to_stab values of the two partial sums strictly descend, or strictly
     descend under from_stab while the partial sums weakly ascend; otherwise
-    the coefficient is zero.  The sign counts cuts of the first kind.
+    the coefficient is zero.  The sign counts cuts of the first kind.  Each
+    value is read off one interval table per condition.
     """
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
-    n = len(alphas)
-    r = 0
-    head = alphas[0]
-    for i in range(1, n):
-        ascending = from_stab.leq(alphas[i - 1], alphas[i])
-        head_value = to_stab.value(head)
-        tail_value = to_stab.value(_sum_letters(alphas[i:]))
-        if ascending and head_value > tail_value:
-            r += 1
-        elif not ascending and head_value <= tail_value:
-            pass
-        else:
-            return 0
-        head = head + alphas[i]
-    return -1 if r % 2 else 1
+    frm, to = _interval_values(alphas, from_stab, to_stab)
+    return _cut_sign(frm, to, range(len(alphas) + 1))
 
 
 def _compositions(n: int, blocks: int) -> Iterable[tuple[int, ...]]:
@@ -92,7 +108,8 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     from_stab is constant, then adjacent superblocks whose sums all share
     the to_stab value of the full sum.  Each superblock contributes its
     s_coeff, each block the reciprocal of its factorial, and a superblock
-    count l contributes (-1)^(l-1)/l.
+    count l contributes (-1)^(l-1)/l.  The regroupings run on boundary
+    indices into one table per condition of the n(n+1)/2 interval values.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -103,41 +120,29 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
         return _U_MEMO[key]
 
     n = len(alphas)
-    total_value = to_stab.value(_sum_letters(alphas))
+    frm, to = _interval_values(alphas, from_stab, to_stab)
+    total_value = to[0][n]
     result = Fraction(0)
     for m in range(1, n + 1):
         for a in _compositions(n, m):
-            betas = []
-            ok = True
-            for i in range(m):
-                block = alphas[a[i] : a[i + 1]]
-                beta = _sum_letters(block)
-                if any(not from_stab.same_value(beta, x) for x in block):
-                    ok = False
-                    break
-                betas.append(beta)
-            if not ok:
+            # from_stab must give each block and every letter in it one value
+            if any(frm[i][j] != frm[k][k + 1] for i, j in zip(a, a[1:]) for k in range(i, j)):
                 continue
-            weight = Fraction(1)
-            for i in range(m):
-                weight /= factorial(a[i + 1] - a[i])
+            denom = 1
+            for i, j in zip(a, a[1:]):
+                denom *= factorial(j - i)
             for l in range(1, m + 1):
                 for b in _compositions(m, l):
-                    gammas_ok = True
-                    signs = Fraction(1)
-                    for i in range(l):
-                        group = betas[b[i] : b[i + 1]]
-                        if to_stab.value(_sum_letters(group)) != total_value:
-                            gammas_ok = False
+                    sign = 1
+                    for i, j in zip(b, b[1:]):
+                        if to[a[i]][a[j]] != total_value:
+                            sign = 0
                             break
-                        s = s_coeff(group, from_stab, to_stab)
-                        if s == 0:
-                            gammas_ok = False
+                        sign *= _cut_sign(frm, to, a[i : j + 1])
+                        if not sign:
                             break
-                        signs *= s
-                    if not gammas_ok:
-                        continue
-                    result += Fraction((-1) ** (l - 1), l) * signs * weight
+                    if sign:
+                        result += Fraction(sign if l % 2 else -sign, l * denom)
 
     if memoize:
         _U_MEMO[key] = result

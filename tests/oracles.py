@@ -4,16 +4,18 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  The one
-exception is the state-field oracle, which sums the defining series term by
-term from the package's own primitives.  The
+nullspace and rref on the matrix of the translation derivation.  Two
+exceptions build on the package's own primitives: the state-field oracle
+sums the defining series term by term, and the u- and s-coefficient
+oracles enumerate the regroupings of a tuple calling value() on freshly
+summed dimension vectors, without the package's interval tables.  The
 frozen literal tables were worked out by hand from the defining formulas
 and are committed as data; the tests compare the package against them,
 never the reverse.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 import sympy
@@ -353,6 +355,86 @@ def state_field_oracle(u, v, powers):
                 term = direct_sum_pushforward(divided_translation(w_i, j))
                 out[p] = out[p] + term.scale(sign)
     return out
+
+
+def _sum_letters(letters):
+    total = letters[0]
+    for x in letters[1:]:
+        total = total + x
+    return total
+
+
+def s_coeff_oracle(alphas, from_stab, to_stab):
+    """Sign coefficient straight from the cut rule: each comparison calls
+    value() on freshly built dimension-vector sums."""
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("empty tuple")
+    n = len(alphas)
+    r = 0
+    head = alphas[0]
+    for i in range(1, n):
+        ascending = from_stab.leq(alphas[i - 1], alphas[i])
+        head_value = to_stab.value(head)
+        tail_value = to_stab.value(_sum_letters(alphas[i:]))
+        if ascending and head_value > tail_value:
+            r += 1
+        elif not ascending and head_value <= tail_value:
+            pass
+        else:
+            return 0
+        head = head + alphas[i]
+    return -1 if r % 2 else 1
+
+
+def _compositions(n, blocks):
+    for inner in combinations(range(1, n), blocks - 1):
+        yield (0,) + inner + (n,)
+
+
+def u_coeff_oracle(alphas, from_stab, to_stab):
+    """Transformation coefficient by plain enumeration of blocks and
+    superblocks, with s_coeff_oracle per superblock and no memo."""
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("empty tuple")
+    n = len(alphas)
+    total_value = to_stab.value(_sum_letters(alphas))
+    result = Fraction(0)
+    for m in range(1, n + 1):
+        for a in _compositions(n, m):
+            betas = []
+            ok = True
+            for i in range(m):
+                block = alphas[a[i] : a[i + 1]]
+                beta = _sum_letters(block)
+                if any(not from_stab.same_value(beta, x) for x in block):
+                    ok = False
+                    break
+                betas.append(beta)
+            if not ok:
+                continue
+            weight = Fraction(1)
+            for i in range(m):
+                weight /= factorial(a[i + 1] - a[i])
+            for l in range(1, m + 1):
+                for b in _compositions(m, l):
+                    gammas_ok = True
+                    signs = Fraction(1)
+                    for i in range(l):
+                        group = betas[b[i] : b[i + 1]]
+                        if to_stab.value(_sum_letters(group)) != total_value:
+                            gammas_ok = False
+                            break
+                        s = s_coeff_oracle(group, from_stab, to_stab)
+                        if s == 0:
+                            gammas_ok = False
+                            break
+                        signs *= s
+                    if not gammas_ok:
+                        continue
+                    result += Fraction((-1) ** (l - 1), l) * signs * weight
+    return result
 
 
 # ---------------------------------------------------------------------------

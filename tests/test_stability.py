@@ -17,7 +17,7 @@ from quiverinv.stability import (
     slope_stability,
     trivial_stability,
 )
-from quiverinv.quiver import edge_deletion_morphism, frame_quiver
+from quiverinv.quiver import edge_deletion_morphism, frame_quiver, subvectors
 
 from . import oracles
 
@@ -148,3 +148,41 @@ def test_framed_slope_properties():
     assert stab.value(dtil) > base.value(d)
     neg = framed_slope(framed, mu, d, -1)
     assert neg.value(d + unit_vector("inf")) < base.value(d)
+
+
+def _fresh_slope(mu, d):
+    return sum((Fraction(mu[v]) * n for v, n in d.items()), Fraction(0)) / d.total()
+
+
+def test_slope_values_memoized_per_instance():
+    d = DimVector({"v": 3, "w": 3})
+    mu_a = {"v": Fraction(2, 3), "w": -5}
+    mu_b = {"v": 1, "w": Fraction(7, 2)}
+    a, b = slope_stability(A2, mu_a), slope_stability(A2, mu_b)
+    bad = [DimVector({}), DimVector({"v": -1, "w": 2}), DimVector({"w": -1})]
+    for _ in range(3):  # cold, then warm twice
+        for e in subvectors(d):
+            assert a.value(e) == _fresh_slope(mu_a, e)
+            assert b.value(e) == _fresh_slope(mu_b, e)
+        for e in bad:
+            for stab in (a, b):
+                with pytest.raises(ValueError):
+                    stab.value(e)
+
+
+def test_derived_slopes_unchanged_by_memo():
+    m = edge_deletion_morphism(K2, ["a0"])
+    target_mu = {"v": Fraction(1, 3), "w": 4}
+    back = pullback_stability(m, slope_stability(m.target, target_mu))
+    for _ in range(2):
+        for e in subvectors(DimVector({"v": 3, "w": 3})):
+            assert back.value(e) == _fresh_slope(target_mu, m.pushforward(e))
+    framed, _ = frame_quiver(A2, {"v": 1, "w": 1})
+    d = DimVector({"v": 2, "w": 1})
+    for sign, frame_weight in ((1, Fraction(25, 36)), (-1, Fraction(23, 36))):
+        stab = framed_slope(framed, {"v": 1, "w": 0}, d, sign)
+        assert stab.epsilon == Fraction(1, 36)
+        assert stab.mu == {"v": 1, "w": 0, "inf": frame_weight}
+        for _ in range(2):
+            for e in subvectors(d + unit_vector("inf")):
+                assert stab.value(e) == _fresh_slope(stab.mu, e)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +14,7 @@ from quiverinv.stability import (
     slope_stability,
     trivial_stability,
 )
+from quiverinv import wallcoeff
 from quiverinv.wallcoeff import (
     LieElementError,
     dynkin_word,
@@ -152,6 +154,93 @@ def test_u_memo_not_shared_through_caller_tokens():
     tup = (DV, DW)
     assert u_coeff(tup, LO, a) == u_coeff(tup, LO, HI) == -1
     assert u_coeff(tup, LO, b) == u_coeff(tup, LO, trivial_stability()) == Fraction(-1, 2)
+
+
+A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
+    {"id": "e1", "from": "a", "to": "b"},
+    {"id": "e2", "from": "a", "to": "b"},
+    {"id": "e3", "from": "b", "to": "c"},
+]})
+
+
+def _letter_pool(q):
+    units = [unit_vector(v) for v in q.vertices]
+    return units + [2 * x for x in units] + [a + b for a, b in itertools.combinations(units, 2)]
+
+
+def _oracle_cases():
+    """(label, from, to, letter pool) covering slope ties, the trivial
+    condition, tuple values and caller-token conditions."""
+    rng = random.Random(20201)
+    for name, q in (("A2", A2), ("K3", K3), ("A3", A3)):
+        pool = _letter_pool(q)
+        for k in range(4):
+            # weights in -1..1 make equal values among letters and sums common
+            lo, hi = (slope_stability(q, {v: rng.randint(-1, 1) for v in q.vertices})
+                      for _ in range(2))
+            yield f"{name} slopes {k}", lo, hi, pool
+            yield f"{name} slope to trivial {k}", lo, trivial_stability(), pool
+            yield f"{name} trivial to slope {k}", trivial_stability(), hi, pool
+        coarse = WeakStability(lambda d, s=hi: 2 * s.value(d) // 1, ("mine",))
+        by_size = WeakStability(lambda d: d.total() % 3, ("mine",))
+        yield f"{name} caller tokens", coarse, by_size, pool
+        yield f"{name} caller to slope", by_size, hi, pool
+    framed, _ = frame_quiver(A2, {"v": 1, "w": 1})
+    pool = _letter_pool(framed)
+    for sign in (1, -1):
+        yield (f"pairlex {sign}", pair_lex_stability(framed, {"v": 0, "w": 1}, sign),
+               pair_lex_stability(framed, {"v": 0, "w": 1}, -sign), pool)
+
+
+def test_coefficients_match_enumeration_oracle():
+    rng = random.Random(77)
+    seen_u, seen_s = set(), set()
+    for label, frm, to, pool in _oracle_cases():
+        for _ in range(30):
+            tup = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+            wallcoeff._U_MEMO.clear()
+            want_u = oracles.u_coeff_oracle(tup, frm, to)
+            assert u_coeff(tup, frm, to) == want_u, (label, tup)
+            want_s = oracles.s_coeff_oracle(tup, frm, to)
+            assert s_coeff(tup, frm, to) == want_s, (label, tup)
+            seen_u.add(want_u != 0)
+            seen_s.add(want_s)
+    wallcoeff._U_MEMO.clear()
+    assert seen_u == {True, False} and seen_s == {-1, 0, 1}
+
+
+class _CountingStability(WeakStability):
+    """Caller-token condition that counts its value() calls."""
+
+    def __init__(self, value_fn):
+        super().__init__(value_fn, ("counting",))
+        self.calls = 0
+
+    def value(self, d):
+        self.calls += 1
+        return super().value(d)
+
+
+def test_each_interval_value_computed_once():
+    # caller tokens keep the u_coeff memo out: every call builds its tables
+    rng = random.Random(5)
+    pool = _letter_pool(K3)
+    for n in range(1, 7):
+        for _ in range(5):
+            tup = tuple(rng.choice(pool) for _ in range(n))
+            frm = _CountingStability(LO.value)
+            to = _CountingStability(trivial_stability().value)
+            u_coeff(tup, frm, to)
+            assert frm.calls <= n * (n + 1) // 2
+            assert to.calls <= n * (n + 1) // 2
+
+
+def test_zero_and_non_effective_letters_rejected():
+    for tup in [(DimVector(),), (DV, DimVector()), (DimVector(), DW, DV), (DV, DW - DV)]:
+        with pytest.raises(ValueError):
+            u_coeff(tup, LO, HI)
+        with pytest.raises(ValueError):
+            s_coeff(tup, LO, HI)
 
 
 def test_order_isomorphic_conditions_agree():
