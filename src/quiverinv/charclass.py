@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from .quiver import DimVector, Quiver, QuiverMorphism
@@ -453,16 +454,90 @@ def apply_ring_map(
     """Push a polynomial through a ring homomorphism given on generators."""
     out = Poly.zero(target_ring)
     for m, c in poly.terms.items():
-        term = Poly.one(target_ring)
+        term = Poly.constant(target_ring, c)
         for g, e in m:
-            img = gen_image(g)
-            if img.is_zero():
-                term = Poly.zero(target_ring)
-                break
-            term = term * img.power(e)
-        if not term.is_zero():
-            out = out + term.scale(c)
+            term = term * gen_image(g).power(e)
+        out = out + term
     return out
+
+
+def _sum_slots(d: DimVector) -> dict[str, tuple]:
+    """Whitney slots of the direct-sum map onto d: (0, v) and (1, v) at v."""
+    return {v: ((0, v), (1, v)) for v in d.support()}
+
+
+def _merge_slots(m: QuiverMorphism, d: DimVector) -> dict[str, tuple]:
+    """Whitney slots of the merge map onto d: (0, v) for each preimage v of w."""
+    return {w: tuple((0, v) for v in m.preimages(w)) for w in d.support()}
+
+
+def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> Poly:
+    """c[0, w, k] goes to the weight-k part of the product of the total
+    classes of the slots of w in ring."""
+    totals = {w: Poly.one(ring) for w in slots}
+    for w, group in slots.items():
+        for f, v in group:
+            gens = range(1, ring.rank(f, v) + 1)
+            totals[w] = totals[w] * Poly(ring, {(): 1, **{(((f, v, i), 1),): 1 for i in gens}})
+    return apply_ring_map(poly, ring, lambda g: totals[g[1]].weight_part(g[2]))
+
+
+def _whitney_transpose(
+    functional: Mapping[Monomial, Fraction], slots: dict[str, tuple]
+) -> dict[Monomial, Fraction]:
+    """Transpose of _whitney_pullback, evaluated on the functional's support.
+
+    A support monomial splits into one part per target vertex w, the
+    exponent of each index i in each slot t of w.  A multiset of index
+    tuples tau (one index per slot, not all zero) that uses up a part
+    exactly, with n_tau copies of tau and m_k tuples of sum k, adds
+    prod_k m_k! / prod_tau n_tau! to prod_k c[0, w, k]^m_k.  The parts'
+    expansions multiply; each distinct part is expanded once per call.
+    """
+    where = {fv: (w, t) for w, group in slots.items() for t, fv in enumerate(group)}
+    expansions: dict[tuple, dict[Monomial, int]] = {}
+
+    def expand(w: str, part: dict[tuple[int, int], int]) -> dict[Monomial, int]:
+        indices = ([0] + [i for s, i in part if s == t] for t in range(len(slots[w])))
+        taus = [tau for tau in product(*indices) if any(tau)]
+        usable = [set()]  # usable[p]: the (slot, index) pairs taus[p:] can use up
+        for tau in reversed(taus):
+            usable.insert(0, usable[0] | {(t, i) for t, i in enumerate(tau) if i})
+        out: dict[Monomial, int] = {}
+
+        def rec(p: int, left: dict, chosen: list) -> None:
+            if p == len(taus):
+                m: dict[int, int] = {}
+                for tau, n in chosen:
+                    m[sum(tau)] = m.get(sum(tau), 0) + n
+                mono = tuple(((0, w, k), n) for k, n in sorted(m.items()))
+                coeff = prod(map(factorial, m.values())) // prod(factorial(n) for _, n in chosen)
+                out[mono] = out.get(mono, 0) + coeff
+                return
+            used = [(t, i) for t, i in enumerate(taus[p]) if i]
+            for n in range(min(left[u] for u in used), -1, -1):
+                rest = {u: e - n if u in used else e for u, e in left.items()}
+                if all(u in usable[p + 1] for u, e in rest.items() if e):
+                    rec(p + 1, rest, chosen + [(taus[p], n)] if n else chosen)
+
+        rec(0, part, [])
+        return out
+
+    result: dict[Monomial, Fraction] = {}
+    for s, x in functional.items():
+        parts: dict[str, dict[tuple[int, int], int]] = {}
+        for (f, v, i), e in s:
+            w, t = where[(f, v)]
+            parts.setdefault(w, {})[(t, i)] = e
+        terms = [((), x)]
+        for w in sorted(parts):
+            key = (w, tuple(parts[w].items()))
+            if key not in expansions:
+                expansions[key] = expand(w, parts[w])
+            terms = [(m + mw, c * y) for m, c in terms for mw, y in expansions[key].items()]
+        for m, c in terms:
+            result[m] = result.get(m, 0) + c
+    return result
 
 
 def direct_sum_pullback(poly: Poly, pair_ring: ChernRing) -> Poly:
@@ -479,25 +554,7 @@ def direct_sum_pullback(poly: Poly, pair_ring: ChernRing) -> Poly:
     d, e = pair_ring.dims
     if poly.ring.dims[0] != d + e:
         raise ValueError("ring dimensions do not match a direct sum")
-
-    totals: dict[str, Poly] = {}
-
-    def total_class(v: str) -> Poly:
-        if v not in totals:
-            acc = Poly.one(pair_ring)
-            for f in (0, 1):
-                c = Poly.one(pair_ring)
-                for i in range(1, pair_ring.rank(f, v) + 1):
-                    c = c + Poly.generator(pair_ring, (f, v, i))
-                acc = acc * c
-            totals[v] = acc
-        return totals[v]
-
-    def image(g: Generator) -> Poly:
-        _, v, i = g
-        return total_class(v).weight_part(i)
-
-    return apply_ring_map(poly, pair_ring, image)
+    return _whitney_pullback(poly, pair_ring, _sum_slots(d + e))
 
 
 def merge_pullback(m: QuiverMorphism, poly: Poly, source_ring: ChernRing) -> Poly:
@@ -512,25 +569,7 @@ def merge_pullback(m: QuiverMorphism, poly: Poly, source_ring: ChernRing) -> Pol
     d = source_ring.dims[0]
     if poly.ring.dims[0] != m.pushforward(d):
         raise ValueError("target ring does not match the pushforward class")
-
-    totals: dict[str, Poly] = {}
-
-    def total_class(w: str) -> Poly:
-        if w not in totals:
-            acc = Poly.one(source_ring)
-            for v in m.preimages(w):
-                c = Poly.one(source_ring)
-                for i in range(1, source_ring.rank(0, v) + 1):
-                    c = c + Poly.generator(source_ring, (0, v, i))
-                acc = acc * c
-            totals[w] = acc
-        return totals[w]
-
-    def image(g: Generator) -> Poly:
-        _, w, i = g
-        return total_class(w).weight_part(i)
-
-    return apply_ring_map(poly, source_ring, image)
+    return _whitney_pullback(poly, source_ring, _merge_slots(m, poly.ring.dims[0]))
 
 
 def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:

@@ -2,7 +2,8 @@
 
 All numbers cross the interface as exact rational strings; output objects
 are serialized with fixed key order and separators, so identical inputs
-give byte-identical output regardless of parallelism.
+give byte-identical output.  Evaluation runs in one process; --jobs is
+accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 malformed input, 3 acyclicity violation,
 4 failed check or internal assertion.  Failed checks still print their
@@ -80,7 +81,10 @@ dimvec_option = click.option("--dimvec", required=True, metavar="JSON")
 slope_option = click.option("--slope", required=True, metavar="JSON")
 slope2_option = click.option("--slope2", required=True, metavar="JSON")
 cache_option = click.option("--cache", "cache_path", default=None, metavar="DIR")
-jobs_option = click.option("--jobs", default=1, show_default=True, metavar="N")
+jobs_option = click.option(
+    "--jobs", default=1, show_default=True, metavar="N",
+    help="Accepted for compatibility; evaluation is sequential.",
+)
 max_size_option = click.option("--max-size", "max_size", default=8, show_default=True, metavar="K")
 
 

@@ -57,7 +57,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -104,7 +103,7 @@ from .vertexalg import (
     zero_class,
     zero_pl,
 )
-from .wallcoeff import LieWord, lie_normalize, u_coeff
+from .wallcoeff import lie_normalize, u_coeff
 
 DEFAULT_MAX_SIZE = 8
 
@@ -150,25 +149,6 @@ def _unit_word_class(q: Quiver, letters: tuple[str, ...]) -> PlClass:
     return cls
 
 
-def _word_vertices(lw: LieWord) -> tuple[str, ...]:
-    out = []
-    for letter in lw.letters:
-        v = letter.as_unit()
-        if v is None:
-            raise ValueError(f"expected a unit-vector letter, got {letter!r}")
-        out.append(v)
-    return tuple(out)
-
-
-def _eval_unit_word_payload(payload: tuple) -> tuple[int, list]:
-    """Worker for parallel word evaluation; JSON-flat in and out."""
-    quiver_json, letters = payload
-    q = Quiver.from_json(quiver_json)
-    rep = _unit_word_class(q, tuple(letters)).rep
-    items = sorted(rep.functional.items())
-    return rep.degree, [[monomial_string(m), fraction_str(c)] for m, c in items]
-
-
 def _distinct_orderings(letters: list[str]) -> Iterator[tuple[str, ...]]:
     """Distinct orderings of the letters, in lexicographic order."""
     seq = sorted(letters)
@@ -210,7 +190,8 @@ def invariant(
     """Invariant class of the semistable moduli of class d at tau.
 
     reference overrides the increasing slope the word sum is built from;
-    any increasing slope gives the same class.
+    any increasing slope gives the same class.  Evaluation is sequential;
+    jobs is accepted for compatibility and has no effect.
     """
     d = _check_class(q, d)
     _check_size(d, max_size)
@@ -237,23 +218,9 @@ def invariant(
             words[tup] = c
 
     acc = zero_class(q, (d,), degree)
-    if words:
-        lie_words = lie_normalize(words)
-        if jobs > 1 and len(lie_words) > 1:
-            qjson = q.to_json()
-            payloads = [(qjson, list(_word_vertices(lw))) for lw in lie_words]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_eval_unit_word_payload, payloads))
-            ring = ChernRing((d,))
-            for lw, (deg, items) in zip(lie_words, results):
-                functional = {
-                    parse_monomial_string(s, ring): parse_fraction(c) for s, c in items
-                }
-                acc = acc + HClass(q, ring, deg, functional).scale(lw.coefficient)
-        else:
-            for lw in lie_words:
-                rep = _unit_word_class(q, _word_vertices(lw)).rep
-                acc = acc + rep.scale(lw.coefficient)
+    for lw in lie_normalize(words):
+        rep = _unit_word_class(q, tuple(letter.as_unit() for letter in lw.letters)).rep
+        acc = acc + rep.scale(lw.coefficient)
     result = PlClass(acc)
 
     if cache is not None:

@@ -88,7 +88,13 @@ class DimVector:
         return 0
 
     def __add__(self, other: "DimVector") -> "DimVector":
-        return DimVector(list(self._items) + list(other._items))
+        # both operands are valid, so the sum skips the validating constructor
+        acc = dict(self._items)
+        for v, n in other._items:
+            acc[v] = acc.get(v, 0) + n
+        out = object.__new__(DimVector)
+        out._items = tuple(sorted(item for item in acc.items() if item[1]))
+        return out
 
     def __sub__(self, other: "DimVector") -> "DimVector":
         return DimVector(list(self._items) + [(v, -n) for v, n in other._items])

@@ -15,6 +15,9 @@ The operations:
     class ring (charclass.weight_zero_component);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
+    both pushforwards are transposed Whitney maps applied to the class's
+    support (charclass._whitney_transpose), so neither enumerates the
+    target monomial basis;
   * state_field(u, v, powers): the two-point expansion
 
         sum_p z^p (coefficient class on the sum stack),
@@ -52,11 +55,12 @@ from .charclass import (
     ChernRing,
     Monomial,
     Poly,
+    _merge_slots,
+    _sum_slots,
+    _whitney_transpose,
     chern_kclass,
-    direct_sum_pullback,
     divide_monomial,
     ext_pairing_kexpr,
-    merge_pullback,
     monomial_basis,
     monomial_weight,
     mul_monomials,
@@ -254,52 +258,26 @@ def divided_translation(u: HClass, j: int) -> HClass:
     )
 
 
-_SUM_PULL_MEMO: dict[tuple, Poly] = {}
-
-
 def direct_sum_pushforward(w: HClass) -> HClass:
-    """Push a two-factor class along the direct-sum map to the sum stack."""
+    """Push a two-factor class along the direct-sum map to the sum stack:
+    the transposed Whitney map on the support of w."""
     if w.ring.factors() != 2:
         raise ValueError("pushforward input must be a two-factor class")
-    d, e = w.ring.dims
-    ring = ChernRing((d + e,))
-    out: dict[Monomial, Fraction] = {}
-    if w.degree >= 0 and w.degree % 2 == 0:
-        for m in monomial_basis(ring, w.degree // 2):
-            key = (ring.key(), w.ring.key(), m)
-            pulled = _SUM_PULL_MEMO.get(key)
-            if pulled is None:
-                pulled = direct_sum_pullback(Poly(ring, {m: Fraction(1)}), w.ring)
-                _SUM_PULL_MEMO[key] = pulled
-            val = w.pair(pulled)
-            if val:
-                out[m] = val
-    return HClass._trusted(w.quiver, ring, w.degree, out)
-
-
-_MERGE_PULL_MEMO: dict[tuple, Poly] = {}
+    total = w.ring.dims[0] + w.ring.dims[1]
+    out = _whitney_transpose(w.functional, _sum_slots(total))
+    return HClass._trusted(w.quiver, ChernRing((total,)), w.degree, out)
 
 
 def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
-    """Push a one-factor class along the map induced by a quiver morphism."""
+    """Push a one-factor class along the map induced by a quiver morphism:
+    the transposed Whitney map over preimages, on the support of u."""
     if u.ring.factors() != 1:
         raise ValueError("pushforward input must be a one-factor class")
     if u.quiver != mor.source:
         raise ValueError("class does not live on the morphism source")
-    d = u.ring.dims[0]
-    ring = ChernRing((mor.pushforward(d),))
-    out: dict[Monomial, Fraction] = {}
-    if u.degree >= 0 and u.degree % 2 == 0:
-        for m in monomial_basis(ring, u.degree // 2):
-            key = (mor.key(), u.ring.key(), m)
-            pulled = _MERGE_PULL_MEMO.get(key)
-            if pulled is None:
-                pulled = merge_pullback(mor, Poly(ring, {m: Fraction(1)}), u.ring)
-                _MERGE_PULL_MEMO[key] = pulled
-            val = u.pair(pulled)
-            if val:
-                out[m] = val
-    return HClass._trusted(mor.target, ring, u.degree, out)
+    image = mor.pushforward(u.ring.dims[0])
+    out = _whitney_transpose(u.functional, _merge_slots(mor, image))
+    return HClass._trusted(mor.target, ChernRing((image,)), u.degree, out)
 
 
 def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass]:

@@ -4,11 +4,13 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  Two
-exceptions build on the package's own primitives: the state-field oracle
-sums the defining series term by term, and the u- and s-coefficient
-oracles enumerate the regroupings of a tuple calling value() on freshly
-summed dimension vectors, without the package's interval tables.  The
+nullspace and rref on the matrix of the translation derivation.  Three
+exceptions build on the package's own primitives: the pushforward
+oracles pair with the Whitney pullback of every monomial of the target
+basis, the state-field oracle sums the defining series term by term
+(pushing forward by pairing), and the u- and s-coefficient oracles
+enumerate the regroupings of a tuple calling value() on freshly summed
+dimension vectors, without the package's interval tables.  The
 frozen literal tables were worked out by hand from the defining formulas
 and are committed as data; the tests compare the package against them,
 never the reverse.
@@ -322,16 +324,48 @@ def weight_zero_rref_oracle(ranks, basis, lower_basis):
     ]
 
 
+def _pushforward_by_pairing(u, quiver, ring, pullback):
+    """The class on ring whose value at each basis monomial m is u paired
+    with pullback(m)."""
+    from quiverinv.charclass import Poly, monomial_basis
+    from quiverinv.vertexalg import HClass
+
+    out = {}
+    if u.degree >= 0 and u.degree % 2 == 0:
+        for m in monomial_basis(ring, u.degree // 2):
+            val = u.pair(pullback(Poly(ring, {m: Fraction(1)})))
+            if val:
+                out[m] = val
+    return HClass(quiver, ring, u.degree, out)
+
+
+def direct_sum_pushforward_oracle(w):
+    """Pushforward of a two-factor class along the direct sum, by pairing
+    with direct_sum_pullback over the whole target basis."""
+    from quiverinv.charclass import ChernRing, direct_sum_pullback
+
+    ring = ChernRing((w.ring.dims[0] + w.ring.dims[1],))
+    return _pushforward_by_pairing(w, w.quiver, ring, lambda p: direct_sum_pullback(p, w.ring))
+
+
+def merge_pushforward_oracle(mor, u):
+    """Pushforward along a quiver morphism, by pairing with merge_pullback
+    over the whole target basis."""
+    from quiverinv.charclass import ChernRing, merge_pullback
+
+    ring = ChernRing((mor.pushforward(u.ring.dims[0]),))
+    return _pushforward_by_pairing(u, mor.target, ring, lambda p: merge_pullback(mor, p, u.ring))
+
+
 def state_field_oracle(u, v, powers):
     """Coefficients of Y(u, z) v summed term by term, straight from the
     definition: for each i, its own chain of divided translations and its
-    own direct-sum pushforward.  Built from the package's primitives, but
-    independent of the package's Horner summation over i."""
+    own direct-sum pushforward, taken by pairing.  Built from the package's
+    primitives, but independent of the package's Horner summation over i
+    and of its transposed pushforward."""
     from quiverinv.charclass import ChernRing, chern_kclass, ext_pairing_kexpr
     from quiverinv.quiver import sign_epsilon, sym_euler_form
-    from quiverinv.vertexalg import (
-        cap, direct_sum_pushforward, divided_translation, kunneth, zero_class,
-    )
+    from quiverinv.vertexalg import cap, divided_translation, kunneth, zero_class
 
     q = u.quiver
     a, b = u.ring.dims[0], v.ring.dims[0]
@@ -352,7 +386,7 @@ def state_field_oracle(u, v, powers):
         for p in powers:
             j = p - chi + i
             if j >= 0:
-                term = direct_sum_pushforward(divided_translation(w_i, j))
+                term = direct_sum_pushforward_oracle(divided_translation(w_i, j))
                 out[p] = out[p] + term.scale(sign)
     return out
 

@@ -226,6 +226,36 @@ def test_runtime_does_not_import_sympy(qfiles, tmp_path):
             assert proc.stdout == want
 
 
+NO_POOL_MAIN = (
+    "import sys\n"
+    "from quiverinv.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "pool = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
+    "print(sorted(pool), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_jobs_flag_starts_no_process_pool(qfiles):
+    src = str(Path(quiverinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [
+        "invariant",
+        "--quiver", qfiles["k3"],
+        "--dimvec", '{"v":2,"w":1}',
+        "--slope", '{"v":"1","w":"0"}',
+    ]
+    code, want = run(argv)
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_POOL_MAIN, *argv, "--jobs", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+    assert proc.stdout == want
+
+
 def test_wallcross_check_command(qfiles):
     code, out = run(
         [

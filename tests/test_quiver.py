@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,24 @@ def test_dimvector_arithmetic(d, e, k):
     assert k * d == DimVector({v: k * d[v] for v in "vw"})
     assert d.leq(d + e)
     assert e.leq(d + e)
+
+
+def test_dimvector_sum_matches_constructor():
+    # sums skip the validating constructor; they must still equal it,
+    # dropping entries that cancel to zero
+    rng = random.Random(41)
+    cancelled = False
+    for _ in range(300):
+        a, b = (
+            DimVector({v: rng.randint(-2, 2) for v in rng.sample("uvwxy", rng.randint(0, 5))})
+            for _ in range(2)
+        )
+        total = a + b
+        assert total == DimVector(list(a.items()) + list(b.items()))
+        assert hash(total) == hash(DimVector(list(a.items()) + list(b.items())))
+        assert all(n for _, n in total.items())
+        cancelled |= any(a[v] and a[v] + b[v] == 0 for v in a.support())
+    assert cancelled
 
 
 def test_dimvector_json():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from quiverinv import charclass, vertexalg
 from quiverinv.charclass import ChernRing, Poly, monomial_basis, scaling_coaction
 from quiverinv.quiver import (
     DimVector,
     Quiver,
     binarize_quiver,
     edge_deletion_morphism,
+    frame_quiver,
     sign_epsilon,
     sym_euler_form,
     unit_vector,
@@ -417,6 +419,56 @@ def test_state_field_matches_termwise_oracle(q):
             beyond_imax |= chi - powers[0] > (u.degree + v.degree) // 2
         assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
     assert beyond_imax
+
+
+def _random_class(rng, q, dims, weight, size=12):
+    ring = ChernRing(tuple(DimVector(d) for d in dims))
+    basis = monomial_basis(ring, weight)
+    support = rng.sample(basis, min(size, len(basis)))
+    return HClass(q, ring, 2 * weight, _random_functional(rng, support))
+
+
+@pytest.mark.parametrize("q", [A2, K3, A3], ids=["A2", "K3", "A3"])
+def test_direct_sum_pushforward_matches_pairing_oracle(q):
+    rng = random.Random(23)
+    one_sided = False  # some vertex has rank zero on one side only
+    for _ in range(4):
+        d, e = ({v: rng.randint(0, 2) for v in q.vertices} for _ in range(2))
+        one_sided |= any(min(d[v], e[v]) == 0 < max(d[v], e[v]) for v in q.vertices)
+        for weight in range(8):
+            w = _random_class(rng, q, (d, e), weight)
+            assert direct_sum_pushforward(w) == oracles.direct_sum_pushforward_oracle(w)
+    assert one_sided
+
+
+def test_merge_pushforward_matches_pairing_oracle():
+    cases = [
+        (binarize_quiver(K2, DimVector({"v": 2, "w": 1}))[1], None),
+        (binarize_quiver(K3, DimVector({"v": 2, "w": 2}))[1], None),
+        (edge_deletion_morphism(A3, ["e2"]), {"a": 2, "b": 1, "c": 1}),
+        (frame_quiver(K3, {"v": 1, "w": 2})[1], {"v": 2, "w": 1}),
+    ]
+    rng = random.Random(29)
+    for mor, d in cases:
+        d = d or {v: 1 for v in mor.source.vertices}
+        for weight in range(8):
+            u = _random_class(rng, mor.source, (d,), weight)
+            assert merge_pushforward(mor, u) == oracles.merge_pushforward_oracle(mor, u)
+
+
+def test_pushforwards_never_enumerate_the_target_basis(monkeypatch):
+    rng = random.Random(31)
+    w = _random_class(rng, K3, ({"v": 2, "w": 1}, {"v": 1, "w": 2}), 4)
+    collapse = binarize_quiver(K3, DimVector({"v": 2, "w": 2}))[1]
+    u = _random_class(rng, collapse.source, ({v: 1 for v in collapse.source.vertices},), 3)
+    want = (oracles.direct_sum_pushforward_oracle(w), oracles.merge_pushforward_oracle(collapse, u))
+
+    def refuse(*args):
+        raise AssertionError("a pushforward enumerated a monomial basis")
+
+    monkeypatch.setattr(charclass, "monomial_basis", refuse)
+    monkeypatch.setattr(vertexalg, "monomial_basis", refuse)
+    assert (direct_sum_pushforward(w), merge_pushforward(collapse, u)) == want
 
 
 def test_weak_commutativity_small():
