@@ -16,12 +16,15 @@ products of tautological bundles and their duals:
 
     kclass = ((mult, atom), ...),   atom = ((factor, vertex, dual), ...).
 
-chern_kclass computes the total Chern class of such a virtual bundle up to
-a weight bound.  Tensor products are handled through the Chern character:
-power sums of Chern roots via Newton's identities, multiplied degreewise,
-then converted back, so no splitting-principle variables ever materialize.
-Duals flip the sign of odd Chern classes; negative multiplicities invert
-the Chern series; rank-zero factors give the unit series.
+chern_atom computes the total Chern class of one atom up to a weight
+bound.  Tensor products are handled through the Chern character: power
+sums of Chern roots via Newton's identities, multiplied degreewise, then
+converted back, so no splitting-principle variables ever materialize.
+Duals flip the sign of odd Chern classes; rank-zero factors give the unit
+series.  The two-point operations cap with a kclass one atom at a time
+(vertexalg), so they never expand its total class.  chern_kclass does
+expand it, inverting the series of negative multiplicities: it is the
+reference those caps are tested against.
 
 scaling_coaction expands the effect of twisting every tautological bundle
 by a varying line bundle with first Chern class z.  That twist is exp(zD)
@@ -408,24 +411,16 @@ def kclass_rank(kclass: KClass, ring: ChernRing) -> int:
     return sum(mult * atom_rank(atom, ring) for mult, atom in kclass)
 
 
-_KCLASS_MEMO: dict[tuple, Poly] = {}
-
-
 def chern_kclass(kclass: KClass, ring: ChernRing, bound: int) -> Poly:
     """Total Chern class of an integer combination of atoms, truncated."""
-    kclass = tuple((int(m), tuple(a)) for m, a in kclass)
-    key = (tuple(sorted(kclass)), ring.key(), bound)
-    if key in _KCLASS_MEMO:
-        return _KCLASS_MEMO[key]
     result = Poly.one(ring)
     for mult, atom in kclass:
         if mult == 0:
             continue
-        c = chern_atom(atom, ring, bound)
+        c = chern_atom(tuple(atom), ring, bound)
         if mult < 0:
             c = series_inverse(c, bound)
         result = mul_trunc(result, power_trunc(c, abs(mult), bound), bound)
-    _KCLASS_MEMO[key] = result
     return result
 
 

@@ -125,7 +125,7 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
 
     For each ordered decomposition of --dimvec, the sign coefficient and
     the transformation coefficient for the pair (--slope, --slope2), plus
-    the bracket-word normalization of the whole weighted sum.
+    the whole weighted sum written in a basis of left-nested bracket words.
     """
     q = _quiver_from(quiver_path)
     d = q.check_dimvec(_dimvec_from(dimvec))

@@ -60,7 +60,7 @@ import tempfile
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .charclass import (
     ChernRing,
@@ -103,7 +103,7 @@ from .vertexalg import (
     zero_class,
     zero_pl,
 )
-from .wallcoeff import lie_normalize, u_coeff
+from .wallcoeff import _distinct_orderings, lie_normalize, u_coeff
 
 DEFAULT_MAX_SIZE = 8
 
@@ -147,24 +147,6 @@ def _unit_word_class(q: Quiver, letters: tuple[str, ...]) -> PlClass:
         cls = lie_bracket(prefix, unit_pl(q, unit_vector(letters[-1])))
     _WORD_MEMO[key] = cls
     return cls
-
-
-def _distinct_orderings(letters: list[str]) -> Iterator[tuple[str, ...]]:
-    """Distinct orderings of the letters, in lexicographic order."""
-    seq = sorted(letters)
-    while True:
-        yield tuple(seq)
-        # step to the next ordering: raise the last ascent, reverse the tail
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:

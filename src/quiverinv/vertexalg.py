@@ -28,8 +28,12 @@ The operations:
     (u x v) capped with the i-th Chern class of the symmetrized
     Hom-minus-Ext complex.  Only finitely many i contribute to each p;
     powers must be requested explicitly since arbitrarily large p can be
-    nonzero.  All terms at p share one degree, so their sum over i is taken
-    Horner fashion in the transpose of D and pushed forward once;
+    nonzero.  Cap is a module action, so the caps with every c_i come from
+    one pass over the atoms of the Ext class, each capped or (for a
+    negative multiplicity) solved for by a triangular solve, and its total
+    Chern class is never expanded.  All terms at p share one degree, so
+    their sum over i is taken Horner fashion in the transpose of D and
+    pushed forward once;
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
 
@@ -58,7 +62,7 @@ from .charclass import (
     _merge_slots,
     _sum_slots,
     _whitney_transpose,
-    chern_kclass,
+    chern_atom,
     divide_monomial,
     ext_pairing_kexpr,
     monomial_basis,
@@ -280,6 +284,40 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
     return HClass._trusted(mor.target, ChernRing((image,)), u.degree, out)
 
 
+def _ext_cap_levels(uv: HClass) -> list[dict[Monomial, Fraction]]:
+    """The functional m -> uv(c m) on monomials of weight up to
+    imax = deg(uv) / 2, c the total Chern class of ext_pairing_kexpr, split
+    by weight: entry w holds its values on weight-w monomials, which is
+    uv cap c_(imax - w).
+
+    Cap is a module action, so c is applied one atom class a = chern_atom
+    at a time, all weights at once.  An atom of multiplicity m > 0 is capped
+    m times.  For m < 0 the functional z with z(a m') = y(m') is solved
+    -m times from the top weight down: z(m') = y(m') - sum_{g != 1} a_g
+    z(g m'), as a has constant term 1 and g m' lies above m'.
+    """
+    imax = uv.degree // 2
+    levels = [{} for _ in range(imax)] + [dict(uv.functional)]
+    for mult, atom in ext_pairing_kexpr(uv.quiver):
+        terms = [
+            (g, monomial_weight(g), x)
+            for g, x in chern_atom(atom, uv.ring, imax).terms.items() if g
+        ]
+        for _ in range(abs(mult)):
+            out = [dict(level) for level in levels]
+            # capping reads the input; solving reads the finished upper levels
+            src, sign = (levels, 1) if mult > 0 else (out, -1)
+            for w in range(imax, 0, -1):
+                for s, y in src[w].items():
+                    for g, gw, x in terms:
+                        m = divide_monomial(s, g) if gw <= w else None
+                        if m is not None:
+                            lower = out[w - gw]
+                            lower[m] = lower.get(m, 0) + sign * x * y
+            levels = out
+    return levels
+
+
 def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass]:
     """Coefficients of the two-point expansion Y(u, z) v at the given powers.
 
@@ -294,6 +332,8 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     n = k + i0, the coefficient at p is epsilon times the pushforward of the
     n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
     (Dt the transpose of D), summed Horner fashion from i = imax down.
+    The caps come from _ext_cap_levels, atom by atom, without expanding
+    the total Chern class c of the Ext class.
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
@@ -317,11 +357,9 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
 
     imax = (u.degree + v.degree) // 2
     uv = kunneth(u, v)
-    total_chern = chern_kclass(ext_pairing_kexpr(q), uv.ring, imax)
-    # cap with a zero polynomial keeps the degree, so zero c_i are built here
     caps = [
-        HClass._trusted(q, uv.ring, uv.degree - 2 * i, {}) if ci.is_zero() else cap(uv, ci)
-        for i, ci in enumerate(map(total_chern.weight_part, range(imax + 1)))
+        HClass._trusted(q, uv.ring, uv.degree - 2 * i, level)
+        for i, level in enumerate(reversed(_ext_cap_levels(uv)))
     ]
     for p in powers:
         k = p - chi

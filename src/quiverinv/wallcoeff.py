@@ -15,12 +15,17 @@ interval tables, and runs the regroupings on indices into those tables;
 one sign rule, shared by both coefficients, reads the cuts off them.
 
 The Lie version has no closed formula.  It is produced here from the
-u-weighted free word sum by the Dynkin projection: a sum p of words of
-length n with theta(p) = n p, where theta replaces each word by its left
-nested bracketing, equals (1/n) theta(p) as a Lie element.  lie_normalize
-checks the theta property (raising LieElementError if the input is not a
-Lie element, which signals an upstream bug, not bad user data) and returns
-the bracket words with their coefficients.
+u-weighted free word sum.  The Dynkin criterion certifies it: a sum p of
+words of length n is a Lie element exactly when theta(p) = n p, where
+theta replaces each word by its left-nested bracketing (LieElementError
+otherwise, which signals an upstream bug, not bad user data).  Each length
+component then splits by letter multiset, and each part is solved in a
+basis of left-nested brackets: the distinct orderings of the multiset in
+lexicographic order, each kept when its word expansion is independent of
+the kept ones.  The kept brackets number Witt's dimension of the
+multigraded part of the free Lie algebra (Reutenauer, Free Lie Algebras,
+1993), not one per surviving word, and every one of them brackets a
+prefix with a single letter.
 
 Word sums are plain dicts mapping tuples of letters to Fractions; letters
 are arbitrary hashable objects supporting +, in practice dimension vectors.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .quiver import DimVector
 from .stability import WeakStability, token_is_faithful
@@ -161,6 +166,16 @@ def word_sum(pairs: Iterable[tuple[tuple, Fraction]]) -> dict[tuple, Fraction]:
     return acc
 
 
+def _axpy(acc: dict, x: Fraction, row: dict) -> None:
+    """acc += x * row, dropping entries that cancel."""
+    for k, y in row.items():
+        v = acc.get(k, 0) + x * y
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+
+
 def dynkin_word(letters: Sequence) -> dict[tuple, Fraction]:
     """Word expansion of the left-nested bracket of the letters."""
     letters = tuple(letters)
@@ -184,12 +199,7 @@ def theta(ws: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
     """Replace each word by its left-nested bracketing, linearly."""
     out: dict[tuple, Fraction] = {}
     for w, c in ws.items():
-        for w2, c2 in dynkin_word(w).items():
-            v = out.get(w2, Fraction(0)) + c * c2
-            if v:
-                out[w2] = v
-            elif w2 in out:
-                del out[w2]
+        _axpy(out, c, dynkin_word(w))
     return out
 
 
@@ -209,32 +219,96 @@ def is_lie_element(ws: dict[tuple, Fraction]) -> bool:
     return True
 
 
+def _letter_key(x) -> object:
+    return x.sort_key() if isinstance(x, DimVector) else x
+
+
 def _word_key(w: tuple) -> tuple:
-    return tuple(x.sort_key() if isinstance(x, DimVector) else x for x in w)
+    return tuple(map(_letter_key, w))
+
+
+def _distinct_orderings(letters: list) -> Iterator[tuple]:
+    """Distinct orderings of the letters, in lexicographic order."""
+    seq = sorted(letters)
+    while True:
+        yield tuple(seq)
+        # step to the next ordering: raise the last ascent, reverse the tail
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
+def _reduce(row: dict, combo: dict, echelon: list) -> None:
+    """Subtract from row the multiples of the echelon rows that clear their
+    pivots, and the same multiples of their combinations from combo."""
+    for pivot, prow, pcombo in echelon:
+        x = row.get(pivot)
+        if x:
+            x /= prow[pivot]
+            _axpy(row, -x, prow)
+            _axpy(combo, -x, pcombo)
+
+
+def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
+    """Echelon form of a basis of left-nested brackets of the letters.
+
+    Walks the distinct orderings in lexicographic order (_word_key) and
+    keeps one when its dynkin_word expansion is independent of the kept
+    ones.  The walk stops after the orderings that start with the least
+    letter a: those brackets already span, because the multilinear brackets
+    [x_1, x_s2, ..., x_sn] span the multilinear part and substituting the
+    letters, with a for x_1, maps it onto the span of all of them.  Each
+    row is (pivot word, reduced expansion, the same row as a combination
+    of kept orderings); the orderings kept are the first entries of the
+    combinations, one per row.
+    """
+    order = sorted(set(letters), key=_letter_key)
+    rank = {x: i for i, x in enumerate(order)}
+    echelon: list[tuple[tuple, dict, dict]] = []
+    for idx in _distinct_orderings([rank[x] for x in letters]):
+        if idx[0]:
+            break
+        w = tuple(order[i] for i in idx)
+        row, combo = dynkin_word(w), {w: Fraction(1)}
+        _reduce(row, combo, echelon)
+        if row:
+            echelon.append((next(iter(row)), row, combo))
+    return echelon
 
 
 def lie_normalize(ws: dict[tuple, Fraction]) -> list[LieWord]:
-    """Write a word sum as a combination of left-nested bracket words.
+    """Write a word sum in a basis of left-nested bracket words.
 
-    Requires the input to be a Lie element (checked; LieElementError
-    otherwise).  The expansion of the returned bracket words reproduces the
-    input exactly.
+    Requires the input to be a Lie element (Dynkin criterion, checked;
+    LieElementError otherwise).  Each length component is grouped by
+    letter multiset and each group solved by exact elimination in the
+    basis of _left_nested_basis; brackets with coefficient zero are left
+    out.  The expansion of the returned bracket words reproduces the input
+    exactly (checked).
     """
     out: list[LieWord] = []
     for n, comp in sorted(_components_by_length(ws).items()):
         if theta(comp) != {w: n * c for w, c in comp.items()}:
             raise LieElementError(f"length-{n} component is not a Lie element")
-        for w in sorted(comp, key=_word_key):
-            out.append(LieWord(w, comp[w] / n))
+        groups: dict[tuple, dict[tuple, Fraction]] = {}
+        for w, c in comp.items():
+            groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = c
+        for letters in sorted(groups, key=_word_key):
+            row, combo = dict(groups[letters]), {}
+            _reduce(row, combo, _left_nested_basis(letters))
+            # row is now zero, or the expansion check below fails
+            out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
 
     expanded: dict[tuple, Fraction] = {}
     for lw in out:
-        for w2, c2 in dynkin_word(lw.letters).items():
-            v = expanded.get(w2, Fraction(0)) + lw.coefficient * c2
-            if v:
-                expanded[w2] = v
-            elif w2 in expanded:
-                del expanded[w2]
+        _axpy(expanded, lw.coefficient, dynkin_word(lw.letters))
     original = {w: c for w, c in ws.items() if c}
     if expanded != original:
         raise LieElementError("bracket expansion does not reproduce the input")

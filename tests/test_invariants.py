@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from quiverinv.charclass import Poly
+from quiverinv import invariants
 from quiverinv.quiver import (
     CycleError,
     DimVector,
@@ -12,6 +13,7 @@ from quiverinv.quiver import (
     binarize_quiver,
     edge_deletion_morphism,
     subvectors,
+    sym_euler_form,
     unit_vector,
 )
 from quiverinv.stability import (
@@ -22,7 +24,6 @@ from quiverinv.stability import (
 )
 from quiverinv.invariants import (
     CacheStore,
-    _distinct_orderings,
     build_invariant_table,
     check_morphism_identity,
     check_wallcross,
@@ -36,7 +37,8 @@ from quiverinv.invariants import (
     selftest,
     wallcross_transform,
 )
-from quiverinv.vertexalg import canonical_coordinates, pl_equal, pl_is_zero, unit_pl
+from quiverinv.vertexalg import canonical_coordinates, pl_equal, pl_is_zero, unit_pl, zero_pl
+from quiverinv.wallcoeff import _distinct_orderings
 
 from . import oracles
 
@@ -62,6 +64,24 @@ def test_distinct_orderings_lexicographic(counts):
     want = sorted(set(itertools.permutations(letters)))
     assert list(_distinct_orderings(letters)) == want
     assert list(_distinct_orderings(letters[::-1])) == want
+
+
+@pytest.mark.parametrize("d, prefixes", [((3, 3), 10), ((4, 4), 27)])
+def test_invariant_evaluates_few_prefixes(monkeypatch, d, prefixes):
+    # one bracket per left-nested basis word prefix; a stub of the right
+    # degree stands in for the bracket, so only the count is computed
+    calls = []
+
+    def stub(x, y):
+        calls.append((x.dimvec, y.dimvec))
+        deg = x.degree + y.degree - 2 - 2 * sym_euler_form(K3, x.dimvec, y.dimvec)
+        return zero_pl(K3, x.dimvec + y.dimvec, deg)
+
+    monkeypatch.setattr(invariants, "_WORD_MEMO", {})
+    monkeypatch.setattr(invariants, "lie_bracket", stub)
+    invariant(K3, slope_stability(K3, HI), DimVector({"v": d[0], "w": d[1]}))
+    assert len(calls) == prefixes
+    assert all(y.total() == 1 for _, y in calls)
 
 
 def test_increasing_slope_cases():

@@ -421,6 +421,49 @@ def test_state_field_matches_termwise_oracle(q):
     assert beyond_imax
 
 
+@pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
+def test_factored_caps_match_expanded_chern_class(q):
+    # entry imax - i of the atom-by-atom levels is uv capped with the i-th
+    # weight part of the expanded class chern_kclass(ext_pairing_kexpr)
+    rng = random.Random(29)
+    kexpr = charclass.ext_pairing_kexpr(q)
+    assert {mult for mult, _ in kexpr} == ({2, -1} if q.edges else {2})
+    rank_zero = set()  # signs of the multiplicities met with a rank-zero atom
+    for _ in range(6):
+        d, e = ({v: rng.randint(0, 2) for v in q.vertices} for _ in range(2))
+        if not any(d.values()) or not any(e.values()):
+            continue
+        u = _random_class(rng, q, (d,), rng.randint(0, 3))
+        v = _random_class(rng, q, (e,), rng.randint(0, 2))
+        uv = kunneth(u, v)
+        imax = uv.degree // 2
+        rank_zero |= {m > 0 for m, a in kexpr if charclass.atom_rank(a, uv.ring) == 0}
+        levels = vertexalg._ext_cap_levels(uv)
+        total = charclass.chern_kclass(kexpr, uv.ring, imax)
+        for i in range(imax + 1):
+            ci = total.weight_part(i)
+            want = zero_class(q, uv.dims, uv.degree - 2 * i) if ci.is_zero() else cap(uv, ci)
+            got = HClass(q, uv.ring, uv.degree - 2 * i, levels[imax - i])
+            assert got == want, (d, e, i)
+    assert rank_zero == ({True, False} if q.edges else {True})
+
+
+def test_state_field_expands_no_total_chern_class(monkeypatch):
+    rng = random.Random(31)
+    u = _random_class(rng, K3, ({"v": 2, "w": 1},), 2)
+    v = unit_class(K3, unit_vector("w"))
+    want = oracles.state_field_oracle(u, v, range(-3, 2))
+
+    def refuse(*args):
+        raise AssertionError("state_field expanded the total Chern class")
+
+    for module in (charclass, vertexalg):  # also a name imported from charclass
+        monkeypatch.setattr(module, "chern_kclass", refuse, raising=False)
+    got = state_field(u, v, range(-3, 2))
+    assert got == want
+    assert not got[-1].is_zero()
+
+
 def _random_class(rng, q, dims, weight, size=12):
     ring = ChernRing(tuple(DimVector(d) for d in dims))
     basis = monomial_basis(ring, weight)

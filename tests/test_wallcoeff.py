@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -279,6 +280,74 @@ def test_plain_word_is_not_lie():
     assert not is_lie_element({("x", "y"): Fraction(1)})
     with pytest.raises(LieElementError):
         lie_normalize({("x", "y"): Fraction(1)})
+
+
+def _moebius(n):
+    result, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
+
+
+def _witt_dimension(mults):
+    """Dimension of the part of the free Lie algebra with these letter
+    multiplicities: (1/n) sum over d | gcd of mu(d) (n/d)! / prod (m/d)!."""
+    n = sum(mults)
+    total = 0
+    for d in range(1, math.gcd(*mults) + 1):
+        if all(m % d == 0 for m in mults):
+            mu = _moebius(d)
+            multinomial = factorial(n // d)
+            for m in mults:
+                multinomial //= factorial(m // d)
+            total += mu * multinomial
+    assert total % n == 0
+    return total // n
+
+
+def test_left_nested_basis_has_witt_dimension():
+    sizes = {}
+    for a in range(9):
+        for b in range(9 - a):
+            if a + b:
+                kept = wallcoeff._left_nested_basis((DV,) * a + (DW,) * b)
+                sizes[(a, b)] = len(kept)
+                assert len(kept) == _witt_dimension([m for m in (a, b) if m]), (a, b)
+    assert sizes[(4, 4)] == 8 and sizes[(3, 3)] == 3 and sizes[(2, 0)] == 0
+    for n in range(1, 6):
+        letters = [unit_vector(v) + DV for v in "abcde"[:n]]
+        assert len(wallcoeff._left_nested_basis(letters)) == factorial(n - 1)
+
+
+def test_lie_normalize_uses_left_nested_basis():
+    # a combination of all 10 left-nested brackets of (v, v, w, w, w) comes
+    # back as a combination of Witt's 2 basis brackets
+    perms = sorted(set(itertools.permutations("vvwww")))
+    ws = theta({perm: Fraction(k + 1) for k, perm in enumerate(perms)})
+    kept = [next(iter(combo)) for _, _, combo in wallcoeff._left_nested_basis("vvwww")]
+    # vvwww brackets [v, v] = 0, and [[[v, w], w], v] = [[[v, w], v], w] by
+    # Jacobi since [[v, w], [w, v]] = 0, so vwwvw depends on vwvww
+    assert kept == [("v", "w", "v", "w", "w"), ("v", "w", "w", "w", "v")]
+    out = lie_normalize(ws)
+    assert {lw.letters for lw in out} == set(kept)
+
+
+@pytest.mark.parametrize("ws", [
+    {("x", "y"): Fraction(1)},
+    {("x", "y"): Fraction(1), ("y", "x"): Fraction(1)},
+    {**dynkin_word(("x", "y", "z")), ("x", "y", "z"): Fraction(2)},
+    {**dynkin_word(("x", "y")), ("x", "x", "y"): Fraction(1)},
+    {w: c / (1 + (w[0] == "y")) for w, c in dynkin_word(("x", "y", "x", "y")).items()},
+], ids=["word", "symmetric", "perturbed", "mixed-length", "rescaled"])
+def test_non_lie_input_raises(ws):
+    assert not is_lie_element(ws)
+    with pytest.raises(LieElementError):
+        lie_normalize(ws)
 
 
 def test_lie_normalize_round_trip():
