@@ -80,7 +80,6 @@ from .vertexalg import (
     cap,
     direct_sum_pushforward,
     divided_translation,
-    field_window,
     is_translation_image,
     kunneth,
     lie_bracket,
@@ -91,7 +90,6 @@ from .vertexalg import (
     unit_class,
     unit_pl,
     vacuum,
-    weak_commutativity_order,
     weight_zero_basis,
     zero_class,
     zero_pl,

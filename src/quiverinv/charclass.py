@@ -367,7 +367,7 @@ def _tensor_chern(cA: Poly, rA: int, cB: Poly, rB: int, bound: int) -> Poly:
     return total
 
 
-_ATOM_MEMO: dict[tuple, Poly] = {}
+_ATOM_MEMO: dict[tuple, tuple[int, Poly]] = {}
 
 
 def atom_rank(atom: Atom, ring: ChernRing) -> int:
@@ -378,15 +378,25 @@ def atom_rank(atom: Atom, ring: ChernRing) -> int:
 
 
 def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
-    """Total Chern class of a tensor product of tautological bundles."""
+    """Total Chern class of a tensor product of tautological bundles, up to
+    the weight bound.
+
+    Every step is graded, so the class to a smaller bound is the weight
+    truncation of the class to a larger one: the memo keeps, per atom and
+    ring, the class at the largest bound asked for so far.
+    """
     if not atom:
         raise ValueError("empty atom")
-    key = (atom, ring.key(), bound)
+    key = (atom, ring.key())
     if key in _ATOM_MEMO:
-        return _ATOM_MEMO[key]
+        top, total = _ATOM_MEMO[key]
+        if top == bound:
+            return total
+        if top > bound:
+            return Poly(ring, {m: c for m, c in total.terms.items() if monomial_weight(m) <= bound})
     if atom_rank(atom, ring) == 0:
         result = Poly.one(ring)
-        _ATOM_MEMO[key] = result
+        _ATOM_MEMO[key] = (bound, result)
         return result
 
     def single(f: int, v: str, dual: bool) -> Poly:
@@ -403,7 +413,7 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     for f, v, dual in atom[1:]:
         total = _tensor_chern(total, rank, single(f, v, dual), ring.rank(f, v), bound)
         rank *= ring.rank(f, v)
-    _ATOM_MEMO[key] = total
+    _ATOM_MEMO[key] = (bound, total)
     return total
 
 
@@ -486,13 +496,17 @@ def _whitney_transpose(
     exponent of each index i in each slot t of w.  A multiset of index
     tuples tau (one index per slot, not all zero) that uses up a part
     exactly, with n_tau copies of tau and m_k tuples of sum k, adds
-    prod_k m_k! / prod_tau n_tau! to prod_k c[0, w, k]^m_k.  The parts'
-    expansions multiply; each distinct part is expanded once per call.
+    prod_k m_k! / prod_tau n_tau! to prod_k c[0, w, k]^m_k; a part in one
+    slot has the one such multiset, prod_i c[0, w, i]^e_i with coefficient 1.
+    The parts' expansions multiply; each distinct part is expanded once per
+    call.
     """
     where = {fv: (w, t) for w, group in slots.items() for t, fv in enumerate(group)}
     expansions: dict[tuple, dict[Monomial, int]] = {}
 
     def expand(w: str, part: dict[tuple[int, int], int]) -> dict[Monomial, int]:
+        if len({t for t, _ in part}) == 1:  # one slot: the taus are its indices alone
+            return {tuple(((0, w, i), e) for (_, i), e in sorted(part.items())): 1}
         indices = ([0] + [i for s, i in part if s == t] for t in range(len(slots[w])))
         taus = [tau for tau in product(*indices) if any(tau)]
         usable = [set()]  # usable[p]: the (slot, index) pairs taus[p:] can use up

@@ -44,9 +44,12 @@ when it vanishes on the kernel of D, and with cbar = sum_v c[0, v, 1] / |d|
 (so D(cbar) = 1) the map P(f) = sum_j (-cbar)^j D^j(f) / j! projects onto
 that kernel; pl_equal therefore tests whether the transpose of P, a normal
 form needing no linear algebra, kills the difference.  canonical_coordinates
-pairs against the row reduced basis of the kernel of D, which one sparse
-exact elimination produces (weight_zero_basis).  The two procedures agree
-by duality and are cross-checked in the tests.
+gives the pairings with the row reduced basis of the kernel of D
+(weight_zero_basis) without building it: the translation images pair to
+zero with that kernel, so reducing the representative by an echelon form
+of them leaves its coordinates at the free columns.  The two zero tests
+agree by duality and are cross-checked in the tests, and weight_zero_basis
+stays as the reference the reduction is tested against.
 """
 
 from __future__ import annotations
@@ -463,7 +466,56 @@ def pl_equal(x: PlClass, y: PlClass) -> bool:
     return is_translation_image(x.rep - y.rep)
 
 
-_W0_MEMO: dict[tuple, tuple[Poly, ...]] = {}
+def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict[int, Fraction]]:
+    """Rows of the matrix of D on the span of basis: one per monomial of
+    weight one less, keyed by column (position in basis).  Each row is the
+    translation image of the functional 1 at its monomial."""
+    rows: dict[Monomial, dict[int, Fraction]] = {}
+    for c, m in enumerate(basis):
+        for lower, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
+            rows.setdefault(lower, {})[c] = x
+    return list(rows.values())
+
+
+_ECHELON_MEMO: dict[tuple, tuple] = {}
+
+
+def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
+    """Echelon form of the translation images at the given weight.
+
+    Returns (index, steps, free): the column of each monomial of the weight
+    basis, the pivot rows as (pivot column, {column: value}) in descending
+    pivot order, each normalized to 1 at its pivot (left out) and supported
+    below it, and the free columns in ascending order.  The pivot of a row
+    is its last column, the rule of weight_zero_basis, so the pivot set is
+    the same; there is no back-substitution and no kernel basis.
+    """
+    key = (ring.key(), weight)
+    if key in _ECHELON_MEMO:
+        return _ECHELON_MEMO[key]
+    basis = monomial_basis(ring, weight)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in _translation_rows(ring, basis):
+        while row:
+            p = max(row)
+            x = row.pop(p)
+            prow = pivots.get(p)
+            if prow is None:
+                pivots[p] = {c: y / x for c, y in row.items()}
+                break
+            for c, y in prow.items():
+                z = row.get(c, 0) - x * y
+                if z:
+                    row[c] = z
+                else:
+                    del row[c]
+    result = (
+        {m: c for c, m in enumerate(basis)},
+        sorted(pivots.items(), reverse=True),
+        [c for c in range(len(basis)) if c not in pivots],
+    )
+    _ECHELON_MEMO[key] = result
+    return result
 
 
 def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
@@ -471,9 +523,12 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
 
     Kernel of the translation derivation D on cohomology, presented in row
     reduced echelon form over the graded monomial order ('weight0-rref-
-    gradedlex-v1').  Pairing with it computes canonical coordinates on the
+    gradedlex-v1').  Pairing with it gives the canonical coordinates on the
     rigidified homology: translation images pair to zero, and the pairing
-    is perfect on the quotient.
+    is perfect on the quotient.  canonical_coordinates reaches the same
+    pairings by reduction, without this dense basis; the basis is kept as
+    the reference the reduction is tested against, and nothing in the
+    package calls it.
 
     One exact Gauss-Jordan elimination on the matrix of D (rows the
     weight - 1 basis, columns the weight basis) taken with the columns in
@@ -483,18 +538,10 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     """
     if ring.factors() != 1:
         raise ValueError("weight-zero basis is for one-factor rings")
-    key = (ring.key(), weight)
-    if key in _W0_MEMO:
-        return _W0_MEMO[key]
     basis = monomial_basis(ring, weight)
-    # rows of the matrix of D: one per weight - 1 monomial, keyed by column
-    rows: dict[Monomial, dict[int, Fraction]] = {}
-    for c, m in enumerate(basis):
-        for lower, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
-            rows.setdefault(lower, {})[c] = x
     # Gauss-Jordan with the last column of each row as its pivot
     pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows.values():
+    for row in _translation_rows(ring, basis):
         for p, prow in pivots.items():
             x = row.get(p)
             if x:
@@ -520,16 +567,30 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
         for c, x in prow.items():
             if c != p and x:
                 kernel[c][basis[p]] = -x
-    result = tuple(Poly(ring, kernel[c]) for c in sorted(kernel))
-    _W0_MEMO[key] = result
-    return result
+    return tuple(Poly(ring, kernel[c]) for c in sorted(kernel))
 
 
 def canonical_coordinates(x: PlClass) -> list[Fraction]:
-    """Pairings of the representative with the weight-zero basis."""
+    """Pairings of the representative with the weight-zero basis, by reduction.
+
+    The rows of D's matrix span the translation images, which pair to zero
+    with the kernel of D; so subtracting them changes no pairing.  Reducing
+    the representative by the echelon of _translation_echelon, pivots in
+    descending order, leaves it supported on the free columns F_1 < F_2 < ...,
+    and the weight_zero_basis vector at F_k is 1 there and 0 at the other
+    free columns: the value at F_k is the k-th pairing.
+    """
     if x.degree < 0 or x.degree % 2:
         return []
-    return [x.rep.pair(p) for p in weight_zero_basis(x.rep.ring, x.degree // 2)]
+    index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
+    vec = {index[m]: c for m, c in x.rep.functional.items()}
+    for p, prow in steps:
+        y = vec.pop(p, None)
+        if y:
+            for c, r in prow.items():
+                vec[c] = vec.get(c, 0) - y * r
+    zero = Fraction(0)
+    return [vec.get(c, zero) for c in free]
 
 
 def lie_bracket(x: PlClass | HClass, y: PlClass | HClass) -> PlClass:
@@ -538,55 +599,3 @@ def lie_bracket(x: PlClass | HClass, y: PlClass | HClass) -> PlClass:
     v = y.rep if isinstance(y, PlClass) else y
     return PlClass(state_field(u, v, (-1,))[-1])
 
-
-def field_window(
-    u: HClass, v: HClass, w: HClass, powers1: Iterable[int], powers2: Iterable[int]
-) -> dict[tuple[int, int], HClass]:
-    """Double coefficients of Y(u, z1) Y(v, z2) w on a rectangular window."""
-    powers1 = sorted(set(powers1))
-    out: dict[tuple[int, int], HClass] = {}
-    inner = state_field(v, w, powers2)
-    for p2, cls in inner.items():
-        outer = state_field(u, cls, powers1)
-        for p1, top in outer.items():
-            out[(p1, p2)] = top
-    return out
-
-
-def weak_commutativity_order(
-    u: HClass, v: HClass, w: HClass, window: int, max_order: int
-) -> int | None:
-    """Smallest N <= max_order such that every coefficient of
-    (z1 - z2)^N (Y(u, z1) Y(v, z2) - Y(v, z2) Y(u, z1)) w
-
-    with both exponents in [-window, window] vanishes; None if no such N.
-    The check is finite: it inspects the stated window only.
-    """
-    from math import comb
-
-    lo, hi = -window - max_order, window
-    ps = range(lo, hi + 1)
-    first = field_window(u, v, w, ps, ps)
-    second = {
-        (p1, p2): cls for (p2, p1), cls in field_window(v, u, w, ps, ps).items()
-    }
-    for n in range(0, max_order + 1):
-        ok = True
-        for a in range(-window, window + 1):
-            for b in range(-window, window + 1):
-                acc: HClass | None = None
-                for k in range(n + 1):
-                    p1, p2 = a - k, b - (n - k)
-                    if p1 < lo or p2 < lo:
-                        continue
-                    diff = first[(p1, p2)] - second[(p1, p2)]
-                    piece = diff.scale(comb(n, k) * (-1) ** (n - k))
-                    acc = piece if acc is None else acc + piece
-                if acc is not None and not acc.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return n
-    return None

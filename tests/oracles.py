@@ -11,6 +11,9 @@ basis, the state-field oracle sums the defining series term by term
 (pushing forward by pairing), and the u- and s-coefficient oracles
 enumerate the regroupings of a tuple calling value() on freshly summed
 dimension vectors, without the package's interval tables.  The
+vertex algebra probes field_window and weak_commutativity_order are
+test helpers rather than oracles: they iterate the package's
+state_field over a window of powers.  The
 frozen literal tables were worked out by hand from the defining formulas
 and are committed as data; the tests compare the package against them,
 never the reverse.
@@ -469,6 +472,58 @@ def u_coeff_oracle(alphas, from_stab, to_stab):
                         continue
                     result += Fraction((-1) ** (l - 1), l) * signs * weight
     return result
+
+
+# ---------------------------------------------------------------------------
+# vertex algebra probes (test helpers built on the package's state_field)
+
+def field_window(u, v, w, powers1, powers2):
+    """Double coefficients of Y(u, z1) Y(v, z2) w on a rectangular window."""
+    from quiverinv.vertexalg import state_field
+
+    powers1 = sorted(set(powers1))
+    out = {}
+    inner = state_field(v, w, powers2)
+    for p2, cls in inner.items():
+        outer = state_field(u, cls, powers1)
+        for p1, top in outer.items():
+            out[(p1, p2)] = top
+    return out
+
+
+def weak_commutativity_order(u, v, w, window, max_order):
+    """Smallest N <= max_order such that every coefficient of
+    (z1 - z2)^N (Y(u, z1) Y(v, z2) - Y(v, z2) Y(u, z1)) w
+
+    with both exponents in [-window, window] vanishes; None if no such N.
+    The check is finite: it inspects the stated window only.
+    """
+    lo, hi = -window - max_order, window
+    ps = range(lo, hi + 1)
+    first = field_window(u, v, w, ps, ps)
+    second = {
+        (p1, p2): cls for (p2, p1), cls in field_window(v, u, w, ps, ps).items()
+    }
+    for n in range(0, max_order + 1):
+        ok = True
+        for a in range(-window, window + 1):
+            for b in range(-window, window + 1):
+                acc = None
+                for k in range(n + 1):
+                    p1, p2 = a - k, b - (n - k)
+                    if p1 < lo or p2 < lo:
+                        continue
+                    diff = first[(p1, p2)] - second[(p1, p2)]
+                    piece = diff.scale(comb(n, k) * (-1) ** (n - k))
+                    acc = piece if acc is None else acc + piece
+                if acc is not None and not acc.is_zero():
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,12 @@ from quiverinv.vertexalg import (
     unit_class,
     unit_pl,
     vacuum,
-    weak_commutativity_order,
     weight_zero_basis,
 )
 from quiverinv.wallcoeff import u_coeff
 
 from . import oracles
+from .oracles import weak_commutativity_order
 
 A2 = Quiver.from_json(oracles.a2_json())
 K2 = Quiver.from_json(oracles.kronecker_json(2))

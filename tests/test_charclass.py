@@ -150,6 +150,27 @@ def test_chern_atom_rank_zero_factor():
     assert chern_atom(((0, "v", False), (0, "w", False)), ring, 4) == Poly.one(ring)
 
 
+def test_chern_atom_at_a_smaller_bound_is_the_truncation(monkeypatch):
+    # the memo keeps one class per (atom, ring), at the largest bound so far
+    from quiverinv import charclass
+
+    top = 6
+    for d, e in [({"v": 2, "w": 1}, {"v": 1, "w": 2}), ({"v": 3, "w": 2}, {"v": 2, "w": 2})]:
+        ring = ChernRing((DimVector(d), DimVector(e)))
+        for _, atom in ext_pairing_kexpr(K3):
+            monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+            full = chern_atom(atom, ring, top)
+            for b in range(top):
+                truncated = Poly(ring, {
+                    m: c for m, c in full.terms.items() if monomial_weight(m) <= b
+                })
+                assert chern_atom(atom, ring, b) == truncated  # served from the memo
+                monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+                assert chern_atom(atom, ring, b) == truncated  # computed fresh
+                assert chern_atom(atom, ring, top) == full  # a larger bound recomputes
+            assert len(charclass._ATOM_MEMO) == 1
+
+
 def test_kclass_rank_matches_sym_euler_form():
     for q in (A2, K2, K3):
         kx = ext_pairing_kexpr(q)

@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from quiverinv.charclass import Poly
-from quiverinv import invariants
+from quiverinv import invariants, vertexalg
 from quiverinv.quiver import (
     CycleError,
     DimVector,
@@ -233,6 +233,28 @@ def test_cache_not_shared_through_caller_tokens(tmp_path):
     assert canonical_coordinates(invariant(K2, mine_hi, d, cache=store)) != fresh
     assert canonical_coordinates(invariant(K2, mine_lo, d, cache=store)) == fresh
     assert not list(tmp_path.iterdir())
+
+
+def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
+    tau = slope_stability(K3, HI)
+    d = DimVector({"v": 2, "w": 2})
+    cls = invariant(K3, tau, d)
+    reference = vertexalg.weight_zero_basis(cls.rep.ring, cls.degree // 2)
+    want = [cls.rep.pair(p) for p in reference]
+
+    def refuse(*args):
+        raise AssertionError("canonical coordinates built the dense kernel basis")
+
+    monkeypatch.setattr(vertexalg, "weight_zero_basis", refuse)
+    obj = pl_class_json(cls)
+    assert obj["canonical"] == [
+        {"basis_index": k, "value": str(c)} for k, c in enumerate(want) if c
+    ]
+    assert obj["canonical"]
+    store = CacheStore(tmp_path)
+    store.put(K3, tau, d, cls)
+    again = store.get(K3, tau, d)
+    assert again is not None and pl_class_json(again) == obj
 
 
 def test_cache_rejects_corruption(tmp_path):

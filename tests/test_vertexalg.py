@@ -23,7 +23,6 @@ from quiverinv.vertexalg import (
     cap,
     direct_sum_pushforward,
     divided_translation,
-    field_window,
     is_translation_image,
     kunneth,
     lie_bracket,
@@ -34,13 +33,13 @@ from quiverinv.vertexalg import (
     unit_class,
     unit_pl,
     vacuum,
-    weak_commutativity_order,
     weight_zero_basis,
     zero_class,
     zero_pl,
 )
 
 from . import oracles
+from .oracles import field_window, weak_commutativity_order
 
 A2 = Quiver.from_json(oracles.a2_json())
 K2 = Quiver.from_json(oracles.kronecker_json(2))
@@ -399,6 +398,44 @@ A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
 ]})
 
 
+CANONICAL_CASES = {
+    "K3-1-1-w2": (K3, {"v": 1, "w": 1}, 2),
+    "K3-2-1-w3": (K3, {"v": 2, "w": 1}, 3),
+    "K3-3-3-w6": (K3, {"v": 3, "w": 3}, 6),
+    "K3-3-3-w10": (K3, {"v": 3, "w": 3}, 10),
+    "K3-4-3-w12": (K3, {"v": 4, "w": 3}, 12),
+    "A3-2-1-1-w4": (A3, {"a": 2, "b": 1, "c": 1}, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_canonical_coordinates_match_weight_zero_basis(name):
+    # reduction by the echelon of translation images against the pairings
+    # with the dense rref kernel basis they replace
+    q, d, weight = CANONICAL_CASES[name]
+    rng = random.Random(41)
+    ring = ChernRing((DimVector(d),))
+    basis = monomial_basis(ring, weight)
+    reference = weight_zero_basis(ring, weight)
+    nonzero = False
+    for _ in range(3):
+        x = PlClass(HClass(q, ring, 2 * weight, _random_functional(rng, basis)))
+        coords = canonical_coordinates(x)
+        assert coords == [x.rep.pair(p) for p in reference]
+        nonzero |= any(coords)
+    assert nonzero
+    lower = monomial_basis(ring, weight - 1)
+    for _ in range(3):
+        y = HClass(q, ring, 2 * weight - 2, _random_functional(rng, lower))
+        image = PlClass(divided_translation(y, 1))
+        assert canonical_coordinates(image) == [Fraction(0)] * len(reference)
+    # same pivot rule: the echelon's pivots are the basis's non-free columns
+    _, steps, free = vertexalg._translation_echelon(ring, weight)
+    reference_free = [basis.index(min(p.terms)) for p in reference]
+    assert free == reference_free
+    assert {p for p, _ in steps} == set(range(len(basis))) - set(reference_free)
+
+
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
 def test_state_field_matches_termwise_oracle(q):
     rng = random.Random(17)
@@ -497,6 +534,43 @@ def test_merge_pushforward_matches_pairing_oracle():
         for weight in range(8):
             u = _random_class(rng, mor.source, (d,), weight)
             assert merge_pushforward(mor, u) == oracles.merge_pushforward_oracle(mor, u)
+
+
+def _slots_per_part(functional, slots):
+    """How many Whitney slots each (support monomial, target vertex) part uses."""
+    where = {fv: (w, t) for w, group in slots.items() for t, fv in enumerate(group)}
+    counts = set()
+    for s in functional:
+        used = {}
+        for (f, v, _i), _e in s:
+            w, t = where[(f, v)]
+            used.setdefault(w, set()).add(t)
+        counts |= {len(ts) for ts in used.values()}
+    return counts
+
+
+@pytest.mark.parametrize("q, split", [
+    (A2, {"v": 2, "w": 1}), (K3, {"v": 2, "w": 2}), (A3, {"a": 2, "b": 1, "c": 2}),
+], ids=["A2", "K3", "A3"])
+def test_one_slot_parts_match_pairing_oracles(q, split):
+    # parts in one Whitney slot skip the multiset expansion; both
+    # pushforwards must still agree with pairing against the pullbacks
+    rng = random.Random(37)
+    collapse = binarize_quiver(q, DimVector(split))[1]
+    ones = {v: 1 for v in collapse.source.vertices}
+    merge_slots = charclass._merge_slots(collapse, collapse.pushforward(DimVector(ones)))
+    seen = set()
+    for _ in range(3):
+        d, e = ({v: rng.randint(0, 2) for v in q.vertices} for _ in range(2))
+        sum_slots = charclass._sum_slots(DimVector(d) + DimVector(e))
+        for weight in range(1, 6):
+            w = _random_class(rng, q, (d, e), weight)
+            seen |= _slots_per_part(w.functional, sum_slots)
+            assert direct_sum_pushforward(w) == oracles.direct_sum_pushforward_oracle(w)
+            u = _random_class(rng, collapse.source, (ones,), weight)
+            seen |= _slots_per_part(u.functional, merge_slots)
+            assert merge_pushforward(collapse, u) == oracles.merge_pushforward_oracle(collapse, u)
+    assert {1, 2} <= seen
 
 
 def test_pushforwards_never_enumerate_the_target_basis(monkeypatch):
