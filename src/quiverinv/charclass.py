@@ -128,14 +128,8 @@ def divide_monomial(m: Monomial, by: Monomial) -> Monomial | None:
     return tuple(sorted(acc.items()))
 
 
-_BASIS_MEMO: dict[tuple, tuple[Monomial, ...]] = {}
-
-
 def monomial_basis(ring: ChernRing, weight: int) -> tuple[Monomial, ...]:
     """All monomials of the given weight, in a fixed graded order."""
-    key = (ring.key(), weight)
-    if key in _BASIS_MEMO:
-        return _BASIS_MEMO[key]
     out: list[Monomial] = []
     if weight == 0:
         out.append(())
@@ -160,9 +154,7 @@ def monomial_basis(ring: ChernRing, weight: int) -> tuple[Monomial, ...]:
 
         rec(0, weight, [])
         out.sort()
-    result = tuple(out)
-    _BASIS_MEMO[key] = result
-    return result
+    return tuple(out)
 
 
 class Poly:

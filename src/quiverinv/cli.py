@@ -21,6 +21,7 @@ import click
 
 from .invariants import (
     CacheStore,
+    _factorial_weight,
     build_invariant_table,
     check_morphism_identity,
     invariant,
@@ -227,8 +228,6 @@ def morphism_check_cmd(
     morphism_path: str, dimvec: str, slope: str, cache_path: str | None, jobs: int, max_size: int
 ) -> int:
     """Factorial identity for a quiver morphism; --slope lives on the target."""
-    from math import factorial
-
     lam = QuiverMorphism.from_json(_load_json_file(morphism_path, "morphism"))
     d = lam.source.check_dimvec(_dimvec_from(dimvec))
     tau = _slope_from(lam.target, slope)
@@ -236,19 +235,13 @@ def morphism_check_cmd(
         lam, tau, d, cache=_cache_from(cache_path), jobs=jobs, max_size=max_size
     )
     dprime = lam.pushforward(d)
-    source_factor = 1
-    for _, n in d.items():
-        source_factor *= factorial(n)
-    target_factor = 1
-    for _, n in dprime.items():
-        target_factor *= factorial(n)
     _echo(
         {
             "equal": equal,
             "dimvec": d.to_json(),
             "pushforward": dprime.to_json(),
-            "source_factor": str(source_factor),
-            "target_factor": str(target_factor),
+            "source_factor": str(_factorial_weight(d)),
+            "target_factor": str(_factorial_weight(dprime)),
         }
     )
     return 0 if equal else 4

@@ -10,8 +10,9 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
      every other invariant vanishes;
   2. enumerate the ordered tuples of unit vectors summing to d and form
      the free word sum with u_coeff(tuple; reference, tau) weights;
-  3. normalize the sum to iterated bracket words (Dynkin projection,
-     which also certifies that the sum is a Lie element);
+  3. normalize the sum to iterated bracket words; the word expansion of
+     the brackets must give back the sum exactly, which certifies that
+     the sum is a Lie element;
   4. evaluate each bracket word with lie_bracket on unit classes and add
      up.
 
@@ -58,7 +59,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 from typing import Mapping
 
@@ -281,12 +282,11 @@ def wallcross_transform(
 
     degree = natural_degree(q, d)
     acc = zero_class(q, (d,), degree)
-    if words:
-        for lw in lie_normalize(words):
-            cls = table[lw.letters[0]]
-            for letter in lw.letters[1:]:
-                cls = lie_bracket(cls, table[letter])
-            acc = acc + cls.rep.scale(lw.coefficient)
+    for lw in lie_normalize(words):
+        cls = table[lw.letters[0]]
+        for letter in lw.letters[1:]:
+            cls = lie_bracket(cls, table[letter])
+        acc = acc + cls.rep.scale(lw.coefficient)
     return PlClass(acc)
 
 
@@ -325,6 +325,11 @@ def induced_pl_map(lam: QuiverMorphism, x: PlClass) -> PlClass:
     return PlClass(merge_pushforward(lam, capped))
 
 
+def _factorial_weight(d: DimVector) -> int:
+    """prod_v d(v)!, the weight of each side of the factorial identity."""
+    return prod(factorial(n) for _, n in d.items())
+
+
 def check_morphism_identity(
     lam: QuiverMorphism,
     tau_target: WeakStability,
@@ -346,18 +351,10 @@ def check_morphism_identity(
     d = _check_class(lam.source, d)
     tau = pullback_stability(lam, tau_target)
     x = invariant(lam.source, tau, d, cache=cache, jobs=jobs, max_size=max_size)
-    lhs_factor = 1
-    for _, n in d.items():
-        lhs_factor *= factorial(n)
-    lhs = induced_pl_map(lam, x).scale(lhs_factor)
-
+    lhs = induced_pl_map(lam, x).scale(_factorial_weight(d))
     dprime = lam.pushforward(d)
     y = invariant(lam.target, tau_target, dprime, cache=cache, jobs=jobs, max_size=max_size)
-    rhs_factor = 1
-    for _, n in dprime.items():
-        rhs_factor *= factorial(n)
-    rhs = y.scale(rhs_factor)
-    return pl_equal(lhs, rhs)
+    return pl_equal(lhs, y.scale(_factorial_weight(dprime)))
 
 
 def pair_invariant_report(

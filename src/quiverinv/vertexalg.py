@@ -385,15 +385,18 @@ class PlClass:
     The representative is a class of the full stack; two representatives
     give the same rigidified class when their difference is a translation
     image.  Invariant classes of dimension vector d live in representative
-    degree 2 - 2 euler_form(q, d, d).
+    degree 2 - 2 euler_form(q, d, d).  A class is not changed after it is
+    made, so canonical_coordinates stores its coordinates on it the first
+    time they are asked for, and they live and die with the class.
     """
 
-    __slots__ = ("rep",)
+    __slots__ = ("rep", "_coordinates")
 
     def __init__(self, rep: HClass):
         if rep.ring.factors() != 1:
             raise ValueError("rigidified classes come from one-factor classes")
         self.rep = rep
+        self._coordinates: tuple[Fraction, ...] | None = None
 
     @property
     def quiver(self) -> Quiver:
@@ -477,9 +480,6 @@ def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict
     return list(rows.values())
 
 
-_ECHELON_MEMO: dict[tuple, tuple] = {}
-
-
 def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     """Echelon form of the translation images at the given weight.
 
@@ -490,9 +490,6 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     is its last column, the rule of weight_zero_basis, so the pivot set is
     the same; there is no back-substitution and no kernel basis.
     """
-    key = (ring.key(), weight)
-    if key in _ECHELON_MEMO:
-        return _ECHELON_MEMO[key]
     basis = monomial_basis(ring, weight)
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in _translation_rows(ring, basis):
@@ -509,13 +506,11 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
                     row[c] = z
                 else:
                     del row[c]
-    result = (
+    return (
         {m: c for c, m in enumerate(basis)},
         sorted(pivots.items(), reverse=True),
         [c for c in range(len(basis)) if c not in pivots],
     )
-    _ECHELON_MEMO[key] = result
-    return result
 
 
 def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
@@ -579,18 +574,22 @@ def canonical_coordinates(x: PlClass) -> list[Fraction]:
     descending order, leaves it supported on the free columns F_1 < F_2 < ...,
     and the weight_zero_basis vector at F_k is 1 there and 0 at the other
     free columns: the value at F_k is the k-th pairing.
+
+    The coordinates are computed on the first request and stored on x
+    (classes of odd or negative degree have none); every call returns a
+    fresh list.
     """
-    if x.degree < 0 or x.degree % 2:
-        return []
-    index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
-    vec = {index[m]: c for m, c in x.rep.functional.items()}
-    for p, prow in steps:
-        y = vec.pop(p, None)
-        if y:
-            for c, r in prow.items():
-                vec[c] = vec.get(c, 0) - y * r
-    zero = Fraction(0)
-    return [vec.get(c, zero) for c in free]
+    if x._coordinates is None and x.degree >= 0 and x.degree % 2 == 0:
+        index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
+        vec = {index[m]: c for m, c in x.rep.functional.items()}
+        for p, prow in steps:
+            y = vec.pop(p, None)
+            if y:
+                for c, r in prow.items():
+                    vec[c] = vec.get(c, 0) - y * r
+        zero = Fraction(0)
+        x._coordinates = tuple(vec.get(c, zero) for c in free)
+    return list(x._coordinates or ())
 
 
 def lie_bracket(x: PlClass | HClass, y: PlClass | HClass) -> PlClass:

@@ -15,17 +15,19 @@ interval tables, and runs the regroupings on indices into those tables;
 one sign rule, shared by both coefficients, reads the cuts off them.
 
 The Lie version has no closed formula.  It is produced here from the
-u-weighted free word sum.  The Dynkin criterion certifies it: a sum p of
-words of length n is a Lie element exactly when theta(p) = n p, where
-theta replaces each word by its left-nested bracketing (LieElementError
-otherwise, which signals an upstream bug, not bad user data).  Each length
-component then splits by letter multiset, and each part is solved in a
-basis of left-nested brackets: the distinct orderings of the multiset in
-lexicographic order, each kept when its word expansion is independent of
-the kept ones.  The kept brackets number Witt's dimension of the
-multigraded part of the free Lie algebra (Reutenauer, Free Lie Algebras,
-1993), not one per surviving word, and every one of them brackets a
-prefix with a single letter.
+u-weighted free word sum.  Each length component splits by letter
+multiset, and each part is solved in a basis of left-nested brackets: the
+distinct orderings of the multiset in lexicographic order, each kept when
+its word expansion is independent of the kept ones.  The kept brackets
+number Witt's dimension of the multigraded part of the free Lie algebra
+(Reutenauer, Free Lie Algebras, 1993), not one per surviving word, and
+every one of them brackets a prefix with a single letter.  The solve is
+its own certificate: the word expansion of the brackets must give back
+the input exactly, which holds only for a Lie element (LieElementError
+otherwise, which signals an upstream bug, not bad user data).  The Dynkin
+criterion (a sum p of words of length n is a Lie element exactly when
+theta(p) = n p, theta replacing each word by its left-nested bracketing)
+stays available as is_lie_element.
 
 Word sums are plain dicts mapping tuples of letters to Fractions; letters
 are arbitrary hashable objects supporting +, in practice dimension vectors.
@@ -267,13 +269,13 @@ def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
     letters, with a for x_1, maps it onto the span of all of them.  Each
     row is (pivot word, reduced expansion, the same row as a combination
     of kept orderings); the orderings kept are the first entries of the
-    combinations, one per row.
+    combinations, one per row.  No letters give no brackets.
     """
     order = sorted(set(letters), key=_letter_key)
     rank = {x: i for i, x in enumerate(order)}
     echelon: list[tuple[tuple, dict, dict]] = []
     for idx in _distinct_orderings([rank[x] for x in letters]):
-        if idx[0]:
+        if not idx or idx[0]:
             break
         w = tuple(order[i] for i in idx)
         row, combo = dynkin_word(w), {w: Fraction(1)}
@@ -286,25 +288,23 @@ def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
 def lie_normalize(ws: dict[tuple, Fraction]) -> list[LieWord]:
     """Write a word sum in a basis of left-nested bracket words.
 
-    Requires the input to be a Lie element (Dynkin criterion, checked;
-    LieElementError otherwise).  Each length component is grouped by
-    letter multiset and each group solved by exact elimination in the
-    basis of _left_nested_basis; brackets with coefficient zero are left
-    out.  The expansion of the returned bracket words reproduces the input
-    exactly (checked).
+    The words are grouped by letter multiset, shorter multisets first, and
+    each group solved by exact elimination in the basis of
+    _left_nested_basis; brackets with coefficient zero are left out.  The
+    expansion of the returned bracket words must reproduce the input
+    exactly, which is checked and certifies that the input is a Lie
+    element; LieElementError otherwise.
     """
-    out: list[LieWord] = []
-    for n, comp in sorted(_components_by_length(ws).items()):
-        if theta(comp) != {w: n * c for w, c in comp.items()}:
-            raise LieElementError(f"length-{n} component is not a Lie element")
-        groups: dict[tuple, dict[tuple, Fraction]] = {}
-        for w, c in comp.items():
+    groups: dict[tuple, dict[tuple, Fraction]] = {}
+    for w, c in ws.items():
+        if c:
             groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = c
-        for letters in sorted(groups, key=_word_key):
-            row, combo = dict(groups[letters]), {}
-            _reduce(row, combo, _left_nested_basis(letters))
-            # row is now zero, or the expansion check below fails
-            out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
+    out: list[LieWord] = []
+    for letters in sorted(groups, key=lambda k: (len(k), _word_key(k))):
+        row, combo = groups[letters], {}
+        _reduce(row, combo, _left_nested_basis(letters))
+        # row is now zero, or the expansion check below fails
+        out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
 
     expanded: dict[tuple, Fraction] = {}
     for lw in out:

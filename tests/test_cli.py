@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiverinv
+from quiverinv import vertexalg
 from quiverinv.cli import main
 from quiverinv.quiver import Quiver, edge_deletion_morphism
 
@@ -203,6 +204,30 @@ NO_SYMPY_MAIN = (
     "from quiverinv.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
+
+
+def test_invariant_cache_reduces_coordinates_once(qfiles, tmp_path, monkeypatch):
+    # the cache put (cold) or get (warm) and the printed answer share one
+    # reduction of the class's coordinates
+    calls = []
+    echelon = vertexalg._translation_echelon
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(vertexalg, "_translation_echelon", counted)
+    argv = [
+        "invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":2,"w":2}',
+        "--slope", '{"v":1,"w":0}', "--cache", str(tmp_path / "cache"),
+    ]
+    outs = []
+    for _ in range(2):  # the first run fills the cache, the second reads it
+        calls.clear()
+        code, out = run(argv)
+        assert code == 0 and len(calls) == 1
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["canonical"]
 
 
 def test_runtime_does_not_import_sympy(qfiles, tmp_path):

@@ -1,10 +1,13 @@
+import importlib
 import itertools
 import json
+import pkgutil
 
 import pytest
 from fractions import Fraction
 
 from quiverinv.charclass import Poly
+import quiverinv
 from quiverinv import invariants, vertexalg
 from quiverinv.quiver import (
     CycleError,
@@ -255,6 +258,15 @@ def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     store.put(K3, tau, d, cls)
     again = store.get(K3, tau, d)
     assert again is not None and pl_class_json(again) == obj
+
+
+def test_module_memos_are_declared():
+    # every module-level memo must pay for itself; a new one is declared here
+    memos = set()
+    for info in pkgutil.iter_modules(quiverinv.__path__):
+        module = importlib.import_module(f"quiverinv.{info.name}")
+        memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
+    assert memos == {"charclass._ATOM_MEMO", "invariants._WORD_MEMO", "wallcoeff._U_MEMO"}
 
 
 def test_cache_rejects_corruption(tmp_path):

@@ -436,6 +436,31 @@ def test_canonical_coordinates_match_weight_zero_basis(name):
     assert {p for p, _ in steps} == set(range(len(basis))) - set(reference_free)
 
 
+def test_canonical_coordinates_are_reduced_once_per_class(monkeypatch):
+    ring = ChernRing((DimVector({"v": 3, "w": 3}),))
+    rep = HClass(K3, ring, 20, _random_functional(random.Random(43), monomial_basis(ring, 10)))
+    calls = []
+    rows = vertexalg._translation_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(vertexalg, "_translation_rows", counted)
+    x = PlClass(rep)
+    first = canonical_coordinates(x)
+    second = canonical_coordinates(x)
+    assert len(calls) == 1
+    assert first == second and any(first)
+    first[0] += 1
+    first.append(Fraction(0))
+    assert second == canonical_coordinates(x) != first
+    assert len(calls) == 1
+    # the coordinates belong to the class, not to its ring and weight
+    assert canonical_coordinates(PlClass(rep)) == second
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
 def test_state_field_matches_termwise_oracle(q):
     rng = random.Random(17)

@@ -350,6 +350,27 @@ def test_non_lie_input_raises(ws):
         lie_normalize(ws)
 
 
+def test_lie_normalize_needs_no_dynkin_check(monkeypatch):
+    # the expansion check is the certificate: theta is never computed
+    ws = word_sum(
+        list(dynkin_word(("x", "y", "x", "z")).items())
+        + [(w, 3 * c) for w, c in dynkin_word(("y", "z")).items()]
+    )
+    want = lie_normalize(ws)
+
+    def refuse(*args):
+        raise AssertionError("lie_normalize computed theta")
+
+    monkeypatch.setattr(wallcoeff, "theta", refuse)
+    assert lie_normalize(ws) == want
+    assert {lw.letters for lw in want} >= {("y", "z")}
+
+
+def test_empty_word_is_not_a_lie_element():
+    with pytest.raises(LieElementError):
+        lie_normalize({(): Fraction(1)})
+
+
 def test_lie_normalize_round_trip():
     ws = word_sum(
         list(dynkin_word(("x", "y", "z")).items())
