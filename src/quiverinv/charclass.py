@@ -8,8 +8,8 @@ Two-point operations work on a product of two such stacks, so a generator
 carries a factor index: (factor, vertex, index).
 
 Poly is a sparse exact-rational polynomial in these generators: a dict
-mapping monomials to Fractions, a monomial being a sorted tuple of
-(generator, exponent) pairs.
+mapping monomials to Fractions (ints in chern_atom's classes), a monomial
+being a sorted tuple of (generator, exponent) pairs.
 
 K-theory classes entering the calculus are integer combinations of tensor
 products of tautological bundles and their duals:
@@ -17,9 +17,10 @@ products of tautological bundles and their duals:
     kclass = ((mult, atom), ...),   atom = ((factor, vertex, dual), ...).
 
 chern_atom computes the total Chern class of one atom up to a weight
-bound.  Tensor products are handled through the Chern character: power
-sums of Chern roots via Newton's identities, multiplied degreewise, then
-converted back, so no splitting-principle variables ever materialize.
+bound.  Tensor products are handled through the power sums of the Chern
+roots (Newton's identities), which multiply as the Chern character does
+but in integers (_tensor_chern), so no splitting-principle variables and
+no fractions ever materialize.
 Duals flip the sign of odd Chern classes; rank-zero factors give the unit
 series.  The two-point operations cap with a kclass one atom at a time
 (vertexalg), so they never expand its total class.  chern_kclass does
@@ -42,7 +43,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from .quiver import DimVector, Quiver, QuiverMorphism
@@ -167,6 +168,14 @@ class Poly:
         self.terms: dict[Monomial, Fraction] = {
             m: Fraction(c) for m, c in terms.items() if c
         }
+
+    @classmethod
+    def _trusted(cls, ring: ChernRing, terms: Mapping[Monomial, int]) -> "Poly":
+        """An internal result, valid as it stands: ints stay ints, zeros go."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = {m: c for m, c in terms.items() if c}
+        return self
 
     @classmethod
     def zero(cls, ring: ChernRing) -> "Poly":
@@ -309,54 +318,52 @@ def series_inverse(p: Poly, bound: int) -> Poly:
     return total
 
 
-def _newton_power_sums(elem: list[Poly], bound: int, ring: ChernRing) -> list[Poly]:
-    """Power sums p_1..p_bound from elementary symmetric parts e_1..e_bound."""
-    p: list[Poly] = [Poly.zero(ring)]
-    for k in range(1, bound + 1):
-        acc = elem[k].scale((-1) ** (k - 1) * k)
+def _add_product(acc: dict[Monomial, int], a: dict, b: dict, c: int) -> None:
+    """acc += c a b for polynomials stored as {monomial: int}."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mul_monomials(m1, m2)
+            acc[m] = acc.get(m, 0) + c * c1 * c2
+
+
+def _power_sums(elem: list[dict], rank: int) -> list[dict]:
+    """Power sums p_0 = rank, p_1, ... of the Chern roots from the weight
+    parts e_0 = 1, e_1, ... of the total Chern class (Newton's identities)."""
+    p = [{(): rank}]
+    for k in range(1, len(elem)):
+        acc = {m: (-1) ** (k - 1) * k * c for m, c in elem[k].items()}
         for j in range(1, k):
-            acc = acc + (elem[j] * p[k - j]).scale((-1) ** (j - 1))
+            _add_product(acc, elem[j], p[k - j], (-1) ** (j - 1))
         p.append(acc)
     return p
 
 
-def _elementary_from_power_sums(p: list[Poly], bound: int, ring: ChernRing) -> list[Poly]:
-    elem: list[Poly] = [Poly.one(ring)]
-    for k in range(1, bound + 1):
-        acc = Poly.zero(ring)
-        for j in range(1, k + 1):
-            acc = acc + (elem[k - j] * p[j]).scale((-1) ** (j - 1))
-        elem.append(acc.scale(Fraction(1, k)))
-    return elem
+def _tensor_chern(eA: list[dict], rA: int, eB: list[dict], rB: int) -> list[dict]:
+    """Weight parts of the total Chern class of a tensor product from the
+    factors' weight parts and ranks, up to the same weight bound.
 
-
-def _tensor_chern(cA: Poly, rA: int, cB: Poly, rB: int, bound: int) -> Poly:
-    """Total Chern class of a tensor product from the factors' classes."""
-    ring = cA.ring
-    eA = [cA.weight_part(w) for w in range(bound + 1)]
-    eB = [cB.weight_part(w) for w in range(bound + 1)]
-    pA = _newton_power_sums(eA, bound, ring)
-    pB = _newton_power_sums(eB, bound, ring)
-    chA = [Poly.constant(ring, rA)] + [
-        pA[k].scale(Fraction(1, factorial(k))) for k in range(1, bound + 1)
-    ]
-    chB = [Poly.constant(ring, rB)] + [
-        pB[k].scale(Fraction(1, factorial(k))) for k in range(1, bound + 1)
-    ]
-    chC = []
-    for k in range(bound + 1):
-        acc = Poly.zero(ring)
+    The Chern character ch_k = p_k / k! is multiplicative, so the power
+    sums are p_k(A x B) = sum_i C(k, i) p_i(A) p_(k-i)(B), in integers.
+    Newton's identities k e_k = sum_(1<=j<=k) (-1)^(j-1) e_(k-j) p_j turn
+    them back, dividing exactly by k: a remainder raises ArithmeticError.
+    """
+    pA, pB = _power_sums(eA, rA), _power_sums(eB, rB)
+    pC, elem = [{}], [{(): 1}]
+    for k in range(1, len(eA)):
+        pC.append({})
         for i in range(k + 1):
-            acc = acc + mul_trunc(chA[i], chB[k - i], bound)
-        chC.append(acc)
-    pC = [Poly.zero(ring)] + [
-        chC[k].scale(factorial(k)) for k in range(1, bound + 1)
-    ]
-    eC = _elementary_from_power_sums(pC, bound, ring)
-    total = Poly.zero(ring)
-    for q in eC:
-        total = total + q
-    return total
+            _add_product(pC[k], pA[i], pB[k - i], comb(k, i))
+        acc: dict[Monomial, int] = {}
+        for j in range(1, k + 1):
+            _add_product(acc, elem[k - j], pC[j], (-1) ** (j - 1))
+        elem.append({})
+        for m, c in acc.items():
+            e, r = divmod(c, k)
+            if r:
+                raise ArithmeticError(f"Newton's identity: {c} is not divisible by {k}")
+            if e:
+                elem[k][m] = e
+    return elem
 
 
 _ATOM_MEMO: dict[tuple, tuple[int, Poly]] = {}
@@ -371,7 +378,7 @@ def atom_rank(atom: Atom, ring: ChernRing) -> int:
 
 def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     """Total Chern class of a tensor product of tautological bundles, up to
-    the weight bound.
+    the weight bound, with int coefficients (_tensor_chern).
 
     Every step is graded, so the class to a smaller bound is the weight
     truncation of the class to a larger one: the memo keeps, per atom and
@@ -385,26 +392,24 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
         if top == bound:
             return total
         if top > bound:
-            return Poly(ring, {m: c for m, c in total.terms.items() if monomial_weight(m) <= bound})
+            return Poly._trusted(
+                ring, {m: c for m, c in total.terms.items() if monomial_weight(m) <= bound}
+            )
     if atom_rank(atom, ring) == 0:
-        result = Poly.one(ring)
+        result = Poly._trusted(ring, {(): 1})
         _ATOM_MEMO[key] = (bound, result)
         return result
 
-    def single(f: int, v: str, dual: bool) -> Poly:
+    parts, rank = None, 1
+    for f, v, dual in atom:
         r = ring.rank(f, v)
-        terms: dict[Monomial, Fraction] = {(): Fraction(1)}
-        for i in range(1, min(r, bound) + 1):
-            sign = -1 if (dual and i % 2) else 1
-            terms[(((f, v, i), 1),)] = Fraction(sign)
-        return Poly(ring, terms)
-
-    f0, v0, dual0 = atom[0]
-    total = single(f0, v0, dual0)
-    rank = ring.rank(f0, v0)
-    for f, v, dual in atom[1:]:
-        total = _tensor_chern(total, rank, single(f, v, dual), ring.rank(f, v), bound)
-        rank *= ring.rank(f, v)
+        single = [{(): 1}] + [
+            {(((f, v, i), 1),): -1 if dual and i % 2 else 1} if i <= r else {}
+            for i in range(1, bound + 1)
+        ]
+        parts = single if parts is None else _tensor_chern(parts, rank, single, r)
+        rank *= r
+    total = Poly._trusted(ring, {m: c for part in parts for m, c in part.items()})
     _ATOM_MEMO[key] = (bound, total)
     return total
 

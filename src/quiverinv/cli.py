@@ -6,7 +6,7 @@ give byte-identical output.  Evaluation runs in one process; --jobs is
 accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 malformed input, 3 acyclicity violation,
-4 failed check or internal assertion.  Failed checks still print their
+4 failed check or internal error.  Failed checks still print their
 report before exiting.  The invariant cache directory comes from --cache
 or the QUIVERINV_CACHE environment variable.
 """
@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except StructureError as exc:
         _echo({"error": str(exc), "kind": "input"})
         return 2
-    except (LieElementError, AssertionError) as exc:
+    except (LieElementError, AssertionError, ArithmeticError) as exc:
         _echo({"error": str(exc), "kind": "internal"})
         return 4
     except (ValueError, KeyError) as exc:

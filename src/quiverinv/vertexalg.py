@@ -33,7 +33,9 @@ The operations:
     negative multiplicity) solved for by a triangular solve, and its total
     Chern class is never expanded.  All terms at p share one degree, so
     their sum over i is taken Horner fashion in the transpose of D and
-    pushed forward once;
+    pushed forward once.  Every step but the divided powers 1/j! is
+    integral, so it all runs on ints, u and v cleared of denominators, and
+    each output value is divided once;
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
 
@@ -55,7 +57,7 @@ stays as the reference the reduction is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from .charclass import (
@@ -70,7 +72,6 @@ from .charclass import (
     ext_pairing_kexpr,
     monomial_basis,
     monomial_weight,
-    mul_monomials,
     weight_zero_component,
 )
 from .quiver import (
@@ -228,40 +229,44 @@ def cap(u: HClass, poly: Poly) -> HClass:
     return HClass._trusted(u.quiver, u.ring, u.degree - 2 * w, out)
 
 
-def divided_translation(u: HClass, j: int) -> HClass:
-    """Transpose of D^j / j! on ring factor 0; raises the degree by 2j.
+def _raise(ring: ChernRing, func: Mapping[Monomial, Fraction], j: int) -> dict:
+    """The transpose of D^j on ring factor 0, undivided (ints stay ints): each
+    step raises one index of a support monomial, c[0, v, i - 1] -> c[0, v, i]
+    with c[0, v, 0] = 1, with coefficient (d(v) - i + 1) times the new
+    exponent of c[0, v, i]."""
+    raising = [
+        (g, (g[0], g[1], g[2] - 1), ring.rank(0, g[1]) - g[2] + 1)
+        for g in ring.generators()
+        if g[0] == 0
+    ]
+    for _ in range(j):
+        out: dict[Monomial, Fraction] = {}
+        for s, x in func.items():
+            for g, lower, k in raising:
+                raised = dict(s)
+                e = raised.pop(lower, 0)
+                if e > 1:
+                    raised[lower] = e - 1
+                elif not e and lower[2]:
+                    continue
+                e = raised[g] = raised.get(g, 0) + 1
+                m = tuple(sorted(raised.items()))
+                out[m] = out.get(m, 0) + x * (k * e)
+        func = out
+    return func
 
-    The transpose of D raises one index of a support monomial,
-    c[0, v, i - 1] -> c[0, v, i] with c[0, v, 0] = 1, with coefficient
-    (d(v) - i + 1) times the new exponent of c[0, v, i].
-    """
+
+def divided_translation(u: HClass, j: int) -> HClass:
+    """Transpose of D^j / j! on ring factor 0; raises the degree by 2j:
+    _raise, then one division of each value by j!."""
     if j < 0:
         raise ValueError("translation exponent must be >= 0")
     if j == 0:
         return u
-    raising = [
-        (g, (g[0], g[1], g[2] - 1), u.ring.rank(0, g[1]) - g[2] + 1)
-        for g in u.ring.generators()
-        if g[0] == 0
-    ]
-    func = u.functional
-    for _ in range(j):
-        out: dict[Monomial, Fraction] = {}
-        for s, x in func.items():
-            exps = dict(s)
-            for g, lower, k in raising:
-                if lower[2] == 0:
-                    m = s
-                elif lower in exps:
-                    m = divide_monomial(s, ((lower, 1),))
-                else:
-                    continue
-                m = mul_monomials(m, ((g, 1),))
-                out[m] = out.get(m, 0) + x * (k * (exps.get(g, 0) + 1))
-        func = out
     scale = factorial(j)
     return HClass._trusted(
-        u.quiver, u.ring, u.degree + 2 * j, {m: x / scale for m, x in func.items()}
+        u.quiver, u.ring, u.degree + 2 * j,
+        {m: Fraction(x, scale) for m, x in _raise(u.ring, u.functional, j).items()},
     )
 
 
@@ -334,9 +339,13 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     With caps[i] = (u x v) cap c_i, k = p - chi, i0 = max(0, -k) and
     n = k + i0, the coefficient at p is epsilon times the pushforward of the
     n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
-    (Dt the transpose of D), summed Horner fashion from i = imax down.
-    The caps come from _ext_cap_levels, atom by atom, without expanding
-    the total Chern class c of the Ext class.
+    (Dt the transpose of D), that is of Dt^n applied to
+    sum_{i >= i0} Dt^(i - i0) caps[i] (k + imax)!/(k + i)!, summed Horner
+    fashion from i = imax down, over (k + imax)!.  The caps come from
+    _ext_cap_levels, atom by atom, without expanding the total Chern class
+    c of the Ext class.  With u and v scaled by the lcms Lu, Lv of their
+    denominators all of it runs on ints (Dt^n undivided, _raise), and each
+    pushed-forward value is divided once, by Lu Lv (k + imax)!.
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
@@ -346,11 +355,8 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     q = u.quiver
     a, b = u.ring.dims[0], v.ring.dims[0]
     chi = sym_euler_form(q, a, b)
-    # second sign is (-1)^(deg u * chi(b, b)); chi(b, b) is even for quiver
-    # data so it never fires, kept for shape
-    prefactor = sign_epsilon(q, a, b) * (
-        -1 if (u.degree * sym_euler_form(q, b, b)) % 2 else 1
-    )
+    # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
+    prefactor = sign_epsilon(q, a, b)
     out = {
         p: zero_class(q, (a + b,), u.degree + v.degree + 2 * p - 2 * chi)
         for p in powers
@@ -358,25 +364,33 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     if u.is_zero() or v.is_zero():
         return out
 
-    imax = (u.degree + v.degree) // 2
-    uv = kunneth(u, v)
-    caps = [
-        HClass._trusted(q, uv.ring, uv.degree - 2 * i, level)
-        for i, level in enumerate(reversed(_ext_cap_levels(uv)))
-    ]
+    (lu, iu), (lv, iv) = _cleared(u), _cleared(v)
+    uv = kunneth(iu, iv)
+    imax = uv.degree // 2
+    caps = _ext_cap_levels(uv)[::-1]
     for p in powers:
         k = p - chi
         i0 = max(0, -k)
         if i0 > imax:
             continue
-        n = k + i0
-        acc = caps[imax].scale(Fraction(factorial(n), factorial(k + imax)))
-        for i in range(imax - 1, i0 - 1, -1):
-            acc = caps[i].scale(Fraction(factorial(n), factorial(k + i))) + divided_translation(acc, 1)
-        term = divided_translation(acc, n)
+        acc, weight = {}, 1  # weight = (k + imax)! / (k + i)!
+        for i in range(imax, i0 - 1, -1):
+            acc = _raise(uv.ring, acc, 1)
+            for m, x in caps[i].items():
+                acc[m] = acc.get(m, 0) + weight * x
+            weight *= k + i
+        term = HClass._trusted(q, uv.ring, uv.degree + 2 * k, _raise(uv.ring, acc, k + i0))
         if not term.is_zero():
-            out[p] = direct_sum_pushforward(term).scale(prefactor)
+            scale = Fraction(prefactor, lu * lv * factorial(k + imax))  # the one division
+            out[p] = direct_sum_pushforward(term).scale(scale)
     return out
+
+
+def _cleared(u: HClass) -> tuple[int, HClass]:
+    """The lcm L of the denominators of u's values, and L u with int values."""
+    den = lcm(*(x.denominator for x in u.functional.values()))
+    ints = {m: (x * den).numerator for m, x in u.functional.items()}
+    return den, HClass._trusted(u.quiver, u.ring, u.degree, ints)
 
 
 class PlClass:

@@ -155,6 +155,58 @@ def _truncate_weight(expr, es, fs, bound):
     return sympy.expand(out)
 
 
+def chern_character_atom_oracle(atom, ring, bound):
+    """Total Chern class of a tensor product of tautological bundles by the
+    Chern character, in Fractions throughout: power sums from Newton's
+    identities, ch_k = p_k / k!, the characters multiplied degreewise and
+    truncated, then back through k! and Newton's identities over Q.  It was
+    the package's chern_atom before the integer power sums, and shares only
+    Poly and mul_trunc with it."""
+    from quiverinv.charclass import Poly, mul_trunc
+
+    def power_sums(elem):
+        p = [Poly.zero(ring)]
+        for k in range(1, bound + 1):
+            acc = elem[k].scale((-1) ** (k - 1) * k)
+            for j in range(1, k):
+                acc = acc + (elem[j] * p[k - j]).scale((-1) ** (j - 1))
+            p.append(acc)
+        return p
+
+    def character(c, rank):
+        p = power_sums([c.weight_part(w) for w in range(bound + 1)])
+        return [Poly.constant(ring, rank)] + [
+            p[k].scale(Fraction(1, factorial(k))) for k in range(1, bound + 1)
+        ]
+
+    def single(f, v, dual):
+        r = ring.rank(f, v)
+        terms = {(): Fraction(1)}
+        for i in range(1, min(r, bound) + 1):
+            terms[(((f, v, i), 1),)] = Fraction(-1 if dual and i % 2 else 1)
+        return Poly(ring, terms)
+
+    if any(ring.rank(f, v) == 0 for f, v, _ in atom):
+        return Poly.one(ring)
+    total, rank = single(*atom[0]), ring.rank(*atom[0][:2])
+    for f, v, dual in atom[1:]:
+        chA, chB = character(total, rank), character(single(f, v, dual), ring.rank(f, v))
+        p = [Poly.zero(ring)]
+        for k in range(1, bound + 1):
+            ch = Poly.zero(ring)
+            for i in range(k + 1):
+                ch = ch + mul_trunc(chA[i], chB[k - i], bound)
+            p.append(ch.scale(factorial(k)))
+        elem = [Poly.one(ring)]
+        for k in range(1, bound + 1):
+            acc = Poly.zero(ring)
+            for j in range(1, k + 1):
+                acc = acc + (elem[k - j] * p[j]).scale((-1) ** (j - 1))
+            elem.append(acc.scale(Fraction(1, k)))
+        total, rank = sum(elem[1:], elem[0]), rank * ring.rank(f, v)
+    return total
+
+
 def binary_stable_point_oracle(qjson, d_support, mu):
     """Does the binary class with the given support have a stable point?
 
@@ -553,3 +605,14 @@ D1_UNIT_PAIRINGS = {("v", 1, "w", 2): {"v": 1, "w": 2}}
 # Kronecker invariants at d = (1,1), v-heavy chamber: the projective space
 # of the m edge maps, pairing 1 against (c_{w,1} - c_{v,1})^(m-1)
 KRONECKER_POINT_PAIRING = {1: 1, 2: 1, 3: 1}
+
+# Euler characteristics of the stable moduli of the m-Kronecker quiver in the
+# v-heavy chamber, keyed (m, d(v), d(w)).  d = (1, 1) gives the projective
+# space P^(m-1) of the edge maps, d = (1, 2) the Grassmannian Gr(2, m), and
+# K2 (2, 3) is a point (dimension 1 - chi(d, d) = 0), and K3 (2, 3) is
+# 6-dimensional with Euler characteristic 13.
+KRONECKER_EULER_CHARACTERISTICS = {
+    (2, 1, 1): 2, (2, 1, 2): 1, (2, 2, 3): 1,
+    (3, 1, 1): 3, (3, 1, 2): 3, (3, 2, 3): 13,
+    (4, 1, 1): 4, (4, 1, 2): 6,
+}

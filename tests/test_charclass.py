@@ -171,6 +171,36 @@ def test_chern_atom_at_a_smaller_bound_is_the_truncation(monkeypatch):
             assert len(charclass._ATOM_MEMO) == 1
 
 
+A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
+    {"id": "e1", "from": "a", "to": "b"},
+    {"id": "e2", "from": "a", "to": "b"},
+    {"id": "e3", "from": "b", "to": "c"},
+]})
+
+
+@pytest.mark.parametrize("q,pairs", [
+    (A2, [({"v": 2, "w": 1}, {"v": 1, "w": 2}), ({"v": 3}, {"v": 1, "w": 1})]),
+    (K3, [({"v": 2, "w": 2}, {"v": 1, "w": 3}), ({"v": 1}, {"w": 2})]),
+    (A3, [({"a": 1, "b": 2, "c": 1}, {"a": 2, "b": 1, "c": 2}), ({"a": 2, "c": 1}, {"b": 2})]),
+], ids=["A2", "K3", "A3"])
+def test_chern_atoms_match_chern_character_oracle(q, pairs, monkeypatch):
+    # integer power sums against the Chern character in Fractions, at every
+    # bound up to 6, each computed fresh; the classes have int coefficients
+    from quiverinv import charclass
+
+    rank_zero = False
+    for d, e in pairs:
+        ring = ChernRing((DimVector(d), DimVector(e)))
+        for _, atom in ext_pairing_kexpr(q):
+            rank_zero |= charclass.atom_rank(atom, ring) == 0
+            for bound in range(7):
+                monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+                got = chern_atom(atom, ring, bound)
+                assert got == oracles.chern_character_atom_oracle(atom, ring, bound), (d, e, atom)
+                assert all(type(c) is int for c in got.terms.values())
+    assert rank_zero
+
+
 def test_kclass_rank_matches_sym_euler_form():
     for q in (A2, K2, K3):
         kx = ext_pairing_kexpr(q)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiverinv
-from quiverinv import vertexalg
+from quiverinv import charclass, invariants, vertexalg
 from quiverinv.cli import main
 from quiverinv.quiver import Quiver, edge_deletion_morphism
 
@@ -394,3 +394,23 @@ def test_failed_check_exits_4(qfiles, tmp_path, monkeypatch):
     )
     assert code == 4
     assert json.loads(out)["equal"] is False
+
+
+def test_inexact_newton_division_exits_4(qfiles, monkeypatch):
+    # the Chern atoms' integer Newton step divides exactly on every valid
+    # input, so force a remainder: the guard must surface as an internal error
+    monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+    monkeypatch.setattr(invariants, "_WORD_MEMO", {})
+    monkeypatch.setattr(charclass, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out = run(
+        [
+            "invariant",
+            "--quiver", qfiles["k3"],
+            "--dimvec", '{"v":2,"w":2}',
+            "--slope", '{"v":"1","w":"0"}',
+        ]
+    )
+    assert code == 4
+    obj = json.loads(out)
+    assert obj["kind"] == "internal"
+    assert "not divisible" in obj["error"]

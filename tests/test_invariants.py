@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 from fractions import Fraction
 
-from quiverinv.charclass import Poly
+from quiverinv.charclass import ChernRing, Poly, chern_kclass
 import quiverinv
 from quiverinv import invariants, vertexalg
 from quiverinv.quiver import (
@@ -363,3 +363,19 @@ def test_selftest_passes():
         "framed-pair-identity",
     } <= names
     assert all(c["ok"] for c in out["checks"])
+
+
+def test_invariant_pairs_with_tangent_class_to_euler_characteristic():
+    # For coprime d at a generic slope the invariant is the fundamental class
+    # of the stable moduli space M, whose tangent bundle is -chi(E, E) on the
+    # rigidified stack: its top Chern class pairs to the Euler characteristic
+    # of M.  -chi(E, E) is built as a one-factor K-class, independently of
+    # the ext_pairing_kexpr that the brackets cap with.
+    for (m, a, b), want in oracles.KRONECKER_EULER_CHARACTERISTICS.items():
+        q = Quiver.from_json(oracles.kronecker_json(m))
+        d = DimVector({"v": a, "w": b})
+        rep = invariant(q, slope_stability(q, {"v": 1, "w": 0}), d).rep
+        tangent = tuple((1, ((0, e.source, True), (0, e.target, False))) for e in q.edges)
+        tangent += tuple((-1, ((0, v, True), (0, v, False))) for v in q.vertices)
+        w = rep.degree // 2
+        assert rep.pair(chern_kclass(tangent, ChernRing((d,)), w).weight_part(w)) == want, (m, d)

@@ -481,6 +481,18 @@ def test_state_field_matches_termwise_oracle(q):
             beyond_imax |= chi - powers[0] > (u.degree + v.degree) // 2
         assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
     assert beyond_imax
+    # values with unlike denominators 3 and 5, which state_field clears by their lcm
+    rng = random.Random(19)
+    unlike = []
+    for _ in range(3):
+        ring = ChernRing((DimVector({x: 1 for x in rng.sample(q.vertices, 2)}),))
+        unlike.append(HClass(q, ring, 2, {
+            m: Fraction(rng.choice((-7, -4, -2, -1, 1, 2, 4, 7)), (3, 5)[c % 2])
+            for c, m in enumerate(monomial_basis(ring, 1))
+        }))
+    for u, v in [(unlike[0], unlike[1]), (unlike[1], unlike[2]), (unlike[2], samples[1])]:
+        assert {x.denominator for x in u.functional.values()} == {3, 5}
+        assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
 
 
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
