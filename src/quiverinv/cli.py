@@ -5,19 +5,20 @@ are serialized with fixed key order and separators, so identical inputs
 give byte-identical output.  Evaluation runs in one process; --jobs is
 accepted for compatibility and has no effect.
 
-Exit codes: 0 success, 2 malformed input, 3 acyclicity violation,
-4 failed check or internal error.  Failed checks still print their
-report before exiting.  The invariant cache directory comes from --cache
-or the QUIVERINV_CACHE environment variable.
+Exit codes: 0 success (--help too, printed on stdout), 2 malformed input
+or usage (options parsed by argparse, spelled in full), 3 acyclicity
+violation, 4 failed check or internal error; errors are one JSON object
+on stdout.  Failed checks still print their report before exiting.  The
+invariant cache directory comes from --cache or the QUIVERINV_CACHE
+environment variable.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from .invariants import (
     CacheStore,
@@ -30,14 +31,14 @@ from .invariants import (
     selftest,
     wallcross_transform,
 )
-from .quiver import CycleError, DimVector, Quiver, QuiverMorphism, StructureError, all_decompositions
+from .quiver import CycleError, DimVector, Quiver, QuiverMorphism, all_decompositions
 from .stability import fraction_str, slope_stability
 from .vertexalg import pl_equal
 from .wallcoeff import LieElementError, lie_normalize, s_coeff, u_coeff
 
 
 def _echo(obj: dict) -> None:
-    click.echo(json.dumps(obj, separators=(",", ":")))
+    print(json.dumps(obj, separators=(",", ":")))
 
 
 def _load_json_file(path: str, what: str) -> object:
@@ -77,27 +78,6 @@ def _cache_from(path: str | None) -> CacheStore | None:
     return CacheStore(path) if path else None
 
 
-quiver_option = click.option("--quiver", "quiver_path", required=True, metavar="FILE")
-dimvec_option = click.option("--dimvec", required=True, metavar="JSON")
-slope_option = click.option("--slope", required=True, metavar="JSON")
-slope2_option = click.option("--slope2", required=True, metavar="JSON")
-cache_option = click.option("--cache", "cache_path", default=None, metavar="DIR")
-jobs_option = click.option(
-    "--jobs", default=1, show_default=True, metavar="N",
-    help="Accepted for compatibility; evaluation is sequential.",
-)
-max_size_option = click.option("--max-size", "max_size", default=8, show_default=True, metavar="K")
-
-
-@click.group()
-def cli() -> None:
-    """Exact invariant classes of quiver moduli and their wall-crossing."""
-
-
-@cli.command()
-@quiver_option
-@dimvec_option
-@click.option("--dimvec2", default=None, metavar="JSON", help="Second argument; defaults to --dimvec.")
 def euler(quiver_path: str, dimvec: str, dimvec2: str | None) -> int:
     """Euler pairing, its symmetrization, and the sign twist."""
     from .quiver import euler_form, sign_epsilon, sym_euler_form
@@ -115,12 +95,6 @@ def euler(quiver_path: str, dimvec: str, dimvec2: str | None) -> int:
     return 0
 
 
-@cli.command()
-@quiver_option
-@dimvec_option
-@slope_option
-@slope2_option
-@max_size_option
 def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int) -> int:
     """Coefficient table over the ordered decompositions of a class.
 
@@ -159,13 +133,6 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
     return 0
 
 
-@cli.command("invariant")
-@quiver_option
-@dimvec_option
-@slope_option
-@cache_option
-@jobs_option
-@max_size_option
 def invariant_cmd(
     quiver_path: str, dimvec: str, slope: str, cache_path: str | None, jobs: int, max_size: int
 ) -> int:
@@ -178,21 +145,8 @@ def invariant_cmd(
     return 0
 
 
-@cli.command("wallcross-check")
-@quiver_option
-@dimvec_option
-@slope_option
-@slope2_option
-@cache_option
-@jobs_option
-@max_size_option
 def wallcross_check_cmd(
-    quiver_path: str,
-    dimvec: str,
-    slope: str,
-    slope2: str,
-    cache_path: str | None,
-    jobs: int,
+    quiver_path: str, dimvec: str, slope: str, slope2: str, cache_path: str | None, jobs: int,
     max_size: int,
 ) -> int:
     """Transform invariants from --slope to --slope2 and compare."""
@@ -217,13 +171,6 @@ def wallcross_check_cmd(
     return 0 if equal else 4
 
 
-@cli.command("morphism-check")
-@click.option("--morphism", "morphism_path", required=True, metavar="FILE")
-@dimvec_option
-@slope_option
-@cache_option
-@jobs_option
-@max_size_option
 def morphism_check_cmd(
     morphism_path: str, dimvec: str, slope: str, cache_path: str | None, jobs: int, max_size: int
 ) -> int:
@@ -247,21 +194,8 @@ def morphism_check_cmd(
     return 0 if equal else 4
 
 
-@cli.command("pair-check")
-@quiver_option
-@dimvec_option
-@slope_option
-@click.option("--framing", required=True, metavar="JSON")
-@cache_option
-@jobs_option
-@max_size_option
 def pair_check_cmd(
-    quiver_path: str,
-    dimvec: str,
-    slope: str,
-    framing: str,
-    cache_path: str | None,
-    jobs: int,
+    quiver_path: str, dimvec: str, slope: str, framing: str, cache_path: str | None, jobs: int,
     max_size: int,
 ) -> int:
     """Framed-moduli identity and leading-term injectivity."""
@@ -288,10 +222,6 @@ def pair_check_cmd(
     return 0 if report["ok"] else 4
 
 
-@cli.command("selftest")
-@cache_option
-@jobs_option
-@click.option("--max-size", "max_size", default=4, show_default=True, metavar="K")
 def selftest_cmd(cache_path: str | None, jobs: int, max_size: int) -> int:
     """Run the property battery at a size budget."""
     report = selftest(max_size=max_size, jobs=jobs, cache=_cache_from(cache_path))
@@ -299,32 +229,82 @@ def selftest_cmd(cache_path: str | None, jobs: int, max_size: int) -> int:
     return 0 if report["ok"] else 4
 
 
+_OPTIONS = {
+    "--quiver": dict(dest="quiver_path", required=True, metavar="FILE"),
+    "--morphism": dict(dest="morphism_path", required=True, metavar="FILE"),
+    "--dimvec": dict(required=True, metavar="JSON"),
+    "--dimvec2": dict(metavar="JSON", help="Second argument; defaults to --dimvec."),
+    "--slope": dict(required=True, metavar="JSON"),
+    "--slope2": dict(required=True, metavar="JSON"),
+    "--framing": dict(required=True, metavar="JSON"),
+    "--cache": dict(dest="cache_path", metavar="DIR"),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="Accepted for compatibility; evaluation is sequential. [default: %(default)s]",
+    ),
+    "--max-size": dict(type=int, default=8, metavar="K", help="[default: %(default)s]"),
+}
+
+_COMPUTE = ("--cache", "--jobs", "--max-size")  # the commands that compute invariants
+_COMMANDS = (
+    ("euler", euler, ("--quiver", "--dimvec", "--dimvec2")),
+    ("ucoeff", ucoeff, ("--quiver", "--dimvec", "--slope", "--slope2", "--max-size")),
+    ("invariant", invariant_cmd, ("--quiver", "--dimvec", "--slope", *_COMPUTE)),
+    (
+        "wallcross-check", wallcross_check_cmd,
+        ("--quiver", "--dimvec", "--slope", "--slope2", *_COMPUTE),
+    ),
+    ("morphism-check", morphism_check_cmd, ("--morphism", "--dimvec", "--slope", *_COMPUTE)),
+    ("pair-check", pair_check_cmd, ("--quiver", "--dimvec", "--slope", "--framing", *_COMPUTE)),
+    ("selftest", selftest_cmd, _COMPUTE),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError (exit 2 in
+    main) instead of printing to stderr; options must be spelled in full."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="quiverinv",
+        description="Exact invariant classes of quiver moduli and their wall-crossing.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, run, options in _COMMANDS:
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc)
+        for flag in options:
+            sub.add_argument(flag, **_OPTIONS[flag])
+        sub.set_defaults(run=run)
+    commands.choices["selftest"].set_defaults(max_size=4)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point with error-to-exit-code mapping; returns the exit code."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        _echo({"error": exc.format_message(), "kind": "input"})
-        return 2
-    except click.ClickException as exc:
-        _echo({"error": exc.format_message(), "kind": "input"})
-        return 2
-    except click.exceptions.Abort:
-        _echo({"error": "aborted", "kind": "input"})
-        return 2
+        try:
+            args = vars(_parser().parse_args(argv))
+        except SystemExit:  # --help has printed its text
+            return 0
+        return args.pop("run")(**args)
     except CycleError as exc:
         _echo({"error": str(exc), "kind": "acyclicity"})
         return 3
-    except StructureError as exc:
-        _echo({"error": str(exc), "kind": "input"})
-        return 2
     except (LieElementError, AssertionError, ArithmeticError) as exc:
         _echo({"error": str(exc), "kind": "internal"})
         return 4
     except (ValueError, KeyError) as exc:
         _echo({"error": str(exc), "kind": "input"})
         return 2
-    return int(rv) if isinstance(rv, int) else 0
 
 
 if __name__ == "__main__":

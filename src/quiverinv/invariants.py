@@ -485,15 +485,20 @@ def _token_json(obj):
 
 
 _CACHE_FORMAT = "invariant-cache-v1"
+# Version of the computation behind a cached class, in every cache key so an
+# entry written under another value is a miss.  Bump it with any change that
+# can alter a computed class: its value, representative or coordinates.
+_ALGORITHM = 1
 
 
 class CacheStore:
     """Content-addressed store of invariant classes on disk.
 
-    One JSON file per (quiver, stability token, dimension vector), named
-    by the SHA-256 of the canonical key serialization.  Files carry the
-    canonical coordinates plus the full representative so cached classes
-    support every downstream operation; loads cross-check the two.
+    One JSON file per (algorithm version, quiver, stability token,
+    dimension vector), named by the SHA-256 of the canonical key
+    serialization.  Files carry the canonical coordinates plus the full
+    representative so cached classes support every downstream operation;
+    loads cross-check the two.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -504,6 +509,7 @@ class CacheStore:
         key = json.dumps(
             {
                 "format": _CACHE_FORMAT,
+                "algorithm": _ALGORITHM,
                 "quiver": q.to_json(),
                 "stability": _token_json(stab.token),
                 "dimvec": d.to_json(),
@@ -539,6 +545,7 @@ class CacheStore:
     def put(self, q: Quiver, stab: WeakStability, d: DimVector, cls: PlClass) -> None:
         payload = pl_class_json(cls)
         payload["format"] = _CACHE_FORMAT
+        payload["algorithm"] = _ALGORITHM
         payload["quiver"] = q.to_json()
         payload["stability"] = _token_json(stab.token)
         payload["representative"] = _representative_json(cls)

@@ -57,7 +57,7 @@ stays as the reference the reduction is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .charclass import (
@@ -483,14 +483,15 @@ def pl_equal(x: PlClass, y: PlClass) -> bool:
     return is_translation_image(x.rep - y.rep)
 
 
-def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict[int, Fraction]]:
+def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict[int, int]]:
     """Rows of the matrix of D on the span of basis: one per monomial of
     weight one less, keyed by column (position in basis).  Each row is the
-    translation image of the functional 1 at its monomial."""
-    rows: dict[Monomial, dict[int, Fraction]] = {}
+    translation image of the functional 1 at its monomial; D has integer
+    entries, so the rows hold ints."""
+    rows: dict[Monomial, dict[int, int]] = {}
     for c, m in enumerate(basis):
         for lower, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
-            rows.setdefault(lower, {})[c] = x
+            rows.setdefault(lower, {})[c] = x.numerator
     return list(rows.values())
 
 
@@ -499,21 +500,28 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
 
     Returns (index, steps, free): the column of each monomial of the weight
     basis, the pivot rows as (pivot column, {column: value}) in descending
-    pivot order, each normalized to 1 at its pivot (left out) and supported
-    below it, and the free columns in ascending order.  The pivot of a row
-    is its last column, the rule of weight_zero_basis, so the pivot set is
-    the same; there is no back-substitution and no kernel basis.
+    pivot order, each a primitive integer row supported at and below its
+    pivot, and the free columns in ascending order.  Elimination is
+    fraction free: a row meeting a pivot row is cross-multiplied with it.
+    The pivot of a row is its last column, the rule of weight_zero_basis,
+    so the pivot set is the same; there is no back-substitution and no
+    kernel basis.
     """
     basis = monomial_basis(ring, weight)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in _translation_rows(ring, basis):
         while row:
             p = max(row)
-            x = row.pop(p)
             prow = pivots.get(p)
             if prow is None:
-                pivots[p] = {c: y / x for c, y in row.items()}
+                g = gcd(*row.values())
+                pivots[p] = {c: y // g for c, y in row.items()}
                 break
+            a, x = prow[p], row[p]
+            g = gcd(a, x)
+            a, x = a // g, x // g
+            if a != 1:
+                row = {c: a * y for c, y in row.items()}
             for c, y in prow.items():
                 z = row.get(c, 0) - x * y
                 if z:
@@ -561,7 +569,7 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
             continue
         p = max(row)
         lead = row[p]
-        row = {c: x / lead for c, x in row.items()}
+        row = {c: Fraction(x, lead) for c, x in row.items()}
         for prow in pivots.values():
             x = prow.get(p)
             if x:
@@ -597,8 +605,9 @@ def canonical_coordinates(x: PlClass) -> list[Fraction]:
         index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
         vec = {index[m]: c for m, c in x.rep.functional.items()}
         for p, prow in steps:
-            y = vec.pop(p, None)
+            y = vec.get(p)
             if y:
+                y = Fraction(y, prow[p])
                 for c, r in prow.items():
                     vec[c] = vec.get(c, 0) - y * r
         zero = Fraction(0)

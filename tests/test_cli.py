@@ -350,6 +350,12 @@ def test_malformed_input_exits_2(qfiles, tmp_path):
         ["invariant", "--quiver", qfiles["a2"], "--dimvec", '{"v":1}', "--slope", '{"v":0.5,"w":0}'],
         ["invariant", "--quiver", qfiles["a2"], "--dimvec", '{"v":1,"w":1}', "--slope", '["v"]'],
         ["no-such-command"],
+        [],  # no command at all
+        ["euler", "--quiver", qfiles["a2"], "--dimvec", '{"v":1}', "--no-such-option"],
+        ["euler", "--quiver", qfiles["a2"], "--dim", '{"v":1}'],  # abbreviations are refused
+        ["euler", "--quiver", qfiles["a2"], "--dimvec"],  # option value missing
+        ["selftest", "--max-size", "two"],
+        ["selftest", "--jobs", "1.5"],
     ]
     for argv in cases:
         code, out = run(argv)
@@ -361,6 +367,39 @@ def test_malformed_input_exits_2(qfiles, tmp_path):
     code, out = run(["euler", "--quiver", str(bad), "--dimvec", '{"v":1}'])
     assert code == 2
     assert json.loads(out)["kind"] == "input"
+
+
+COMMANDS = (
+    "euler", "ucoeff", "invariant", "wallcross-check", "morphism-check", "pair-check", "selftest",
+)
+
+
+def test_help_exits_0():
+    code, out = run(["--help"])
+    assert code == 0
+    assert all(name in out for name in COMMANDS)
+    code, out = run(["invariant", "--help"])
+    assert code == 0
+    for option in ("--quiver", "--dimvec", "--slope", "--cache", "--jobs", "--max-size"):
+        assert option in out
+
+
+def test_option_value_after_equals_sign(qfiles):
+    argv = ["invariant", "--quiver", qfiles["k2"], "--dimvec", '{"v":1,"w":1}']
+    code, spaced = run(argv + ["--slope", '{"v":"1","w":"0"}'])
+    assert code == 0
+    assert run(argv + ['--slope={"v":"1","w":"0"}']) == (0, spaced)
+
+
+def test_cli_import_leaves_click_out():
+    src = str(Path(quiverinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quiverinv.cli; print('click' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cycle_exits_3(qfiles):

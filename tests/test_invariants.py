@@ -225,6 +225,19 @@ def test_cache_roundtrip(tmp_path):
     assert store.get(K3, slope_stability(K3, LO), d) is None
 
 
+def test_cache_misses_entries_of_another_algorithm(tmp_path, monkeypatch):
+    tau = slope_stability(K3, HI)
+    d = DimVector({"v": 1, "w": 1})
+    store = CacheStore(tmp_path)
+    monkeypatch.setattr(invariants, "_ALGORITHM", "written")
+    store.put(K3, tau, d, invariant(K3, tau, d))
+    assert store.get(K3, tau, d) is not None
+    (path,) = tmp_path.glob("*.json")
+    assert json.loads(path.read_text())["algorithm"] == "written"
+    monkeypatch.setattr(invariants, "_ALGORITHM", "read")
+    assert store.get(K3, tau, d) is None
+
+
 def test_cache_not_shared_through_caller_tokens(tmp_path):
     d = DimVector({"v": 1, "w": 1})
     lo = slope_stability(K2, LO)

@@ -431,6 +431,7 @@ def test_canonical_coordinates_match_weight_zero_basis(name):
         assert canonical_coordinates(image) == [Fraction(0)] * len(reference)
     # same pivot rule: the echelon's pivots are the basis's non-free columns
     _, steps, free = vertexalg._translation_echelon(ring, weight)
+    assert all(type(y) is int for _, prow in steps for y in prow.values())
     reference_free = [basis.index(min(p.terms)) for p in reference]
     assert free == reference_free
     assert {p for p, _ in steps} == set(range(len(basis))) - set(reference_free)
