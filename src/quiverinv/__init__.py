@@ -66,7 +66,6 @@ from .stability import (
     framed_slope,
     is_generic_pair,
     is_increasing,
-    pair_lex_stability,
     parse_fraction,
     pullback_stability,
     reference_increasing_slope,

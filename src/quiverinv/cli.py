@@ -3,7 +3,7 @@
 All numbers cross the interface as exact rational strings; output objects
 are serialized with fixed key order and separators, so identical inputs
 give byte-identical output.  Evaluation runs in one process; --jobs is
-accepted for compatibility and has no effect.
+accepted for compatibility and discarded by main.
 
 Exit codes: 0 success (--help too, printed on stdout), 2 malformed input
 or usage (options parsed by argparse, spelled in full), 3 acyclicity
@@ -134,20 +134,19 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
 
 
 def invariant_cmd(
-    quiver_path: str, dimvec: str, slope: str, cache_path: str | None, jobs: int, max_size: int
+    quiver_path: str, dimvec: str, slope: str, cache_path: str | None, max_size: int
 ) -> int:
     """Invariant class of the semistable moduli, as canonical coordinates."""
     q = _quiver_from(quiver_path)
     d = _dimvec_from(dimvec)
     tau = _slope_from(q, slope)
-    cls = invariant(q, tau, d, cache=_cache_from(cache_path), jobs=jobs, max_size=max_size)
+    cls = invariant(q, tau, d, cache=_cache_from(cache_path), max_size=max_size)
     _echo(pl_class_json(cls))
     return 0
 
 
 def wallcross_check_cmd(
-    quiver_path: str, dimvec: str, slope: str, slope2: str, cache_path: str | None, jobs: int,
-    max_size: int,
+    quiver_path: str, dimvec: str, slope: str, slope2: str, cache_path: str | None, max_size: int
 ) -> int:
     """Transform invariants from --slope to --slope2 and compare."""
     q = _quiver_from(quiver_path)
@@ -155,9 +154,9 @@ def wallcross_check_cmd(
     from_stab = _slope_from(q, slope, "slope")
     to_stab = _slope_from(q, slope2, "slope2")
     cache = _cache_from(cache_path)
-    table = build_invariant_table(q, from_stab, d, cache=cache, jobs=jobs, max_size=max_size)
+    table = build_invariant_table(q, from_stab, d, cache=cache, max_size=max_size)
     lhs = wallcross_transform(q, table, to_stab, d, max_size=max_size)
-    rhs = invariant(q, to_stab, d, cache=cache, jobs=jobs, max_size=max_size)
+    rhs = invariant(q, to_stab, d, cache=cache, max_size=max_size)
     equal = pl_equal(lhs, rhs)
     _echo(
         {
@@ -172,15 +171,13 @@ def wallcross_check_cmd(
 
 
 def morphism_check_cmd(
-    morphism_path: str, dimvec: str, slope: str, cache_path: str | None, jobs: int, max_size: int
+    morphism_path: str, dimvec: str, slope: str, cache_path: str | None, max_size: int
 ) -> int:
     """Factorial identity for a quiver morphism; --slope lives on the target."""
     lam = QuiverMorphism.from_json(_load_json_file(morphism_path, "morphism"))
     d = lam.source.check_dimvec(_dimvec_from(dimvec))
     tau = _slope_from(lam.target, slope)
-    equal = check_morphism_identity(
-        lam, tau, d, cache=_cache_from(cache_path), jobs=jobs, max_size=max_size
-    )
+    equal = check_morphism_identity(lam, tau, d, cache=_cache_from(cache_path), max_size=max_size)
     dprime = lam.pushforward(d)
     _echo(
         {
@@ -195,8 +192,7 @@ def morphism_check_cmd(
 
 
 def pair_check_cmd(
-    quiver_path: str, dimvec: str, slope: str, framing: str, cache_path: str | None, jobs: int,
-    max_size: int,
+    quiver_path: str, dimvec: str, slope: str, framing: str, cache_path: str | None, max_size: int
 ) -> int:
     """Framed-moduli identity and leading-term injectivity."""
     q = _quiver_from(quiver_path)
@@ -206,7 +202,7 @@ def pair_check_cmd(
     if not isinstance(framing_obj, dict):
         raise ValueError("framing must be a JSON object of vertex multiplicities")
     report = pair_invariant_report(
-        q, mu, d, framing_obj, cache=_cache_from(cache_path), jobs=jobs, max_size=max_size
+        q, mu, d, framing_obj, cache=_cache_from(cache_path), max_size=max_size
     )
     _echo(
         {
@@ -222,9 +218,9 @@ def pair_check_cmd(
     return 0 if report["ok"] else 4
 
 
-def selftest_cmd(cache_path: str | None, jobs: int, max_size: int) -> int:
+def selftest_cmd(cache_path: str | None, max_size: int) -> int:
     """Run the property battery at a size budget."""
-    report = selftest(max_size=max_size, jobs=jobs, cache=_cache_from(cache_path))
+    report = selftest(max_size=max_size, cache=_cache_from(cache_path))
     _echo(report)
     return 0 if report["ok"] else 4
 
@@ -295,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             args = vars(_parser().parse_args(argv))
         except SystemExit:  # --help has printed its text
             return 0
+        args.pop("jobs", None)  # accepted for compatibility, no effect
         return args.pop("run")(**args)
     except CycleError as exc:
         _echo({"error": str(exc), "kind": "acyclicity"})

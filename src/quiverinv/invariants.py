@@ -167,14 +167,12 @@ def invariant(
     *,
     reference: WeakStability | None = None,
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> PlClass:
     """Invariant class of the semistable moduli of class d at tau.
 
     reference overrides the increasing slope the word sum is built from;
-    any increasing slope gives the same class.  Evaluation is sequential;
-    jobs is accepted for compatibility and has no effect.
+    any increasing slope gives the same class.
     """
     d = _check_class(q, d)
     _check_size(d, max_size)
@@ -242,14 +240,13 @@ def build_invariant_table(
     d,
     *,
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> InvariantTable:
     """Invariants at tau for every nonzero e <= d componentwise."""
     d = _check_class(q, d)
     _check_size(d, max_size)
     classes = {
-        e: invariant(q, tau, e, cache=cache, jobs=jobs, max_size=max_size)
+        e: invariant(q, tau, e, cache=cache, max_size=max_size)
         for e in subvectors(d)
     }
     return InvariantTable(q, tau, classes)
@@ -297,14 +294,13 @@ def check_wallcross(
     d,
     *,
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> bool:
     """Transformed invariants agree with directly computed ones."""
     d = _check_class(q, d)
-    table = build_invariant_table(q, from_stab, d, cache=cache, jobs=jobs, max_size=max_size)
+    table = build_invariant_table(q, from_stab, d, cache=cache, max_size=max_size)
     lhs = wallcross_transform(q, table, to_stab, d, max_size=max_size)
-    rhs = invariant(q, to_stab, d, cache=cache, jobs=jobs, max_size=max_size)
+    rhs = invariant(q, to_stab, d, cache=cache, max_size=max_size)
     return pl_equal(lhs, rhs)
 
 
@@ -336,7 +332,6 @@ def check_morphism_identity(
     d,
     *,
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> bool:
     """Factorial identity between invariants on the two ends of a morphism.
@@ -350,10 +345,10 @@ def check_morphism_identity(
     """
     d = _check_class(lam.source, d)
     tau = pullback_stability(lam, tau_target)
-    x = invariant(lam.source, tau, d, cache=cache, jobs=jobs, max_size=max_size)
+    x = invariant(lam.source, tau, d, cache=cache, max_size=max_size)
     lhs = induced_pl_map(lam, x).scale(_factorial_weight(d))
     dprime = lam.pushforward(d)
-    y = invariant(lam.target, tau_target, dprime, cache=cache, jobs=jobs, max_size=max_size)
+    y = invariant(lam.target, tau_target, dprime, cache=cache, max_size=max_size)
     return pl_equal(lhs, y.scale(_factorial_weight(dprime)))
 
 
@@ -365,7 +360,6 @@ def pair_invariant_report(
     *,
     frame_vertex: str = "inf",
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> dict:
     """Framed-moduli identity and leading-term injectivity, with details.
@@ -391,13 +385,13 @@ def pair_invariant_report(
     _check_size(dtil, max_size)
     perturbed = framed_slope(framed, mu.mu, d, +1, frame_vertex)
 
-    lhs = invariant(framed, perturbed, dtil, cache=cache, jobs=jobs, max_size=max_size)
+    lhs = invariant(framed, perturbed, dtil, cache=cache, max_size=max_size)
 
     mu_d = mu.value(d)
     parts_pool = [e for e in subvectors(d) if mu.value(e) == mu_d]
     embedded: dict[DimVector, PlClass] = {}
     for e in parts_pool:
-        x = invariant(q, mu, e, cache=cache, jobs=jobs, max_size=max_size)
+        x = invariant(q, mu, e, cache=cache, max_size=max_size)
         embedded[e] = induced_pl_map(inclusion, x)
 
     unit_frame = unit_pl(framed, unit_vector(frame_vertex))
@@ -442,12 +436,10 @@ def pair_invariant_check(
     *,
     frame_vertex: str = "inf",
     cache: "CacheStore | None" = None,
-    jobs: int = 1,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> bool:
     report = pair_invariant_report(
-        q, mu, d, framing,
-        frame_vertex=frame_vertex, cache=cache, jobs=jobs, max_size=max_size,
+        q, mu, d, framing, frame_vertex=frame_vertex, cache=cache, max_size=max_size
     )
     return report["ok"]
 
@@ -569,7 +561,7 @@ def _selftest_quivers() -> dict[str, Quiver]:
     }
 
 
-def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None) -> dict:
+def selftest(max_size: int = 4, cache: "CacheStore | None" = None) -> dict:
     """Property battery at a size budget; every check reports pass or fail."""
     qs = _selftest_quivers()
     checks: list[dict] = []
@@ -588,7 +580,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
             for d in subvectors(DimVector({"v": 2, "w": 2})):
                 if d.total() > max_size:
                     continue
-                got = invariant(q, mu, d, cache=cache, jobs=jobs, max_size=max_size)
+                got = invariant(q, mu, d, cache=cache, max_size=max_size)
                 want = invariant_increasing(q, mu, d)
                 if not pl_equal(got, want):
                     return False
@@ -603,7 +595,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
         for m in (1, 2, 3):
             q = Quiver(["v", "w"], [(f"e{i}", "v", "w") for i in range(1, m + 1)])
             hi = slope_stability(q, {"v": 1, "w": 0})
-            cls = invariant(q, hi, d, cache=cache, jobs=jobs, max_size=max_size)
+            cls = invariant(q, hi, d, cache=cache, max_size=max_size)
             ring = cls.rep.ring
             gens = Poly.generator(ring, (0, "w", 1)) - Poly.generator(ring, (0, "v", 1))
             probe = Poly.one(ring)
@@ -612,7 +604,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
             if cls.rep.pair(probe) != 1:
                 return False
             lo = slope_stability(q, {"v": 0, "w": 1})
-            if not pl_is_zero(invariant(q, lo, d, cache=cache, jobs=jobs, max_size=max_size)):
+            if not pl_is_zero(invariant(q, lo, d, cache=cache, max_size=max_size)):
                 return False
         return True
 
@@ -623,7 +615,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
         for d in subvectors(DimVector({"v": 2, "w": 2})):
             if d.total() > bound:
                 continue
-            table = build_invariant_table(q, tau, d, cache=cache, jobs=jobs, max_size=max_size)
+            table = build_invariant_table(q, tau, d, cache=cache, max_size=max_size)
             lhs = wallcross_transform(q, table, tau, d, max_size=max_size)
             if not pl_equal(lhs, table[d]):
                 return False
@@ -639,7 +631,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
         for d in subvectors(DimVector({"v": 2, "w": 2})):
             if d.total() > bound:
                 continue
-            if not check_wallcross(q, a, b, d, cache=cache, jobs=jobs, max_size=max_size):
+            if not check_wallcross(q, a, b, d, cache=cache, max_size=max_size):
                 return False
         return True
 
@@ -650,7 +642,7 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
         for d in subvectors(DimVector({"v": 2, "w": 1})):
             if d.total() > max_size:
                 continue
-            seen.append(invariant(q, tau, d, cache=cache, jobs=jobs, max_size=max_size))
+            seen.append(invariant(q, tau, d, cache=cache, max_size=max_size))
         for x in seen:
             zero = zero_pl(x.quiver, x.dimvec, x.degree)
             if pl_is_zero(x) != (canonical_coordinates(x) == canonical_coordinates(zero)):
@@ -670,21 +662,17 @@ def selftest(max_size: int = 4, jobs: int = 1, cache: "CacheStore | None" = None
             return True
         from .quiver import edge_deletion_morphism
 
-        q = qs["k2"]
-        lam = edge_deletion_morphism(q, ["e2"])
+        lam = edge_deletion_morphism(qs["k2"], ["e2"])
         tau = slope_stability(lam.target, {"v": 1, "w": 0})
-        return check_morphism_identity(
-            lam, tau, DimVector({"v": 1, "w": 1}),
-            cache=cache, jobs=jobs, max_size=max_size,
-        )
+        d = DimVector({"v": 1, "w": 1})
+        return check_morphism_identity(lam, tau, d, cache=cache, max_size=max_size)
 
     def pair_small() -> bool:
         if max_size < 3:
             return True
-        q = qs["a2"]
+        d = DimVector({"v": 1, "w": 1})
         return pair_invariant_check(
-            q, {"v": 1, "w": 0}, DimVector({"v": 1, "w": 1}), {"v": 1, "w": 1},
-            cache=cache, jobs=jobs, max_size=max_size,
+            qs["a2"], {"v": 1, "w": 0}, d, {"v": 1, "w": 1}, cache=cache, max_size=max_size
         )
 
     run("increasing-base-case", base_case)

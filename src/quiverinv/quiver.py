@@ -189,7 +189,6 @@ class Quiver:
         self.edges: tuple[Edge, ...] = tuple(es)
         self._vset = frozenset(vs)
         self._edge_map = {e.id: e for e in es}
-        self._acyclic: bool | None = None
 
     def edge(self, eid: str) -> Edge:
         try:
@@ -203,28 +202,22 @@ class Quiver:
     def has_vertex(self, v: str) -> bool:
         return v in self._vset
 
-    @property
-    def _vertex_set(self) -> frozenset:
-        return self._vset
-
     def arrows(self, source: str, target: str) -> int:
         """Number of edges from source to target (parallel edges counted)."""
         return sum(1 for e in self.edges if e.source == source and e.target == target)
 
     def check_dimvec(self, d: DimVector) -> DimVector:
         for v in d.support():
-            if v not in self._vertex_set:
+            if v not in self._vset:
                 raise StructureError(f"dimension vector mentions unknown vertex {v!r}")
         return d
 
     def is_acyclic(self) -> bool:
-        if self._acyclic is None:
-            try:
-                self.topological_order()
-                self._acyclic = True
-            except StructureError:
-                self._acyclic = False
-        return self._acyclic
+        try:
+            self.topological_order()
+        except StructureError:
+            return False
+        return True
 
     def topological_order(self) -> tuple[str, ...]:
         """Vertices ordered so every edge goes forward; smallest id first
@@ -337,7 +330,7 @@ class QuiverMorphism:
         if set(vmap) != set(source.vertices):
             raise StructureError("vertex_map must be defined on exactly the source vertices")
         for v, w in vmap.items():
-            if w not in target._vertex_set:
+            if w not in target._vset:
                 raise StructureError(f"vertex_map sends {v!r} to unknown vertex {w!r}")
         self.vertex_map: dict[str, str] = vmap
 
@@ -501,10 +494,10 @@ def frame_quiver(
     Returns the framed quiver and the inclusion morphism of q into it.
     """
     _check_id("frame vertex id", frame_vertex)
-    if frame_vertex in q._vertex_set:
+    if frame_vertex in q._vset:
         raise StructureError(f"frame vertex id {frame_vertex!r} already used in the quiver")
     for v, n in framing.items():
-        if v not in q._vertex_set:
+        if v not in q._vset:
             raise StructureError(f"framing mentions unknown vertex {v!r}")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise StructureError(f"framing multiplicity at {v!r} must be a nonnegative int")
@@ -562,17 +555,16 @@ def binarize_quiver(q: Quiver, d: DimVector) -> tuple[Quiver, QuiverMorphism, Di
     return split, collapse, ones
 
 
-def subvectors(d: DimVector, include_zero: bool = False) -> list[DimVector]:
-    """All e with 0 <= e <= d componentwise, graded order; zero optional."""
+def subvectors(d: DimVector) -> list[DimVector]:
+    """All nonzero e with 0 <= e <= d componentwise, in graded order."""
     if not d.is_effective() and not d.is_zero():
         raise StructureError("subvectors needs an effective dimension vector")
     supp = d.support()
     out = []
     for combo in itertools.product(*(range(d[v] + 1) for v in supp)):
         e = DimVector(zip(supp, combo))
-        if e.is_zero() and not include_zero:
-            continue
-        out.append(e)
+        if not e.is_zero():
+            out.append(e)
     out.sort(key=DimVector.sort_key)
     return out
 

@@ -2,15 +2,12 @@
 
 A weak stability condition assigns to every nonzero effective dimension
 vector a value in some totally ordered set; only values of the same
-condition are ever compared.  Three realizations are provided:
+condition are ever compared.  Two realizations are provided:
 
   * slope_stability: value(d) = sum_v mu_v d(v) / sum_v d(v), exact Fraction
     arithmetic throughout; each instance memoizes its values by vector,
     storing only vectors that value() has accepted;
-  * trivial_stability: all values equal (every vector semistable);
-  * pair_lex_stability: lexicographic pairs with formal +-infinity endpoints
-    on a framed quiver, used to compare framed-vector orderings against
-    honest perturbed slopes.
+  * trivial_stability: all values equal (every vector semistable).
 
 Each condition carries a hashable token.  Only the tokens of
 SlopeStability and trivial_stability() are bound to follow from the
@@ -21,12 +18,13 @@ two conditions with different value functions may share one, and
 conditions with equal value functions may have different ones.
 
 framed_slope builds the perturbed slope on a framed quiver: the framing
-vertex gets slope(d) +- epsilon with epsilon > 0 small enough that the
-perturbation orders framed classes strictly whenever the base classes are
-ordered or tied, property checked exactly over all two-part decompositions
-of d.  This makes the framed class (d, 1) generic: no strictly semistable
-objects, so the framed moduli space is a projective scheme and its class
-is computable by wall-crossing.
+vertex gets slope(d) +- epsilon, with epsilon half the least gap between the
+unperturbed values, small enough that the perturbation orders framed
+classes strictly whenever the base classes are ordered or tied.  The
+property is checked exactly over all two-part decompositions of d.  This
+makes the framed class (d, 1) generic: no strictly semistable objects, so
+the framed moduli space is a projective scheme and its class is computable
+by wall-crossing.
 """
 
 from __future__ import annotations
@@ -200,43 +198,6 @@ def pullback_stability(m: QuiverMorphism, stab: WeakStability) -> WeakStability:
     )
 
 
-def pair_lex_stability(
-    framed: Quiver,
-    base_mu: Mapping[str, object],
-    sign: int,
-    frame_vertex: str = "inf",
-) -> WeakStability:
-    """Lexicographic framed stability with formal infinity endpoints.
-
-    A framed class splits as (base part, n) with n the framing multiplicity.
-    Values order as rank-tagged tuples: (0, slope(base), s) with the tie
-    breaker s = 0 for n = 0 and s = sign for n > 0, and purely framed
-    classes get the absolute endpoint (sign,), i.e. plus or minus infinity.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not framed.has_vertex(frame_vertex):
-        raise ValueError(f"no frame vertex {frame_vertex!r} in the quiver")
-    base_vertices = [v for v in framed.vertices if v != frame_vertex]
-    missing = [v for v in base_vertices if v not in base_mu]
-    if missing:
-        raise ValueError(f"slope missing weights for vertices {missing}")
-    weights = {v: parse_fraction(base_mu[v]) for v in base_vertices}
-
-    def value(d: DimVector):
-        n = d[frame_vertex]
-        base = d.restrict(base_vertices)
-        if base.is_zero():
-            return (sign,)
-        s = sum((weights[v] * k for v, k in base.items()), Fraction(0)) / base.total()
-        return (0, s, 0 if n == 0 else sign)
-
-    token = ("pairlex", sign, frame_vertex) + tuple(
-        sorted((v, fraction_str(x)) for v, x in weights.items())
-    )
-    return WeakStability(value, token, name=f"pairlex{'+' if sign > 0 else '-'}")
-
-
 def framed_slope(
     framed: Quiver,
     base_mu: Mapping[str, object],
@@ -269,59 +230,36 @@ def framed_slope(
     missing = [v for v in base_vertices if v not in base_mu]
     if missing:
         raise ValueError(f"slope missing weights for vertices {missing}")
-    weights = {v: parse_fraction(base_mu[v]) for v in base_vertices}
+    base = SlopeStability({v: base_mu[v] for v in base_vertices})
+    mu_d = base.value(d)
+    parts = [e for e in subvectors(d) if e != d]
+    point = unit_vector(frame_vertex)
 
-    def base_slope(e: DimVector) -> Fraction:
-        return sum((weights[v] * k for v, k in e.items()), Fraction(0)) / e.total()
+    def perturbed(eps: Fraction) -> SlopeStability:
+        return SlopeStability({**base.mu, frame_vertex: mu_d + sign * eps}, epsilon=eps)
 
-    mu_d = base_slope(d)
-    pairs = []
-    for e in subvectors(d):
+    # epsilon is half the least gap between distinct unperturbed values.  Each
+    # comparison below sets an unframed value against a framed one, and both
+    # come from that set; the framed one moves by sign * epsilon / (|g| + 1),
+    # at most epsilon / 2, so a strict comparison stays strict, and a tie
+    # (both values at slope(d)) goes the way of the sign.  The first epsilon
+    # is therefore admissible, and the check is a certificate.
+    flat = perturbed(Fraction(0))
+    values = sorted({mu_d, *map(flat.value, parts), *(flat.value(g + point) for g in parts)})
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    stab = perturbed(min(gaps) / 2 if gaps else Fraction(1, 2))
+
+    def admissible(e: DimVector) -> bool:
         f = d - e
-        if f.is_zero():
-            continue
-        pairs.append((e, f))
+        se, sf = base.value(e), base.value(f)
+        if se > sf:
+            return True
+        framed_f_above = se < stab.value(f + point)  # (e,0) < (f,1)
+        framed_e_below = stab.value(e + point) < sf  # (e,1) < (f,0)
+        if se < sf:
+            return framed_f_above and framed_e_below
+        return framed_f_above if sign > 0 else framed_e_below
 
-    def framed_value(e: DimVector, n: int, eps: Fraction) -> Fraction:
-        num = sum((weights[v] * k for v, k in e.items()), Fraction(0))
-        num += n * (mu_d + sign * eps)
-        return num / (e.total() + n)
-
-    # initial scale: half the least positive gap among the unperturbed
-    # comparison values; any positive start works, this one rarely halves
-    values = {mu_d}
-    for e, f in pairs:
-        for g in (e, f):
-            values.add(base_slope(g))
-            values.add(framed_value(g, 1, Fraction(0)))
-    ordered = sorted(values)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
-    eps = min(gaps) / 2 if gaps else Fraction(1, 2)
-
-    def ok(eps: Fraction) -> bool:
-        if sign * (framed_value(DimVector(), 1, eps) - mu_d) <= 0:
-            return False
-        for e, f in pairs:
-            se, sf = base_slope(e), base_slope(f)
-            if se < sf:
-                if not (
-                    framed_value(e, 0, eps) < framed_value(f, 1, eps)
-                    and framed_value(e, 1, eps) < framed_value(f, 0, eps)
-                ):
-                    return False
-            elif se == sf:
-                if sign > 0 and not framed_value(e, 0, eps) < framed_value(f, 1, eps):
-                    return False
-                if sign < 0 and not framed_value(e, 1, eps) < framed_value(f, 0, eps):
-                    return False
-        return True
-
-    for _ in range(200):
-        if ok(eps):
-            break
-        eps /= 2
-    else:
+    if sign * (stab.value(point) - mu_d) <= 0 or not all(map(admissible, parts)):
         raise StructureError("no admissible framed perturbation found")
-
-    weights[frame_vertex] = mu_d + sign * eps
-    return SlopeStability(weights, epsilon=eps)
+    return stab

@@ -13,7 +13,8 @@ enumerate the regroupings of a tuple calling value() on freshly summed
 dimension vectors, without the package's interval tables.  The
 vertex algebra probes field_window and weak_commutativity_order are
 test helpers rather than oracles: they iterate the package's
-state_field over a window of powers.  The
+state_field over a window of powers; so is pair_lex_stability, a
+lexicographic framed condition on the package's WeakStability.  The
 frozen literal tables were worked out by hand from the defining formulas
 and are committed as data; the tests compare the package against them,
 never the reverse.
@@ -576,6 +577,33 @@ def weak_commutativity_order(u, v, w, window, max_order):
         if ok:
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# framed stability helper (a WeakStability built from the package's class)
+
+def pair_lex_stability(framed, base_mu, sign, frame_vertex="inf"):
+    """Lexicographic framed stability with formal infinity endpoints.
+
+    A framed class splits as (base part, n) with n the framing multiplicity.
+    Values order as rank-tagged tuples: (0, slope(base), s) with the tie
+    breaker s = 0 for n = 0 and s = sign for n > 0, and purely framed
+    classes get the absolute endpoint (sign,), i.e. plus or minus infinity.
+    """
+    from quiverinv.stability import WeakStability
+
+    base_vertices = [v for v in framed.vertices if v != frame_vertex]
+    weights = {v: Fraction(base_mu[v]) for v in base_vertices}
+
+    def value(d):
+        base = d.restrict(base_vertices)
+        if base.is_zero():
+            return (sign,)
+        s = sum((weights[v] * k for v, k in base.items()), Fraction(0)) / base.total()
+        return (0, s, 0 if d[frame_vertex] == 0 else sign)
+
+    token = ("pairlex", sign, frame_vertex) + tuple(sorted(weights.items()))
+    return WeakStability(value, token, name=f"pairlex{'+' if sign > 0 else '-'}")
 
 
 # ---------------------------------------------------------------------------

@@ -164,15 +164,6 @@ def test_binary_tree_dichotomy():
     assert checked >= 20
 
 
-def test_parallel_evaluation_agrees():
-    d = DimVector({"v": 2, "w": 1})
-    tau = slope_stability(K3, HI)
-    seq = invariant(K3, tau, d, jobs=1)
-    par = invariant(K3, tau, d, jobs=2)
-    assert seq.rep.functional == par.rep.functional
-    assert pl_equal(seq, par)
-
-
 def test_invariant_table():
     d = DimVector({"v": 2, "w": 1})
     tau = slope_stability(K2, HI)

@@ -10,7 +10,6 @@ from quiverinv.stability import (
     framed_slope,
     is_generic_pair,
     is_increasing,
-    pair_lex_stability,
     parse_fraction,
     pullback_stability,
     reference_increasing_slope,
@@ -23,6 +22,7 @@ from . import oracles
 
 A2 = Quiver.from_json(oracles.a2_json())
 K2 = Quiver.from_json(oracles.kronecker_json(2))
+K3 = Quiver.from_json(oracles.kronecker_json(3))
 T4 = Quiver.from_json(oracles.tree4_json())
 C3 = Quiver.from_json(oracles.cyclic3_json())
 
@@ -117,8 +117,8 @@ def test_pullback_stability():
 def test_pair_lex_ordering():
     framed, _ = frame_quiver(A2, {"v": 1, "w": 1})
     base = {"v": Fraction(0), "w": Fraction(1)}
-    plus = pair_lex_stability(framed, base, +1)
-    minus = pair_lex_stability(framed, base, -1)
+    plus = oracles.pair_lex_stability(framed, base, +1)
+    minus = oracles.pair_lex_stability(framed, base, -1)
     inf = unit_vector("inf")
     dv = unit_vector("v")
     mixed = dv + inf
@@ -177,12 +177,24 @@ def test_derived_slopes_unchanged_by_memo():
     for _ in range(2):
         for e in subvectors(DimVector({"v": 3, "w": 3})):
             assert back.value(e) == _fresh_slope(target_mu, m.pushforward(e))
-    framed, _ = frame_quiver(A2, {"v": 1, "w": 1})
-    d = DimVector({"v": 2, "w": 1})
-    for sign, frame_weight in ((1, Fraction(25, 36)), (-1, Fraction(23, 36))):
-        stab = framed_slope(framed, {"v": 1, "w": 0}, d, sign)
-        assert stab.epsilon == Fraction(1, 36)
-        assert stab.mu == {"v": 1, "w": 0, "inf": frame_weight}
-        for _ in range(2):
-            for e in subvectors(d + unit_vector("inf")):
-                assert stab.value(e) == _fresh_slope(stab.mu, e)
+    F = Fraction
+    # (quiver, framing, base slope, d, epsilon, frame weights for sign +1, -1)
+    frozen = [
+        (A2, {"v": 1, "w": 1}, {"v": 1, "w": 0}, (2, 1), F(1, 36), (F(25, 36), F(23, 36))),
+        (K2, {"v": 1, "w": 2}, {"v": F(2, 3), "w": -1}, (2, 1), F(5, 108),
+         (F(17, 108), F(7, 108))),
+        (K2, {"v": 1, "w": 2}, {"v": 1, "w": 0}, (2, 2), F(1, 48), (F(25, 48), F(23, 48))),
+        (K3, {"v": 1, "w": 1}, {"v": F(1, 2), "w": F(-3, 4)}, (3, 2), F(1, 120),
+         (F(1, 120), F(-1, 120))),
+        (K3, {"v": 1, "w": 2}, {"v": 0, "w": 1}, (1, 2), F(1, 36), (F(25, 36), F(23, 36))),
+    ]
+    for quiver, framing, mu, (a, b), eps, frame_weights in frozen:
+        framed, _ = frame_quiver(quiver, framing)
+        d = DimVector({"v": a, "w": b})
+        for sign, frame_weight in zip((1, -1), frame_weights):
+            stab = framed_slope(framed, mu, d, sign)
+            assert stab.epsilon == eps
+            assert stab.mu == {**mu, "inf": frame_weight}
+            for _ in range(2):
+                for e in subvectors(d + unit_vector("inf")):
+                    assert stab.value(e) == _fresh_slope(stab.mu, e)
