@@ -97,12 +97,10 @@ from .wallcoeff import (
     LieElementError,
     LieWord,
     dynkin_word,
-    is_lie_element,
     lie_normalize,
     s_coeff,
     theta,
     u_coeff,
-    word_sum,
 )
 
 __version__ = "0.1.0"

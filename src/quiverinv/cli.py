@@ -258,17 +258,39 @@ _COMMANDS = (
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ValueError (exit 2 in
-    main) instead of printing to stderr; options must be spelled in full."""
+    main) instead of printing to stderr; options must be spelled in full,
+    and unknown options are reported before missing required ones."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, add_help=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except ValueError:
+            # a missing required option hides an unknown one: parse again
+            # without the requirement and leave the unknown ones to parse_args
+            required = [a for a in self._actions if a.required]
+            for action in required:
+                action.required = False
+            try:
+                found = super().parse_known_args(args, namespace)
+            except ValueError:
+                found = None
+            finally:
+                for action in required:
+                    action.required = True
+            if found and found[1]:
+                return found
+            raise
+
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _parser() -> _Parser:
+def _parser(command: str | None) -> _Parser:
+    """The parser for one command; the others are listed but get no options."""
     parser = _Parser(
         prog="quiverinv",
         description="Exact invariant classes of quiver moduli and their wall-crossing.",
@@ -277,9 +299,10 @@ def _parser() -> _Parser:
     for name, run, options in _COMMANDS:
         doc = run.__doc__ or ""
         sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc)
-        for flag in options:
-            sub.add_argument(flag, **_OPTIONS[flag])
-        sub.set_defaults(run=run)
+        if name == command:
+            for flag in options:
+                sub.add_argument(flag, **_OPTIONS[flag])
+            sub.set_defaults(run=run)
     commands.choices["selftest"].set_defaults(max_size=4)
     return parser
 
@@ -288,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with error-to-exit-code mapping; returns the exit code."""
     try:
         try:
-            args = vars(_parser().parse_args(argv))
+            argv = sys.argv[1:] if argv is None else list(argv)
+            # the top level takes no option values: the command is the first operand
+            command = next((a for a in argv if not a.startswith("-")), None)
+            args = vars(_parser(command).parse_args(argv))
         except SystemExit:  # --help has printed its text
             return 0
         args.pop("jobs", None)  # accepted for compatibility, no effect

@@ -13,8 +13,9 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
   3. normalize the sum to iterated bracket words; the word expansion of
      the brackets must give back the sum exactly, which certifies that
      the sum is a Lie element;
-  4. evaluate each bracket word with lie_bracket on unit classes and add
-     up.
+  4. evaluate the sum of bracket words of unit classes with one
+     lie_bracket per group of words sharing a last letter, of that
+     letter's class with the sum of the group's prefixes (_bracket_sum).
 
 The result does not depend on the chosen increasing reference slope;
 this is a theorem, and the optional reference argument exists so the
@@ -22,8 +23,9 @@ property can be tested rather than assumed.
 
 wallcross_transform expresses the same classes at a new stability
 condition as bracket words of the classes at an old one, with
-u-coefficients for the pair of conditions; the transform of a full
-invariant table must agree with direct computation.
+u-coefficients for the pair of conditions, summed the same way over
+the words whose letters all have nonempty classes; the transform of a
+full invariant table must agree with direct computation.
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -131,23 +133,24 @@ def _check_size(d: DimVector, max_size: int) -> None:
         )
 
 
-# bracket words of unit classes recur across invariants of nearby classes,
-# so evaluated prefixes are memoized per quiver
-_WORD_MEMO: dict[tuple, PlClass] = {}
+def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
+    """Sum of c [...[leaf(x_1), leaf(x_2)], ..., leaf(x_n)] over (letters,
+    c) pairs whose letters sum to total; each leaf has its natural degree.
 
-
-def _unit_word_class(q: Quiver, letters: tuple[str, ...]) -> PlClass:
-    key = (q.key(), letters)
-    hit = _WORD_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if len(letters) == 1:
-        cls = unit_pl(q, unit_vector(letters[0]))
-    else:
-        prefix = _unit_word_class(q, letters[:-1])
-        cls = lie_bracket(prefix, unit_pl(q, unit_vector(letters[-1])))
-    _WORD_MEMO[key] = cls
-    return cls
+    By bilinearity each group of words with the same last letter e costs
+    one bracket, of the sum of their prefixes with leaf(e); the prefixes
+    all sum to total - e, so they share a ring and a degree.
+    """
+    acc = zero_class(q, (total,), natural_degree(q, total))
+    groups: dict[DimVector, list] = {}
+    for letters, c in words:
+        if len(letters) == 1:
+            acc = acc + leaf(letters[0]).rep.scale(c)
+        else:
+            groups.setdefault(letters[-1], []).append((letters[:-1], c))
+    for e, prefixes in groups.items():
+        acc = acc + lie_bracket(_bracket_sum(q, total - e, prefixes, leaf), leaf(e)).rep
+    return PlClass(acc)
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
@@ -189,7 +192,6 @@ def invariant(
         if hit is not None:
             return hit
 
-    degree = natural_degree(q, d)
     letters = [v for v, n in d.items() for _ in range(n)]
     words: dict[tuple, Fraction] = {}
     for perm in _distinct_orderings(letters):
@@ -198,11 +200,7 @@ def invariant(
         if c:
             words[tup] = c
 
-    acc = zero_class(q, (d,), degree)
-    for lw in lie_normalize(words):
-        rep = _unit_word_class(q, tuple(letter.as_unit() for letter in lw.letters)).rep
-        acc = acc + rep.scale(lw.coefficient)
-    result = PlClass(acc)
+    result = _bracket_sum(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
 
     if cache is not None:
         cache.put(q, tau, d, result)
@@ -263,28 +261,25 @@ def wallcross_transform(
     """Invariant at to_stab as a bracket sum of table classes.
 
     The sum runs over ordered decompositions of d weighted by the
-    u-coefficients of the pair (table condition, to_stab); the result
-    must agree with the directly computed invariant at to_stab.
+    u-coefficients of the pair (table condition, to_stab), leaving out
+    those with a part whose table class is empty; the result must agree
+    with the directly computed invariant at to_stab.
     """
     d = _check_class(q, d)
     _check_size(d, max_size)
     if table.quiver != q:
         raise ValueError("table belongs to a different quiver")
 
+    # a bracket with an empty class is empty; each letter multiset is
+    # wholly live or wholly dead, so the live words are still a Lie element
+    dead = {e for e, x in table.classes.items() if x.rep.is_zero()}
     words: dict[tuple, Fraction] = {}
     for parts in all_decompositions(d):
-        c = u_coeff(parts, table.stability, to_stab)
-        if c:
-            words[parts] = c
-
-    degree = natural_degree(q, d)
-    acc = zero_class(q, (d,), degree)
-    for lw in lie_normalize(words):
-        cls = table[lw.letters[0]]
-        for letter in lw.letters[1:]:
-            cls = lie_bracket(cls, table[letter])
-        acc = acc + cls.rep.scale(lw.coefficient)
-    return PlClass(acc)
+        if dead.isdisjoint(parts):
+            c = u_coeff(parts, table.stability, to_stab)
+            if c:
+                words[parts] = c
+    return _bracket_sum(q, d, lie_normalize(words), table.__getitem__)
 
 
 def check_wallcross(
@@ -381,39 +376,33 @@ def pair_invariant_report(
             )
 
     framed, inclusion = frame_quiver(q, framing, frame_vertex)
-    dtil = d + unit_vector(frame_vertex)
+    frame = unit_vector(frame_vertex)
+    dtil = d + frame
     _check_size(dtil, max_size)
     perturbed = framed_slope(framed, mu.mu, d, +1, frame_vertex)
 
     lhs = invariant(framed, perturbed, dtil, cache=cache, max_size=max_size)
 
-    mu_d = mu.value(d)
-    parts_pool = [e for e in subvectors(d) if mu.value(e) == mu_d]
-    embedded: dict[DimVector, PlClass] = {}
-    for e in parts_pool:
-        x = invariant(q, mu, e, cache=cache, max_size=max_size)
-        embedded[e] = induced_pl_map(inclusion, x)
-
-    unit_frame = unit_pl(framed, unit_vector(frame_vertex))
-    acc = zero_class(framed, (dtil,), natural_degree(framed, dtil))
-    for parts in all_decompositions(d):
-        if any(p not in embedded for p in parts):
-            continue
-        n = len(parts)
-        cls = unit_frame
-        for p in parts:
-            cls = lie_bracket(cls, embedded[p])
-        acc = acc + cls.rep.scale(Fraction((-1) ** n, factorial(n)))
-    rhs = PlClass(acc)
+    unit_frame = unit_pl(framed, frame)
+    letters = {frame: unit_frame}  # and the live embedded invariants
+    for e in subvectors(d):
+        if mu.value(e) == mu.value(d):
+            x = induced_pl_map(inclusion, invariant(q, mu, e, cache=cache, max_size=max_size))
+            if not x.rep.is_zero():
+                letters[e] = x
+    words = (
+        ((frame,) + parts, Fraction((-1) ** len(parts), factorial(len(parts))))
+        for parts in all_decompositions(d)
+        if all(p in letters for p in parts)
+    )
+    rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
 
     equal = pl_equal(lhs, rhs)
-    injective = True
-    for e in parts_pool:
-        if pl_is_zero(embedded[e]):
-            continue
-        if pl_is_zero(lie_bracket(embedded[e], unit_frame)):
-            injective = False
-            break
+    injective = not any(
+        not pl_is_zero(x) and pl_is_zero(lie_bracket(x, unit_frame))
+        for e, x in letters.items()
+        if e != frame
+    )
 
     return {
         "equal": equal,

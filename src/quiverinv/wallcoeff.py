@@ -27,7 +27,7 @@ the input exactly, which holds only for a Lie element (LieElementError
 otherwise, which signals an upstream bug, not bad user data).  The Dynkin
 criterion (a sum p of words of length n is a Lie element exactly when
 theta(p) = n p, theta replacing each word by its left-nested bracketing)
-stays available as is_lie_element.
+is the independent check the test oracles keep.
 
 Word sums are plain dicts mapping tuples of letters to Fractions; letters
 are arbitrary hashable objects supporting +, in practice dimension vectors.
@@ -156,18 +156,6 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     return result
 
 
-def word_sum(pairs: Iterable[tuple[tuple, Fraction]]) -> dict[tuple, Fraction]:
-    """Collect (word, coefficient) pairs into a dict, dropping zeros."""
-    acc: dict[tuple, Fraction] = {}
-    for w, c in pairs:
-        c = acc.get(w, Fraction(0)) + c
-        if c:
-            acc[w] = c
-        elif w in acc:
-            del acc[w]
-    return acc
-
-
 def _axpy(acc: dict, x: Fraction, row: dict) -> None:
     """acc += x * row, dropping entries that cancel."""
     for k, y in row.items():
@@ -203,22 +191,6 @@ def theta(ws: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
     for w, c in ws.items():
         _axpy(out, c, dynkin_word(w))
     return out
-
-
-def _components_by_length(ws: dict[tuple, Fraction]) -> dict[int, dict[tuple, Fraction]]:
-    comps: dict[int, dict[tuple, Fraction]] = {}
-    for w, c in ws.items():
-        if c:
-            comps.setdefault(len(w), {})[w] = c
-    return comps
-
-
-def is_lie_element(ws: dict[tuple, Fraction]) -> bool:
-    """Dynkin criterion: theta fixes each length-n component up to factor n."""
-    for n, comp in _components_by_length(ws).items():
-        if theta(comp) != {w: n * c for w, c in comp.items()}:
-            return False
-    return True
 
 
 def _letter_key(x) -> object:

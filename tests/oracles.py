@@ -4,13 +4,16 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  Three
+nullspace and rref on the matrix of the translation derivation.  Four
 exceptions build on the package's own primitives: the pushforward
 oracles pair with the Whitney pullback of every monomial of the target
 basis, the state-field oracle sums the defining series term by term
-(pushing forward by pairing), and the u- and s-coefficient oracles
+(pushing forward by pairing), the u- and s-coefficient oracles
 enumerate the regroupings of a tuple calling value() on freshly summed
-dimension vectors, without the package's interval tables.  The
+dimension vectors, without the package's interval tables, and the
+per-word bracket sums evaluate the invariant, wall-crossing and
+framed-pair sums one bracket word at a time, where the package groups
+the words by last letter and drops words with an empty letter.  The
 vertex algebra probes field_window and weak_commutativity_order are
 test helpers rather than oracles: they iterate the package's
 state_field over a window of powers; so is pair_lex_stability, a
@@ -577,6 +580,118 @@ def weak_commutativity_order(u, v, w, window, max_order):
         if ok:
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# word sums: dicts mapping tuples of letters to Fractions
+
+def word_sum(pairs):
+    """Collect (word, coefficient) pairs into a dict, dropping zeros."""
+    acc = {}
+    for w, c in pairs:
+        c = acc.get(w, Fraction(0)) + c
+        if c:
+            acc[w] = c
+        else:
+            acc.pop(w, None)
+    return acc
+
+
+def is_lie_element(ws):
+    """Dynkin criterion: a sum p of words of length n is a Lie element
+    exactly when theta(p) = n p, for each length n."""
+    from quiverinv.wallcoeff import theta
+
+    comps = {}
+    for w, c in ws.items():
+        if c:
+            comps.setdefault(len(w), {})[w] = c
+    return all(theta(comp) == {w: n * c for w, c in comp.items()} for n, comp in comps.items())
+
+
+# ---------------------------------------------------------------------------
+# per-word bracket sums: the package's three sums evaluated one left-nested
+# word at a time, with no grouping by last letter and no pruning of letters
+# whose class is empty
+
+def _word_class(letters, leaf, memo):
+    """[...[[leaf(x_1), leaf(x_2)], x_3], ..., leaf(x_n)], its prefixes
+    memoized in memo."""
+    from quiverinv.vertexalg import lie_bracket
+
+    if letters not in memo:
+        if len(letters) == 1:
+            memo[letters] = leaf(letters[0])
+        else:
+            memo[letters] = lie_bracket(_word_class(letters[:-1], leaf, memo), leaf(letters[-1]))
+    return memo[letters]
+
+
+def _sum_of_words(q, total, words, leaf):
+    from quiverinv.invariants import natural_degree
+    from quiverinv.vertexalg import PlClass, zero_class
+
+    acc = zero_class(q, (total,), natural_degree(q, total))
+    memo = {}
+    for letters, c in words:
+        acc = acc + _word_class(tuple(letters), leaf, memo).rep.scale(c)
+    return PlClass(acc)
+
+
+def invariant_by_words(q, tau, d):
+    """invariant(q, tau, d) as a sum of its bracket words of unit classes."""
+    from quiverinv.quiver import unit_vector
+    from quiverinv.stability import reference_increasing_slope
+    from quiverinv.vertexalg import unit_pl
+    from quiverinv.wallcoeff import _distinct_orderings, lie_normalize, u_coeff
+
+    reference = reference_increasing_slope(q)
+    words = {}
+    for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
+        tup = tuple(unit_vector(v) for v in perm)
+        c = u_coeff(tup, reference, tau)
+        if c:
+            words[tup] = c
+    return _sum_of_words(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
+
+
+def wallcross_transform_by_words(q, table, to_stab, d):
+    """wallcross_transform as a sum over every u-weighted decomposition's
+    bracket words, dead letters included."""
+    from quiverinv.quiver import all_decompositions
+    from quiverinv.wallcoeff import lie_normalize, u_coeff
+
+    words = {}
+    for parts in all_decompositions(d):
+        c = u_coeff(parts, table.stability, to_stab)
+        if c:
+            words[parts] = c
+    return _sum_of_words(q, d, lie_normalize(words), table.__getitem__)
+
+
+def pair_rhs_by_words(q, mu, d, framing, frame_vertex="inf"):
+    """The right side of the framed-pair identity, one decomposition at a
+    time: (-1)^n / n! [[...[framing unit, i(inv d_1)], ...], i(inv d_n)]."""
+    from quiverinv.invariants import induced_pl_map, invariant
+    from quiverinv.quiver import all_decompositions, frame_quiver, subvectors, unit_vector
+    from quiverinv.stability import slope_stability
+    from quiverinv.vertexalg import unit_pl
+
+    mu = slope_stability(q, mu)
+    framed, inclusion = frame_quiver(q, framing, frame_vertex)
+    frame = unit_vector(frame_vertex)
+    letters = {
+        e: induced_pl_map(inclusion, invariant(q, mu, e))
+        for e in subvectors(d)
+        if mu.value(e) == mu.value(d)
+    }
+    letters[frame] = unit_pl(framed, frame)
+    words = [
+        ((frame,) + parts, Fraction((-1) ** len(parts), factorial(len(parts))))
+        for parts in all_decompositions(d)
+        if all(p in letters for p in parts)
+    ]
+    return _sum_of_words(framed, d + frame, words, letters.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quiverinv
-from quiverinv import charclass, invariants, vertexalg
+from quiverinv import charclass, cli, vertexalg
 from quiverinv.cli import main
 from quiverinv.quiver import Quiver, edge_deletion_morphism
 
@@ -369,6 +370,19 @@ def test_malformed_input_exits_2(qfiles, tmp_path):
     assert code == 2
     assert json.loads(out)["kind"] == "input"
 
+    # an unknown option is named before a missing required one
+    for argv, named in [
+        (["euler", "--quiver", qfiles["a2"], "--dim", "{}"], "unrecognized arguments: --dim {}"),
+        (["-h"], "unrecognized arguments: -h"),
+        (["invariant", "-h"], "unrecognized arguments: -h"),
+        (["euler", "--quiver", qfiles["a2"]], "required: --dimvec"),
+        ([], "required: COMMAND"),
+        (["selftest", "--max-size", "two", "--bogus"], "invalid int value: 'two'"),
+    ]:
+        code, out = run(argv)
+        assert code == 2, argv
+        assert named in json.loads(out)["error"], argv
+
 
 COMMANDS = (
     "euler", "ucoeff", "invariant", "wallcross-check", "morphism-check", "pair-check", "selftest",
@@ -383,6 +397,75 @@ def test_help_exits_0():
     assert code == 0
     for option in ("--quiver", "--dimvec", "--slope", "--cache", "--jobs", "--max-size"):
         assert option in out
+
+
+def _eager_parser():
+    """Every command with all of its options, built up front: the help texts
+    that building only the invoked command's options must reproduce."""
+    parser = cli._Parser(
+        prog="quiverinv",
+        description="Exact invariant classes of quiver moduli and their wall-crossing.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, command, options in cli._COMMANDS:
+        doc = command.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc)
+        for flag in options:
+            sub.add_argument(flag, **cli._OPTIONS[flag])
+    commands.choices["selftest"].set_defaults(max_size=4)
+    return parser, commands.choices
+
+
+def test_help_texts_match_the_eager_parser():
+    parser, subs = _eager_parser()
+    assert run(["--help"]) == (0, parser.format_help())
+    assert set(subs) == set(COMMANDS)
+    for name, sub in subs.items():
+        assert run([name, "--help"]) == (0, sub.format_help()), name
+
+
+def test_parser_adds_the_options_of_the_invoked_command_only():
+    argv = ["invariant", "--quiver", "q.json", "--dimvec", "{}", "--slope", "{}"]
+    assert cli._parser("invariant").parse_args(argv).run is cli.invariant_cmd
+    with pytest.raises(ValueError, match="unrecognized arguments: --quiver"):
+        cli._parser("euler").parse_args(argv)
+
+
+# SHA-256 of the stdout of each command as the per-word bracket evaluator
+# printed it; grouping the bracket sums must not change a byte
+STDOUT_SHA256 = {
+    "euler": "a968ff19ad0c43f71ba480df4459aefadf6dc854039315bfc675652cedd139b5",
+    "ucoeff": "ed51b7301e004cf3db25788ad449571a57ef934540bdd8aa59f917ca1c8c6bab",
+    "invariant": "a5bd9a50dc20857c0661b49a886ee5219643481846e24ead3d5efe46016c49d4",
+    "wallcross-check": "d16cc0ae57a473853aca8be56f0642043a415de4a18f3c0fbed4283695e8bba3",
+    "morphism-check": "fe3d89f093875765c739e487cac9d37534a524649ab64995dbd7249c7b18e14d",
+    "pair-check": "ba9a0d59a2e8c8043d29c99a2dbb170003e0348f550ff0ae27fa5037312b4323",
+    "selftest": "d4a354e8f4ab92c206c70de23a5fac18e761248d88d5ae1464dd70cc78d4730a",
+}
+
+
+def test_successful_stdout_is_unchanged(qfiles, tmp_path):
+    lam = edge_deletion_morphism(Quiver.from_json(oracles.kronecker_json(2)), ["a0"])
+    mpath = tmp_path / "morphism.json"
+    mpath.write_text(json.dumps(lam.to_json()))
+    hi, lo = '{"v":"1","w":"0"}', '{"v":"0","w":"1"}'
+    pair = ["--dimvec", '{"v":2,"w":2}', "--slope", hi, "--framing", '{"v":1,"w":1}']
+    cases = [
+        ("euler", ["--quiver", qfiles["k3"], "--dimvec", '{"v":2,"w":3}']),
+        ("ucoeff", ["--quiver", qfiles["k2"], "--dimvec", '{"v":2,"w":1}',
+                    "--slope", lo, "--slope2", hi]),
+        ("invariant", ["--quiver", qfiles["k3"], "--dimvec", '{"v":3,"w":3}', "--slope", hi]),
+        ("wallcross-check", ["--quiver", qfiles["k3"], "--dimvec", '{"v":3,"w":2}',
+                             "--slope", hi, "--slope2", lo]),
+        ("morphism-check", ["--morphism", str(mpath), "--dimvec", '{"v":2,"w":2}', "--slope", hi]),
+        ("pair-check", ["--quiver", qfiles["a2"]] + pair),
+        ("pair-check", ["--quiver", qfiles["k2"]] + pair),
+        ("selftest", []),
+    ]
+    for name, argv in cases:
+        code, out = run([name] + argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name], argv
 
 
 def test_option_value_after_equals_sign(qfiles):
@@ -440,7 +523,6 @@ def test_inexact_newton_division_exits_4(qfiles, monkeypatch):
     # the Chern atoms' integer Newton step divides exactly on every valid
     # input, so force a remainder: the guard must surface as an internal error
     monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
-    monkeypatch.setattr(invariants, "_WORD_MEMO", {})
     monkeypatch.setattr(charclass, "divmod", lambda a, b: (a // b, 1), raising=False)
     code, out = run(
         [

@@ -40,8 +40,15 @@ from quiverinv.invariants import (
     selftest,
     wallcross_transform,
 )
-from quiverinv.vertexalg import canonical_coordinates, pl_equal, pl_is_zero, unit_pl, zero_pl
-from quiverinv.wallcoeff import _distinct_orderings
+from quiverinv.vertexalg import (
+    canonical_coordinates,
+    lie_bracket,
+    pl_equal,
+    pl_is_zero,
+    unit_pl,
+    zero_pl,
+)
+from quiverinv.wallcoeff import _distinct_orderings, u_coeff
 
 from . import oracles
 
@@ -69,22 +76,101 @@ def test_distinct_orderings_lexicographic(counts):
     assert list(_distinct_orderings(letters[::-1])) == want
 
 
-@pytest.mark.parametrize("d, prefixes", [((3, 3), 10), ((4, 4), 27)])
-def test_invariant_evaluates_few_prefixes(monkeypatch, d, prefixes):
-    # one bracket per left-nested basis word prefix; a stub of the right
-    # degree stands in for the bracket, so only the count is computed
-    calls = []
+def _stub_bracket(q, calls):
+    """A bracket that records its arguments and returns the zero class of
+    the right degree, so only the count is computed."""
 
     def stub(x, y):
         calls.append((x.dimvec, y.dimvec))
-        deg = x.degree + y.degree - 2 - 2 * sym_euler_form(K3, x.dimvec, y.dimvec)
-        return zero_pl(K3, x.dimvec + y.dimvec, deg)
+        deg = x.degree + y.degree - 2 - 2 * sym_euler_form(q, x.dimvec, y.dimvec)
+        return zero_pl(q, x.dimvec + y.dimvec, deg)
 
-    monkeypatch.setattr(invariants, "_WORD_MEMO", {})
-    monkeypatch.setattr(invariants, "lie_bracket", stub)
-    invariant(K3, slope_stability(K3, HI), DimVector({"v": d[0], "w": d[1]}))
-    assert len(calls) == prefixes
+    return stub
+
+
+@pytest.mark.parametrize("d, brackets", [((3, 3), 14), ((4, 4), 38)])
+def test_invariant_evaluates_few_prefixes(monkeypatch, d, brackets):
+    # words grouped by last letter: one bracket per distinct proper suffix,
+    # so at most one per distinct last letter lands on the full class d
+    calls = []
+    monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, calls))
+    d = DimVector({"v": d[0], "w": d[1]})
+    invariant(K3, slope_stability(K3, HI), d)
+    assert len(calls) == brackets
     assert all(y.total() == 1 for _, y in calls)
+    top = [y for x, y in calls if x + y == d]
+    assert len(top) == len(set(top)) <= 2
+
+
+@pytest.mark.parametrize(
+    "d, forward, backward", [((3, 2), 21, 8), ((4, 3), 124, 26)]
+)
+def test_wallcross_transform_brackets_only_live_letters(monkeypatch, d, forward, backward):
+    # forward crosses from HI to LO, backward from LO (increasing on K3, so
+    # its table is units only) to HI; words with an empty letter are
+    # dropped before their u-coefficient is computed
+    d = DimVector({"v": d[0], "w": d[1]})
+    for frm, to, want in ((HI, LO, forward), (LO, HI, backward)):
+        table = build_invariant_table(K3, slope_stability(K3, frm), d)
+        dead = {e for e, x in table.items() if x.rep.is_zero()}
+        assert dead
+        seen, calls = [], []
+
+        def spy(parts, *stabs):
+            seen.append(parts)
+            return u_coeff(parts, *stabs)
+
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "u_coeff", spy)
+            m.setattr(invariants, "lie_bracket", _stub_bracket(K3, calls))
+            wallcross_transform(K3, table, slope_stability(K3, to), d)
+        assert len(calls) == want
+        assert seen and not any(p in dead for parts in seen for p in parts)
+
+
+THREE = Quiver(["a", "b", "c"], [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
+                                 ("e4", "b", "c"), ("e5", "a", "c")])
+
+
+@pytest.mark.parametrize(
+    "q, top, frm, to",
+    [
+        (K2, {"v": 3, "w": 3}, HI, LO),
+        (K3, {"v": 3, "w": 3}, HI, LO),
+        (THREE, {"a": 2, "b": 1, "c": 1}, {"a": 1, "b": 2, "c": 0}, {"a": 2, "b": 1, "c": 0}),
+    ],
+)
+def test_grouped_bracket_sums_equal_per_word_loops(monkeypatch, q, top, frm, to):
+    # exact equality of representatives, not only in rigidified homology
+    last = set()  # (class, last letter) of each bracket onto the full class
+
+    def spy(x, y):
+        last.add((x.dimvec + y.dimvec, y.dimvec))
+        return lie_bracket(x, y)
+
+    monkeypatch.setattr(invariants, "lie_bracket", spy)
+    nonzero, widest = 0, 0
+    for mu, nu in ((frm, to), (to, frm)):
+        table = build_invariant_table(q, slope_stability(q, mu), DimVector(top))
+        for d, x in table.items():
+            assert x.rep == oracles.invariant_by_words(q, slope_stability(q, mu), d).rep
+            last.clear()
+            got = wallcross_transform(q, table, slope_stability(q, nu), d)
+            want = oracles.wallcross_transform_by_words(q, table, slope_stability(q, nu), d)
+            assert got.rep == want.rep
+            nonzero += not got.rep.is_zero()
+            widest = max(widest, len({e for total, e in last if total == d}))
+    assert nonzero
+    assert widest > 2  # some sum has more than two groups at the top
+
+
+@pytest.mark.parametrize("q, d", [(A2, (2, 2)), (K2, (2, 2)), (K3, (2, 1))])
+def test_grouped_pair_sum_equals_per_word_loop(q, d):
+    d = DimVector({"v": d[0], "w": d[1]})
+    framing = {"v": 1, "w": 1}
+    got = pair_invariant_report(q, HI, d, framing)["rhs"]
+    want = oracles.pair_rhs_by_words(q, HI, d, framing)
+    assert got.rep == want.rep and not got.rep.is_zero()
 
 
 def test_increasing_slope_cases():
@@ -270,7 +356,7 @@ def test_module_memos_are_declared():
     for info in pkgutil.iter_modules(quiverinv.__path__):
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
-    assert memos == {"charclass._ATOM_MEMO", "invariants._WORD_MEMO", "wallcoeff._U_MEMO"}
+    assert memos == {"charclass._ATOM_MEMO", "wallcoeff._U_MEMO"}
 
 
 def test_cache_rejects_corruption(tmp_path):

@@ -18,12 +18,10 @@ from quiverinv import wallcoeff
 from quiverinv.wallcoeff import (
     LieElementError,
     dynkin_word,
-    is_lie_element,
     lie_normalize,
     s_coeff,
     theta,
     u_coeff,
-    word_sum,
 )
 
 from . import oracles
@@ -271,12 +269,12 @@ words = st.lists(letters, min_size=1, max_size=4).map(tuple)
 @given(words)
 def test_dynkin_words_are_lie_elements(w):
     ws = dynkin_word(w)
-    assert is_lie_element(ws)
+    assert oracles.is_lie_element(ws)
     assert theta(ws) == {k: len(w) * c for k, c in ws.items()}
 
 
 def test_plain_word_is_not_lie():
-    assert not is_lie_element({("x", "y"): Fraction(1)})
+    assert not oracles.is_lie_element({("x", "y"): Fraction(1)})
     with pytest.raises(LieElementError):
         lie_normalize({("x", "y"): Fraction(1)})
 
@@ -344,14 +342,14 @@ def test_lie_normalize_uses_left_nested_basis():
     {w: c / (1 + (w[0] == "y")) for w, c in dynkin_word(("x", "y", "x", "y")).items()},
 ], ids=["word", "symmetric", "perturbed", "mixed-length", "rescaled"])
 def test_non_lie_input_raises(ws):
-    assert not is_lie_element(ws)
+    assert not oracles.is_lie_element(ws)
     with pytest.raises(LieElementError):
         lie_normalize(ws)
 
 
 def test_lie_normalize_needs_no_dynkin_check(monkeypatch):
     # the expansion check is the certificate: theta is never computed
-    ws = word_sum(
+    ws = oracles.word_sum(
         list(dynkin_word(("x", "y", "x", "z")).items())
         + [(w, 3 * c) for w, c in dynkin_word(("y", "z")).items()]
     )
@@ -371,7 +369,7 @@ def test_empty_word_is_not_a_lie_element():
 
 
 def test_lie_normalize_round_trip():
-    ws = word_sum(
+    ws = oracles.word_sum(
         list(dynkin_word(("x", "y", "z")).items())
         + [(w, 2 * c) for w, c in dynkin_word(("y", "x")).items()]
     )
@@ -424,4 +422,4 @@ def test_framed_crossing_matches_bracket_expansion():
                 word = tuple("I" if x == dinf else "x" for x in tup)
                 got[word] = got.get(word, Fraction(0)) + c
         assert got == {w: c for w, c in want.items() if c}
-        assert is_lie_element(got)
+        assert oracles.is_lie_element(got)
