@@ -8,8 +8,10 @@ Two-point operations work on a product of two such stacks, so a generator
 carries a factor index: (factor, vertex, index).
 
 Poly is a sparse exact-rational polynomial in these generators: a dict
-mapping monomials to Fractions (ints in chern_atom's classes), a monomial
-being a sorted tuple of (generator, exponent) pairs.
+mapping monomials to Fractions (ints in chern_atom's classes).  At the API
+a monomial is a sorted tuple of (generator, exponent) pairs; inside the
+kernels (whitney_transpose, vertexalg) it is a dense exponent tuple in the
+ring's generator order (ChernRing.pack).
 
 K-theory classes entering the calculus are integer combinations of tensor
 products of tautological bundles and their duals:
@@ -55,9 +57,11 @@ KClass = tuple[tuple[int, Atom], ...]
 
 
 class ChernRing:
-    """Descriptor of a polynomial ring of tautological Chern classes."""
+    """Descriptor of a polynomial ring of tautological Chern classes.  The
+    sorted generators fix the layout of packed monomials: factor 0's come
+    first, and each (factor, vertex) owns a contiguous run."""
 
-    __slots__ = ("dims", "_key", "_gens", "_ranks")
+    __slots__ = ("dims", "_key", "_gens", "_ranks", "_pos", "_raising")
 
     def __init__(self, dims: Iterable[DimVector]):
         dims = tuple(DimVector(d) for d in dims)
@@ -67,12 +71,23 @@ class ChernRing:
         self.dims = dims
         self._key = tuple(d.items() for d in dims)
         self._ranks = {(f, v): n for f, d in enumerate(dims) for v, n in d.items()}
-        gens: list[Generator] = []
-        for f, d in enumerate(dims):
-            for v, n in d.items():
-                for i in range(1, n + 1):
-                    gens.append((f, v, i))
-        self._gens = tuple(sorted(gens))
+        self._gens = tuple(sorted((*fv, i + 1) for fv, n in self._ranks.items() for i in range(n)))
+        self._pos = {g: k for k, g in enumerate(self._gens)}
+        # per c[0, v, i]: its position, that of c[0, v, i - 1] (None for i = 1), d(v) - i + 1
+        self._raising = tuple(
+            (k, k - 1 if i > 1 else None, self._ranks[(0, v)] - i + 1)
+            for k, (f, v, i) in enumerate(self._gens) if f == 0
+        )
+
+    def pack(self, m: Monomial) -> tuple[int, ...]:
+        """The dense exponent tuple of a monomial, in generator order."""
+        e = [0] * len(self._gens)
+        for g, x in m:
+            e[self._pos[g]] = x
+        return tuple(e)
+
+    def unpack(self, e: tuple[int, ...]) -> Monomial:
+        return tuple((self._gens[k], x) for k, x in enumerate(e) if x)
 
     def key(self) -> tuple:
         return self._key
@@ -145,13 +160,10 @@ def monomial_basis(ring: ChernRing, weight: int) -> tuple[Monomial, ...]:
                 return
             rec(idx + 1, remaining, current)
             g = gens[idx]
-            w = g[2]
-            e = 1
-            while w * e <= remaining:
+            for e in range(1, remaining // g[2] + 1):
                 current.append((g, e))
-                rec(idx + 1, remaining - w * e, current)
+                rec(idx + 1, remaining - g[2] * e, current)
                 current.pop()
-                e += 1
 
         rec(0, weight, [])
         out.sort()
@@ -165,9 +177,7 @@ class Poly:
 
     def __init__(self, ring: ChernRing, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
-        self.terms: dict[Monomial, Fraction] = {
-            m: Fraction(c) for m, c in terms.items() if c
-        }
+        self.terms: dict[Monomial, Fraction] = {m: Fraction(c) for m, c in terms.items() if c}
 
     @classmethod
     def _trusted(cls, ring: ChernRing, terms: Mapping[Monomial, int]) -> "Poly":
@@ -240,9 +250,7 @@ class Poly:
         return out
 
     def weight_part(self, w: int) -> "Poly":
-        return Poly(
-            self.ring, {m: c for m, c in self.terms.items() if monomial_weight(m) == w}
-        )
+        return Poly(self.ring, {m: c for m, c in self.terms.items() if monomial_weight(m) == w})
 
     def weights(self) -> set[int]:
         return {monomial_weight(m) for m in self.terms}
@@ -284,13 +292,10 @@ def mul_trunc(a: Poly, b: Poly, bound: int) -> Poly:
     acc: dict[Monomial, Fraction] = {}
     for m1, c1 in a.terms.items():
         w1 = monomial_weight(m1)
-        if w1 > bound:
-            continue
         for m2, c2 in b.terms.items():
-            if w1 + monomial_weight(m2) > bound:
-                continue
-            m = mul_monomials(m1, m2)
-            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+            if w1 + monomial_weight(m2) <= bound:
+                m = mul_monomials(m1, m2)
+                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
     return Poly(a.ring, acc)
 
 
@@ -312,10 +317,7 @@ def series_inverse(p: Poly, bound: int) -> Poly:
         for j in range(1, k + 1):
             acc = acc + parts[j] * inv[k - j]
         inv.append(-acc)
-    total = Poly.zero(p.ring)
-    for q in inv:
-        total = total + q
-    return total
+    return sum(inv[1:], inv[0])
 
 
 def _add_product(acc: dict[Monomial, int], a: dict, b: dict, c: int) -> None:
@@ -484,63 +486,71 @@ def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> P
     return apply_ring_map(poly, ring, lambda g: totals[g[1]].weight_part(g[2]))
 
 
-def _whitney_transpose(
-    functional: Mapping[Monomial, Fraction], slots: dict[str, tuple]
-) -> dict[Monomial, Fraction]:
-    """Transpose of _whitney_pullback, evaluated on the functional's support.
+def whitney_transpose(
+    func: Mapping[tuple, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple]
+) -> dict[tuple, object]:
+    """Transpose of _whitney_pullback from the one-factor ring target to
+    source, from and to functionals keyed by packed monomials.
 
-    A support monomial splits into one part per target vertex w, the
-    exponent of each index i in each slot t of w.  A multiset of index
-    tuples tau (one index per slot, not all zero) that uses up a part
-    exactly, with n_tau copies of tau and m_k tuples of sum k, adds
-    prod_k m_k! / prod_tau n_tau! to prod_k c[0, w, k]^m_k; a part in one
-    slot has the one such multiset, prod_i c[0, w, i]^e_i with coefficient 1.
-    The parts' expansions multiply; each distinct part is expanded once per
-    call.
+    A support monomial splits into one part per target vertex w, the slices
+    of its slots.  A multiset of index tuples tau (one index per slot, not
+    all zero) that uses up a part exactly, with n_tau copies of tau and m_k
+    tuples of sum k, adds prod_k m_k! / prod_tau n_tau! to prod_k
+    c[0, w, k]^m_k.  Only the counts of tuples with two or more nonzero
+    indices are enumerated, in place on the exponents left; a one-index
+    tuple takes what is left.  The parts' expansions multiply, that is
+    concatenate; each distinct part is expanded once per call.
     """
-    where = {fv: (w, t) for w, group in slots.items() for t, fv in enumerate(group)}
-    expansions: dict[tuple, dict[Monomial, int]] = {}
 
-    def expand(w: str, part: dict[tuple[int, int], int]) -> dict[Monomial, int]:
-        if len({t for t, _ in part}) == 1:  # one slot: the taus are its indices alone
-            return {tuple(((0, w, i), e) for (_, i), e in sorted(part.items())): 1}
-        indices = ([0] + [i for s, i in part if s == t] for t in range(len(slots[w])))
-        taus = [tau for tau in product(*indices) if any(tau)]
-        usable = [set()]  # usable[p]: the (slot, index) pairs taus[p:] can use up
-        for tau in reversed(taus):
-            usable.insert(0, usable[0] | {(t, i) for t, i in enumerate(tau) if i})
-        out: dict[Monomial, int] = {}
+    def expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
+        used = [ex for ex in part if any(ex)]
+        if len(used) < 2:  # one multiset: prod_i c[0, w, i]^e_i, coefficient 1
+            ex = used[0] if used else ()
+            return {ex + (0,) * (n - len(ex)): 1}
+        flat = [(t, i) for t, ex in enumerate(used) for i, e in enumerate(ex, 1) if e]
+        left = [used[t][i - 1] for t, i in flat]
+        choices = ([0] + [i for s, i in flat if s == t] for t in range(len(used)))
+        mixed = [  # (positions in flat, index sum) per tuple to enumerate
+            ([flat.index(ti) for ti in enumerate(tau) if ti[1]], sum(tau))
+            for tau in product(*choices) if len(tau) - tau.count(0) > 1
+        ]
+        mk, out = [0] * (n + 1), {}  # mk: tuples chosen so far, by index sum
 
-        def rec(p: int, left: dict, chosen: list) -> None:
-            if p == len(taus):
-                m: dict[int, int] = {}
-                for tau, n in chosen:
-                    m[sum(tau)] = m.get(sum(tau), 0) + n
-                mono = tuple(((0, w, k), n) for k, n in sorted(m.items()))
-                coeff = prod(map(factorial, m.values())) // prod(factorial(n) for _, n in chosen)
-                out[mono] = out.get(mono, 0) + coeff
+        def rec(p: int, denom: int) -> None:
+            if p == len(mixed):
+                m = mk[:]
+                for (_, i), e in zip(flat, left):
+                    m[i] += e
+                coeff = prod(map(factorial, m)) // (denom * prod(map(factorial, left)))
+                out[tuple(m[1:])] = out.get(tuple(m[1:]), 0) + coeff
                 return
-            used = [(t, i) for t, i in enumerate(taus[p]) if i]
-            for n in range(min(left[u] for u in used), -1, -1):
-                rest = {u: e - n if u in used else e for u, e in left.items()}
-                if all(u in usable[p + 1] for u, e in rest.items() if e):
-                    rec(p + 1, rest, chosen + [(taus[p], n)] if n else chosen)
+            positions, k = mixed[p]
+            for count in range(min(left[u] for u in positions) + 1):
+                rec(p + 1, denom * factorial(count))
+                mk[k] += 1
+                for u in positions:
+                    left[u] -= 1
+            mk[k] -= count + 1
+            for u in positions:
+                left[u] += count + 1
 
-        rec(0, part, [])
+        rec(0, 1)
         return out
 
-    result: dict[Monomial, Fraction] = {}
-    for s, x in functional.items():
-        parts: dict[str, dict[tuple[int, int], int]] = {}
-        for (f, v, i), e in s:
-            w, t = where[(f, v)]
-            parts.setdefault(w, {})[(t, i)] = e
+    pos, rank = source._pos, source.rank
+    blocks = [  # per target vertex: its rank, the (start, stop) of each slot in source
+        (n, [(pos[(f, v, 1)], pos[(f, v, 1)] + rank(f, v)) for f, v in slots[w] if rank(f, v)])
+        for w, n in target.dims[0].items()
+    ]
+    expansions: dict[tuple, dict[tuple, int]] = {}
+    result: dict[tuple, object] = {}
+    for s, x in func.items():
         terms = [((), x)]
-        for w in sorted(parts):
-            key = (w, tuple(parts[w].items()))
-            if key not in expansions:
-                expansions[key] = expand(w, parts[w])
-            terms = [(m + mw, c * y) for m, c in terms for mw, y in expansions[key].items()]
+        for n, cuts in blocks:
+            part = tuple(s[a:b] for a, b in cuts)
+            if part not in expansions:
+                expansions[part] = expand(part, n)
+            terms = [(m + mw, c * y) for m, c in terms for mw, y in expansions[part].items()]
         for m, c in terms:
             result[m] = result.get(m, 0) + c
     return result
@@ -590,10 +600,8 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
         raise ValueError("correction class lives on a one-factor ring")
     d = source_ring.dims[0]
     result = Poly.one(source_ring)
-    blocks: list[tuple[str, str]] = list(m.merged_pairs())
-    for eid in m.unmatched_edge_ids:
-        a = m.source.edge(eid)
-        blocks.append((a.source, a.target))
+    edges = [m.source.edge(eid) for eid in m.unmatched_edge_ids]
+    blocks = list(m.merged_pairs()) + [(a.source, a.target) for a in edges]
     for v, w in blocks:
         r = d[v] * d[w]
         if r == 0:

@@ -192,10 +192,10 @@ def invariant(
         if hit is not None:
             return hit
 
-    letters = [v for v, n in d.items() for _ in range(n)]
+    units = {v: unit_vector(v) for v in d.support()}  # shared by every u_coeff memo key
     words: dict[tuple, Fraction] = {}
-    for perm in _distinct_orderings(letters):
-        tup = tuple(unit_vector(v) for v in perm)
+    for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
+        tup = tuple(units[v] for v in perm)
         c = u_coeff(tup, reference, tau)
         if c:
             words[tup] = c

@@ -15,37 +15,27 @@ The operations:
     class ring (charclass.weight_zero_component);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
-    both pushforwards are transposed Whitney maps applied to the class's
-    support (charclass._whitney_transpose), so neither enumerates the
-    target monomial basis;
-  * state_field(u, v, powers): the two-point expansion
-
-        sum_p z^p (coefficient class on the sum stack),
-
-    where the coefficient at p collects, over i >= 0 with j = p - chi + i
-    >= 0 (chi the symmetrized Euler form of the two classes), the sign
-    epsilon times pushforward of the j-th divided translation of
-    (u x v) capped with the i-th Chern class of the symmetrized
-    Hom-minus-Ext complex.  Only finitely many i contribute to each p;
-    powers must be requested explicitly since arbitrarily large p can be
-    nonzero.  Cap is a module action, so the caps with every c_i come from
-    one pass over the atoms of the Ext class, each capped or (for a
-    negative multiplicity) solved for by a triangular solve, and its total
-    Chern class is never expanded.  All terms at p share one degree, so
-    their sum over i is taken Horner fashion in the transpose of D and
-    pushed forward once.  Every step but the divided powers 1/j! is
-    integral, so it all runs on ints, u and v cleared of denominators, and
-    each output value is divided once;
+    both are transposed Whitney maps applied to the class's support
+    (charclass.whitney_transpose), so neither enumerates the target basis;
+  * state_field(u, v, powers): the two-point expansion sum_p z^p (class on
+    the sum stack), the coefficient at p collecting, over i >= 0 with
+    j = p - chi + i >= 0 (chi the symmetrized Euler form), epsilon times
+    the pushforward of the j-th divided translation of (u x v) capped with
+    the i-th Chern class of the symmetrized Hom-minus-Ext complex;
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
+Each packs its input once (ChernRing.pack), runs on dense exponent
+tuples, and unpacks its result once.
 
 Classes of the projective linear (rigidified) moduli stack in shifted
 degree are represented by classes of the full stack modulo translations:
 PlClass wraps a representative.  A class is a translation image exactly
 when it vanishes on the kernel of D, and with cbar = sum_v c[0, v, 1] / |d|
 (so D(cbar) = 1) the map P(f) = sum_j (-cbar)^j D^j(f) / j! projects onto
-that kernel; pl_equal therefore tests whether the transpose of P, a normal
-form needing no linear algebra, kills the difference.  canonical_coordinates
+that kernel; pl_equal therefore tests whether the transpose of P kills the
+difference.  cbar is linear, so the caps with its powers are repeated caps
+with L = sum_v c[0, v, 1], one lowered index each: the zero test runs by
+linear caps on ints and needs no linear algebra.  canonical_coordinates
 gives the pairings with the row reduced basis of the kernel of D
 (weight_zero_basis) without building it: the translation images pair to
 zero with that kernel, so reducing the representative by an echelon form
@@ -66,13 +56,12 @@ from .charclass import (
     Poly,
     _merge_slots,
     _sum_slots,
-    _whitney_transpose,
     chern_atom,
-    divide_monomial,
     ext_pairing_kexpr,
     monomial_basis,
     monomial_weight,
     weight_zero_component,
+    whitney_transpose,
 )
 from .quiver import (
     DimVector,
@@ -196,19 +185,54 @@ def vacuum(quiver: Quiver) -> HClass:
     return unit_class(quiver, DimVector())
 
 
+def _packed(u: HClass) -> dict[tuple, Fraction]:
+    return {u.ring.pack(m): x for m, x in u.functional.items()}
+
+
+def _unpacked(quiver: Quiver, ring: ChernRing, degree: int, func: Mapping) -> HClass:
+    return HClass._trusted(quiver, ring, degree, {ring.unpack(m): x for m, x in func.items()})
+
+
+def _cleared(u: HClass) -> tuple[int, dict[tuple, int]]:
+    """The lcm L of the denominators of u's values, and L u packed, with int values."""
+    den = lcm(*(x.denominator for x in u.functional.values()))
+    return den, {m: (x * den).numerator for m, x in _packed(u).items()}
+
+
 def kunneth(u: HClass, v: HClass) -> HClass:
     """Product class on the two-factor ring of the pair of stacks."""
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
     if u.ring.factors() != 1 or v.ring.factors() != 1:
         raise ValueError("kunneth needs one-factor classes")
-    ring = ChernRing((u.ring.dims[0], v.ring.dims[0]))
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in u.functional.items():
-        for m2, c2 in v.functional.items():
-            m = tuple(sorted(m1 + tuple(((1, g[1], g[2]), e) for g, e in m2)))
-            out[m] = c1 * c2
-    return HClass._trusted(u.quiver, ring, u.degree + v.degree, out)
+    ring, pv = ChernRing((u.ring.dims[0], v.ring.dims[0])), _packed(v).items()
+    out = {s + t: x * y for s, x in _packed(u).items() for t, y in pv}
+    return _unpacked(u.quiver, ring, u.degree + v.degree, out)
+
+
+def _cap_terms(ring: ChernRing, terms: Iterable[tuple[Monomial, object]]) -> dict[int, list]:
+    """Poly terms by weight, each as ((position, exponent) pairs of its
+    packed monomial, coefficient)."""
+    out: dict[int, list] = {}
+    for g, x in terms:
+        out.setdefault(monomial_weight(g), []).append((tuple((ring._pos[h], e) for h, e in g), x))
+    return out
+
+
+def _cap_into(acc: dict, func: Mapping, terms: list, sign: int = 1) -> None:
+    """acc += sign (func cap p) for p given by _cap_terms: each support
+    monomial is tested for divisibility at the term's positions only."""
+    for s, y in func.items():
+        for pairs, x in terms:
+            for p, e in pairs:
+                if s[p] < e:
+                    break
+            else:
+                m = list(s)
+                for p, e in pairs:
+                    m[p] -= e
+                m = tuple(m)
+                acc[m] = acc.get(m, 0) + sign * x * y
 
 
 def cap(u: HClass, poly: Poly) -> HClass:
@@ -219,41 +243,41 @@ def cap(u: HClass, poly: Poly) -> HClass:
         return HClass(u.quiver, u.ring, u.degree, {})
     if not poly.is_homogeneous():
         raise ValueError("cap needs a homogeneous polynomial")
-    w = poly.weight()
-    out: dict[Monomial, Fraction] = {}
-    for s, us in u.functional.items():
-        for g, cg in poly.terms.items():
-            m = divide_monomial(s, g)
-            if m is not None:
-                out[m] = out.get(m, Fraction(0)) + cg * us
-    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * w, out)
+    (w, terms), = _cap_terms(u.ring, poly.terms.items()).items()
+    out: dict[tuple, Fraction] = {}
+    _cap_into(out, _packed(u), terms)
+    return _unpacked(u.quiver, u.ring, u.degree - 2 * w, out)
 
 
-def _raise(ring: ChernRing, func: Mapping[Monomial, Fraction], j: int) -> dict:
-    """The transpose of D^j on ring factor 0, undivided (ints stay ints): each
-    step raises one index of a support monomial, c[0, v, i - 1] -> c[0, v, i]
-    with c[0, v, 0] = 1, with coefficient (d(v) - i + 1) times the new
-    exponent of c[0, v, i]."""
-    raising = [
-        (g, (g[0], g[1], g[2] - 1), ring.rank(0, g[1]) - g[2] + 1)
-        for g in ring.generators()
-        if g[0] == 0
-    ]
+def _raise(ring: ChernRing, func: Mapping[tuple, object], j: int) -> dict:
+    """The transpose of D^j on ring factor 0, undivided (ints stay ints), on
+    packed monomials: each step raises one index of a support monomial,
+    c[0, v, i - 1] -> c[0, v, i] with c[0, v, 0] = 1, with coefficient
+    (d(v) - i + 1) times the new exponent of c[0, v, i]."""
     for _ in range(j):
-        out: dict[Monomial, Fraction] = {}
+        out: dict[tuple, object] = {}
         for s, x in func.items():
-            for g, lower, k in raising:
-                raised = dict(s)
-                e = raised.pop(lower, 0)
-                if e > 1:
-                    raised[lower] = e - 1
-                elif not e and lower[2]:
-                    continue
-                e = raised[g] = raised.get(g, 0) + 1
-                m = tuple(sorted(raised.items()))
-                out[m] = out.get(m, 0) + x * (k * e)
+            for p, lower, k in ring._raising:
+                if lower is None or s[lower]:
+                    m = list(s)
+                    if lower is not None:
+                        m[lower] -= 1
+                    e = m[p] = m[p] + 1
+                    m = tuple(m)
+                    out[m] = out.get(m, 0) + x * (k * e)
         func = out
     return func
+
+
+def _horner(ring: ChernRing, terms: list[tuple[int, dict]]) -> dict:
+    """sum_j Dt^j (c_j f_j) over terms [(c_0, f_0), (c_1, f_1), ...], Dt the
+    transpose of D (_raise), summed Horner fashion from the last term."""
+    acc: dict = {}
+    for c, f in reversed(terms):
+        acc = _raise(ring, acc, 1)
+        for m, x in f.items():
+            acc[m] = acc.get(m, 0) + c * x
+    return acc
 
 
 def divided_translation(u: HClass, j: int) -> HClass:
@@ -263,11 +287,9 @@ def divided_translation(u: HClass, j: int) -> HClass:
         raise ValueError("translation exponent must be >= 0")
     if j == 0:
         return u
-    scale = factorial(j)
-    return HClass._trusted(
-        u.quiver, u.ring, u.degree + 2 * j,
-        {m: Fraction(x, scale) for m, x in _raise(u.ring, u.functional, j).items()},
-    )
+    raised, scale = _raise(u.ring, _packed(u), j), factorial(j)
+    out = {m: Fraction(x, scale) for m, x in raised.items()}
+    return _unpacked(u.quiver, u.ring, u.degree + 2 * j, out)
 
 
 def direct_sum_pushforward(w: HClass) -> HClass:
@@ -276,8 +298,9 @@ def direct_sum_pushforward(w: HClass) -> HClass:
     if w.ring.factors() != 2:
         raise ValueError("pushforward input must be a two-factor class")
     total = w.ring.dims[0] + w.ring.dims[1]
-    out = _whitney_transpose(w.functional, _sum_slots(total))
-    return HClass._trusted(w.quiver, ChernRing((total,)), w.degree, out)
+    ring = ChernRing((total,))
+    out = whitney_transpose(_packed(w), w.ring, ring, _sum_slots(total))
+    return _unpacked(w.quiver, ring, w.degree, out)
 
 
 def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
@@ -288,15 +311,15 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
     if u.quiver != mor.source:
         raise ValueError("class does not live on the morphism source")
     image = mor.pushforward(u.ring.dims[0])
-    out = _whitney_transpose(u.functional, _merge_slots(mor, image))
-    return HClass._trusted(mor.target, ChernRing((image,)), u.degree, out)
+    ring = ChernRing((image,))
+    out = whitney_transpose(_packed(u), u.ring, ring, _merge_slots(mor, image))
+    return _unpacked(mor.target, ring, u.degree, out)
 
 
-def _ext_cap_levels(uv: HClass) -> list[dict[Monomial, Fraction]]:
-    """The functional m -> uv(c m) on monomials of weight up to
-    imax = deg(uv) / 2, c the total Chern class of ext_pairing_kexpr, split
-    by weight: entry w holds its values on weight-w monomials, which is
-    uv cap c_(imax - w).
+def _ext_cap_levels(q: Quiver, ring: ChernRing, func: dict, imax: int) -> list[dict]:
+    """The functional m -> func(c m) on packed monomials of weight up to
+    imax (func's weight), c the total Chern class of ext_pairing_kexpr(q),
+    split by weight: entry w, on weight-w monomials, is func cap c_(imax - w).
 
     Cap is a module action, so c is applied one atom class a = chern_atom
     at a time, all weights at once.  An atom of multiplicity m > 0 is capped
@@ -304,24 +327,18 @@ def _ext_cap_levels(uv: HClass) -> list[dict[Monomial, Fraction]]:
     -m times from the top weight down: z(m') = y(m') - sum_{g != 1} a_g
     z(g m'), as a has constant term 1 and g m' lies above m'.
     """
-    imax = uv.degree // 2
-    levels = [{} for _ in range(imax)] + [dict(uv.functional)]
-    for mult, atom in ext_pairing_kexpr(uv.quiver):
-        terms = [
-            (g, monomial_weight(g), x)
-            for g, x in chern_atom(atom, uv.ring, imax).terms.items() if g
-        ]
-        for _ in range(abs(mult)):
+    levels = [{} for _ in range(imax)] + [func]
+    for mult, atom in ext_pairing_kexpr(q):
+        terms = _cap_terms(ring, chern_atom(atom, ring, imax).terms.items())
+        terms.pop(0, None)  # the constant term 1
+        for _ in range(abs(mult) if terms else 0):
             out = [dict(level) for level in levels]
             # capping reads the input; solving reads the finished upper levels
             src, sign = (levels, 1) if mult > 0 else (out, -1)
             for w in range(imax, 0, -1):
-                for s, y in src[w].items():
-                    for g, gw, x in terms:
-                        m = divide_monomial(s, g) if gw <= w else None
-                        if m is not None:
-                            lower = out[w - gw]
-                            lower[m] = lower.get(m, 0) + sign * x * y
+                for gw, gs in terms.items():
+                    if gw <= w:
+                        _cap_into(out[w - gw], src[w], gs, sign)
             levels = out
     return levels
 
@@ -340,57 +357,43 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     n = k + i0, the coefficient at p is epsilon times the pushforward of the
     n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
     (Dt the transpose of D), that is of Dt^n applied to
-    sum_{i >= i0} Dt^(i - i0) caps[i] (k + imax)!/(k + i)!, summed Horner
-    fashion from i = imax down, over (k + imax)!.  The caps come from
-    _ext_cap_levels, atom by atom, without expanding the total Chern class
-    c of the Ext class.  With u and v scaled by the lcms Lu, Lv of their
-    denominators all of it runs on ints (Dt^n undivided, _raise), and each
-    pushed-forward value is divided once, by Lu Lv (k + imax)!.
+    sum_{i >= i0} Dt^(i - i0) caps[i] (k + imax)!/(k + i)! (_horner), over
+    (k + imax)!.  The caps come from _ext_cap_levels, atom by atom.  With u
+    and v scaled by the lcms Lu, Lv of their denominators it all runs on
+    ints and packed monomials: each input is packed once, and each
+    pushed-forward value is unpacked and divided once, by Lu Lv (k + imax)!.
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
     if u.ring.factors() != 1 or v.ring.factors() != 1:
         raise ValueError("state_field needs one-factor classes")
     powers = sorted(set(int(p) for p in powers))
-    q = u.quiver
-    a, b = u.ring.dims[0], v.ring.dims[0]
+    q, a, b = u.quiver, u.ring.dims[0], v.ring.dims[0]
     chi = sym_euler_form(q, a, b)
     # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
     prefactor = sign_epsilon(q, a, b)
-    out = {
-        p: zero_class(q, (a + b,), u.degree + v.degree + 2 * p - 2 * chi)
-        for p in powers
-    }
+    target = ChernRing((a + b,))
+    out = {p: HClass._trusted(q, target, u.degree + v.degree + 2 * p - 2 * chi, {}) for p in powers}
     if u.is_zero() or v.is_zero():
         return out
 
     (lu, iu), (lv, iv) = _cleared(u), _cleared(v)
-    uv = kunneth(iu, iv)
-    imax = uv.degree // 2
-    caps = _ext_cap_levels(uv)[::-1]
+    ring, iv = ChernRing((a, b)), iv.items()
+    imax = (u.degree + v.degree) // 2
+    levels = _ext_cap_levels(q, ring, {s + t: x * y for s, x in iu.items() for t, y in iv}, imax)
     for p in powers:
         k = p - chi
         i0 = max(0, -k)
         if i0 > imax:
             continue
-        acc, weight = {}, 1  # weight = (k + imax)! / (k + i)!
-        for i in range(imax, i0 - 1, -1):
-            acc = _raise(uv.ring, acc, 1)
-            for m, x in caps[i].items():
-                acc[m] = acc.get(m, 0) + weight * x
-            weight *= k + i
-        term = HClass._trusted(q, uv.ring, uv.degree + 2 * k, _raise(uv.ring, acc, k + i0))
-        if not term.is_zero():
-            scale = Fraction(prefactor, lu * lv * factorial(k + imax))  # the one division
-            out[p] = direct_sum_pushforward(term).scale(scale)
+        top = factorial(k + imax)
+        terms = [(top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
+        acc = _horner(ring, terms)
+        pushed = whitney_transpose(_raise(ring, acc, k + i0), ring, target, _sum_slots(a + b))
+        scale = lu * lv * top  # the one division
+        values = {m: Fraction(prefactor * x, scale) for m, x in pushed.items() if x}
+        out[p] = _unpacked(q, target, out[p].degree, values)
     return out
-
-
-def _cleared(u: HClass) -> tuple[int, HClass]:
-    """The lcm L of the denominators of u's values, and L u with int values."""
-    den = lcm(*(x.denominator for x in u.functional.values()))
-    ints = {m: (x * den).numerator for m, x in u.functional.items()}
-    return den, HClass._trusted(u.quiver, u.ring, u.degree, ints)
 
 
 class PlClass:
@@ -452,22 +455,26 @@ def unit_pl(quiver: Quiver, d: DimVector) -> PlClass:
 def is_translation_image(w: HClass) -> bool:
     """Whether w = divided_translation(x, 1) has a solution x, i.e. whether
     w o P = sum_j Dt^j (w cap (-cbar)^j / j!) vanishes (P from the module
-    docstring, Dt the transpose of D), summed Horner fashion."""
+    docstring, Dt the transpose of D).
+
+    With L = sum_v c[0, v, 1] = |d| cbar, J = deg(w) / 2, C_0 the packed w
+    cleared of denominators and C_j = C_(j-1) cap L, that sum times
+    |d|^J J! is sum_j a_j Dt^j C_j with a_j = (-1)^j |d|^(J - j) J! / j!,
+    all ints, summed Horner fashion and tested for emptiness.
+    """
     if w.ring.factors() != 1:
         raise ValueError("translation image test works on one-factor classes")
-    ring = w.ring
-    minus_cbar = Poly(ring, {
-        ((g, 1),): Fraction(-1, ring.dims[0].total()) for g in ring.generators() if g[2] == 1
-    })
-    terms = [w]
-    power = Poly.one(ring)
-    for j in range(1, w.degree // 2 + 1):
-        power = (power * minus_cbar).scale(Fraction(1, j))
-        terms.append(cap(w, power))
-    acc = terms.pop()
-    while terms:
-        acc = terms.pop() + divided_translation(acc, 1)
-    return acc.is_zero()
+    ring, top, n = w.ring, max(0, w.degree // 2), w.ring.dims[0].total()
+    linear = [(((p, 1),), 1) for p, lower, _ in ring._raising if lower is None]  # L
+    levels = [_cleared(w)[1]]
+    for _ in range(top):
+        levels.append({})
+        _cap_into(levels[-1], levels[-2], linear)
+    acc = _horner(ring, [
+        ((-1) ** j * n ** (top - j) * factorial(top) // factorial(j), level)
+        for j, level in enumerate(levels)
+    ])
+    return not any(acc.values())
 
 
 def pl_is_zero(x: PlClass) -> bool:

@@ -286,6 +286,12 @@ def test_07_pair_invariants():
                 failures.append((name, dv, "identity"))
             if not report["injective"]:
                 failures.append((name, dv, "injectivity"))
+    for dv in ({"v": 2, "w": 2}, {"v": 3, "w": 2}, {"v": 3, "w": 3}):
+        report = pair_invariant_report(K3, {"v": 1, "w": 0}, DimVector(dv), framing)
+        if not report["equal"]:
+            failures.append(("k3", dv, "identity"))
+        if not report["injective"]:
+            failures.append(("k3", dv, "injectivity"))
     _report(7, "framed pair invariants", failures, started, 300.0)
 
 

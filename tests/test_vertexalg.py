@@ -45,6 +45,11 @@ A2 = Quiver.from_json(oracles.a2_json())
 K2 = Quiver.from_json(oracles.kronecker_json(2))
 K3 = Quiver.from_json(oracles.kronecker_json(3))
 T4 = Quiver.from_json(oracles.tree4_json())
+A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
+    {"id": "e1", "from": "a", "to": "b"},
+    {"id": "e2", "from": "a", "to": "b"},
+    {"id": "e3", "from": "b", "to": "c"},
+]})
 
 
 def mono_class(q, d, mono, degree, coeff=1):
@@ -352,9 +357,15 @@ def _random_functional(rng, basis):
     return {m: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for m in basis}
 
 
-@pytest.mark.parametrize("name", ["K3-2-2", "K3-3-2", "T4-1-2-1"])
+ZERO_TEST_RINGS = {
+    **{name: ORACLE_RINGS[name] for name in ("K3-2-2", "K3-3-2", "T4-1-2-1")},
+    "A3-2-1-1": (A3, {"a": 2, "b": 1, "c": 1}),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_TEST_RINGS))
 def test_is_translation_image_matches_rank_oracle(name):
-    q, d = ORACLE_RINGS[name]
+    q, d = ZERO_TEST_RINGS[name]
     rng = random.Random(7)
     verdicts = set()
     for weight in range(1, 6):
@@ -371,6 +382,24 @@ def test_is_translation_image_matches_rank_oracle(name):
             want = oracles.translation_image_oracle(ranks, basis, lower, w.functional)
             assert is_translation_image(w) == want
             verdicts.add(want)
+    assert verdicts == {True, False}
+    # values over 3, 5 and 7 at once, which the test clears by their lcm
+    rng = random.Random(13)
+    verdicts = set()
+    for weight in range(1, 6):
+        ring, ranks, basis, lower = _oracle_args(d, weight)
+        for off_image in (False, True):
+            x = HClass(q, ring, 2 * weight - 2, {
+                m: Fraction(rng.choice((-2, -1, 1, 2)), (3, 5, 7)[c % 3])
+                for c, m in enumerate(lower)
+            })
+            w = divided_translation(x, 1)
+            if off_image:
+                w = w + HClass(q, ring, 2 * weight, {rng.choice(basis): Fraction(1, 7)})
+            want = oracles.translation_image_oracle(ranks, basis, lower, w.functional)
+            assert is_translation_image(w) == want
+            if len({c.denominator for c in w.functional.values()} - {1}) > 1:
+                verdicts.add(want)
     assert verdicts == {True, False}
 
 
@@ -389,13 +418,6 @@ def test_images_accepted_and_unit_off_image_rejected(name):
         for p in weight_zero_basis(ring, weight):
             unit = HClass(q, ring, 2 * weight, {min(p.terms): Fraction(1)})
             assert not is_translation_image(image + unit)
-
-
-A3 = Quiver.from_json({"vertices": ["a", "b", "c"], "edges": [
-    {"id": "e1", "from": "a", "to": "b"},
-    {"id": "e2", "from": "a", "to": "b"},
-    {"id": "e3", "from": "b", "to": "c"},
-]})
 
 
 CANONICAL_CASES = {
@@ -498,8 +520,9 @@ def test_state_field_matches_termwise_oracle(q):
 
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
 def test_factored_caps_match_expanded_chern_class(q):
-    # entry imax - i of the atom-by-atom levels is uv capped with the i-th
-    # weight part of the expanded class chern_kclass(ext_pairing_kexpr)
+    # entry imax - i of the atom-by-atom levels, on packed monomials, is uv
+    # capped with the i-th weight part of the expanded class
+    # chern_kclass(ext_pairing_kexpr)
     rng = random.Random(29)
     kexpr = charclass.ext_pairing_kexpr(q)
     assert {mult for mult, _ in kexpr} == ({2, -1} if q.edges else {2})
@@ -513,12 +536,14 @@ def test_factored_caps_match_expanded_chern_class(q):
         uv = kunneth(u, v)
         imax = uv.degree // 2
         rank_zero |= {m > 0 for m, a in kexpr if charclass.atom_rank(a, uv.ring) == 0}
-        levels = vertexalg._ext_cap_levels(uv)
+        packed = {uv.ring.pack(m): x for m, x in uv.functional.items()}
+        levels = vertexalg._ext_cap_levels(q, uv.ring, packed, imax)
         total = charclass.chern_kclass(kexpr, uv.ring, imax)
         for i in range(imax + 1):
             ci = total.weight_part(i)
             want = zero_class(q, uv.dims, uv.degree - 2 * i) if ci.is_zero() else cap(uv, ci)
-            got = HClass(q, uv.ring, uv.degree - 2 * i, levels[imax - i])
+            level = {uv.ring.unpack(m): x for m, x in levels[imax - i].items()}
+            got = HClass(q, uv.ring, uv.degree - 2 * i, level)
             assert got == want, (d, e, i)
     assert rank_zero == ({True, False} if q.edges else {True})
 
@@ -624,6 +649,37 @@ def test_pushforwards_never_enumerate_the_target_basis(monkeypatch):
     monkeypatch.setattr(charclass, "monomial_basis", refuse)
     monkeypatch.setattr(vertexalg, "monomial_basis", refuse)
     assert (direct_sum_pushforward(w), merge_pushforward(collapse, u)) == want
+
+
+def test_kernel_never_builds_sorted_monomials(monkeypatch):
+    # brackets, pushforwards and the zero test run on packed monomials only
+    rng = random.Random(47)
+    u = _random_class(rng, K3, ({"v": 2, "w": 1},), 2)
+    v = _random_class(rng, K3, ({"v": 1, "w": 2},), 1)
+    collapse = binarize_quiver(K3, DimVector({"v": 2, "w": 2}))[1]
+    x = _random_class(rng, collapse.source, ({a: 1 for a in collapse.source.vertices},), 3)
+    ring, ranks, basis, lower = _oracle_args({"v": 3, "w": 3}, 6)
+    image = divided_translation(HClass(K3, ring, 10, _random_functional(rng, lower)), 1)
+    tests = [image, image + HClass(K3, ring, 12, {rng.choice(basis): Fraction(1)})]
+    want = (
+        oracles.state_field_oracle(u, v, (-1,))[-1],  # also fills the atom memo
+        oracles.merge_pushforward_oracle(collapse, x),
+        [oracles.translation_image_oracle(ranks, basis, lower, w.functional) for w in tests],
+    )
+    assert want[2] == [True, False] and not want[0].is_zero()
+
+    def refuse(*args):
+        raise AssertionError("the kernel built a sorted-tuple monomial")
+
+    for name in ("divide_monomial", "mul_monomials", "monomial_basis"):
+        for module in (charclass, vertexalg):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    got = (
+        lie_bracket(u, v).rep,
+        merge_pushforward(collapse, x),
+        [is_translation_image(w) for w in tests],
+    )
+    assert got == want
 
 
 def test_weak_commutativity_small():
