@@ -47,6 +47,8 @@ with i the inclusion pushforward, and the bracket with the framing unit
 is injective on the computed classes when every framing multiplicity is
 positive.
 
+Within a process, classes at the default reference are reused by
+(quiver, d, order of tau on the subvectors of d), all that they depend on.
 Computed classes can persist in a content-addressed disk cache keyed by
 (quiver, stability token, d), used only for conditions whose token
 follows from their data (stability.token_is_faithful); cache writes are
@@ -153,6 +155,23 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     return PlClass(acc)
 
 
+_INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, order token) -> class
+
+
+def _order_condition(tau: WeakStability, d: DimVector) -> WeakStability:
+    """tau reduced to its order on the subvectors of d: each one's value is
+    its rank (equal values share one), and the token lists the ranks in
+    subvectors(d) order.  u_coeff compares values of partial sums only, so
+    every class and transform of d is the same here as at tau."""
+    subs = subvectors(d)
+    values = [tau.value(e) for e in subs]
+    order = sorted(range(len(subs)), key=values.__getitem__)
+    ranks = [0] * len(subs)
+    for prev, i in zip(order, order[1:]):
+        ranks[i] = ranks[prev] + (values[i] != values[prev])
+    return WeakStability(dict(zip(subs, ranks)).__getitem__, ("order", tuple(ranks)))
+
+
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
     """Invariant class for an increasing slope: unit for unit vectors, else 0."""
     d = _check_class(q, d)
@@ -180,6 +199,7 @@ def invariant(
     d = _check_class(q, d)
     _check_size(d, max_size)
     q.topological_order()  # CycleError when no increasing slope exists
+    memo = _INVARIANT_MEMO if reference is None else {}  # default reference only
     if reference is None:
         reference = reference_increasing_slope(q)
     elif not is_increasing(q, reference):
@@ -192,15 +212,17 @@ def invariant(
         if hit is not None:
             return hit
 
-    units = {v: unit_vector(v) for v in d.support()}  # shared by every u_coeff memo key
-    words: dict[tuple, Fraction] = {}
-    for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
-        tup = tuple(units[v] for v in perm)
-        c = u_coeff(tup, reference, tau)
-        if c:
-            words[tup] = c
-
-    result = _bracket_sum(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
+    order = _order_condition(tau, d)
+    result = memo.get((q, d, order.token))
+    if result is None:
+        words: dict[tuple, Fraction] = {}
+        for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
+            tup = tuple(map(unit_vector, perm))
+            c = u_coeff(tup, reference, order)
+            if c:
+                words[tup] = c
+        result = _bracket_sum(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
+        memo[q, d, order.token] = result
 
     if cache is not None:
         cache.put(q, tau, d, result)
@@ -273,10 +295,11 @@ def wallcross_transform(
     # a bracket with an empty class is empty; each letter multiset is
     # wholly live or wholly dead, so the live words are still a Lie element
     dead = {e for e, x in table.classes.items() if x.rep.is_zero()}
+    frm, to = _order_condition(table.stability, d), _order_condition(to_stab, d)
     words: dict[tuple, Fraction] = {}
     for parts in all_decompositions(d):
         if dead.isdisjoint(parts):
-            c = u_coeff(parts, table.stability, to_stab)
+            c = u_coeff(parts, frm, to)
             if c:
                 words[parts] = c
     return _bracket_sum(q, d, lie_normalize(words), table.__getitem__)

@@ -12,10 +12,10 @@ condition are ever compared.  Two realizations are provided:
 Each condition carries a hashable token.  Only the tokens of
 SlopeStability and trivial_stability() are bound to follow from the
 condition's data, so equal tokens there mean equal conditions
-(token_is_faithful), and the u_coeff memo and the invariant disk cache key
-on those alone.  A token passed to WeakStability is the caller's choice:
-two conditions with different value functions may share one, and
-conditions with equal value functions may have different ones.
+(token_is_faithful), and the invariant disk cache keys on those alone.
+A token passed to WeakStability is the caller's choice: two conditions
+with different value functions may share one, and conditions with equal
+value functions may have different ones.
 
 framed_slope builds the perturbed slope on a framed quiver: the framing
 vertex gets slope(d) +- epsilon, with epsilon half the least gap between the

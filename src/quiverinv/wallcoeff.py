@@ -13,6 +13,7 @@ superblock, or the head or tail at a cut.  So each call forms the
 n(n+1)/2 contiguous sums once, evaluates both conditions on them into two
 interval tables, and runs the regroupings on indices into those tables;
 one sign rule, shared by both coefficients, reads the cuts off them.
+u_coeff keeps no memo: invariants reuses whole classes instead.
 
 The Lie version has no closed formula.  It is produced here from the
 u-weighted free word sum.  Each length component splits by letter
@@ -41,7 +42,7 @@ from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .quiver import DimVector
-from .stability import WeakStability, token_is_faithful
+from .stability import WeakStability
 
 
 class LieElementError(Exception):
@@ -105,9 +106,6 @@ def _compositions(n: int, blocks: int) -> Iterable[tuple[int, ...]]:
         yield (0,) + inner + (n,)
 
 
-_U_MEMO: dict[tuple, Fraction] = {}
-
-
 def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> Fraction:
     """Transformation coefficient of an ordered tuple of nonzero classes.
 
@@ -121,11 +119,6 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
-    memoize = token_is_faithful(from_stab) and token_is_faithful(to_stab)
-    key = (alphas, from_stab.token, to_stab.token)
-    if memoize and key in _U_MEMO:
-        return _U_MEMO[key]
-
     n = len(alphas)
     frm, to = _interval_values(alphas, from_stab, to_stab)
     total_value = to[0][n]
@@ -150,9 +143,6 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
                             break
                     if sign:
                         result += Fraction(sign if l % 2 else -sign, l * denom)
-
-    if memoize:
-        _U_MEMO[key] = result
     return result
 
 

@@ -1,4 +1,7 @@
 import hypothesis
+import pytest
+
+from quiverinv import invariants
 
 hypothesis.settings.register_profile(
     "suite",
@@ -7,3 +10,9 @@ hypothesis.settings.register_profile(
     deadline=None,
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_invariant_memo(monkeypatch):
+    # classes computed in one test, or under a stub there, never reach another
+    monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})

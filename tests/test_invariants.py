@@ -27,6 +27,7 @@ from quiverinv.stability import (
 )
 from quiverinv.invariants import (
     CacheStore,
+    InvariantTable,
     build_invariant_table,
     check_morphism_identity,
     check_wallcross,
@@ -328,6 +329,69 @@ def test_cache_not_shared_through_caller_tokens(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def _refuse(*args):
+    raise AssertionError("recomputed a class the memo holds")
+
+
+def test_invariant_memo_ignores_caller_tokens():
+    # one caller token on both sides of the K3 wall: the memo keys on the
+    # order of the values on the subvectors of d, never on the token
+    d = DimVector({"v": 2, "w": 1})
+    hi, lo = slope_stability(K3, HI), slope_stability(K3, LO)
+    x = invariant(K3, WeakStability(hi.value, ("mine",)), d)
+    y = invariant(K3, WeakStability(lo.value, ("mine",)), d)
+    assert not pl_is_zero(x) and pl_is_zero(y)
+    assert pl_equal(x, invariant(K3, hi, d)) and pl_equal(y, invariant(K3, lo, d))
+
+
+def test_invariant_reused_within_a_chamber(monkeypatch):
+    d = DimVector({"v": 3, "w": 2})
+    first = invariant(K3, slope_stability(K3, HI), d)
+    monkeypatch.setattr(invariants, "u_coeff", _refuse)
+    monkeypatch.setattr(invariants, "lie_bracket", _refuse)
+    again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
+    assert again.rep == first.rep and pl_equal(again, first)
+
+
+def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
+    tau = slope_stability(K3, HI)
+    d = DimVector({"v": 2, "w": 2})
+    invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "u_coeff", _refuse)
+        invariant(K3, tau, d, cache=CacheStore(tmp_path / "hit"))
+    monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+    invariant(K3, tau, d, cache=CacheStore(tmp_path / "fresh"))
+    (hit,) = (tmp_path / "hit").iterdir()
+    (fresh,) = (tmp_path / "fresh").iterdir()
+    assert hit.name == fresh.name and hit.read_bytes() == fresh.read_bytes()
+
+
+def _slope_ranks(mu, d):
+    """The rank of each subvector's slope among those of all subvectors of
+    d, under a caller token that says nothing about mu."""
+    def slope(e):
+        return Fraction(sum(mu[v] * n for v, n in e.items()), e.total())
+
+    values = sorted({slope(e) for e in subvectors(d)})
+    rank = {e: values.index(slope(e)) for e in subvectors(d)}
+    return WeakStability(rank.__getitem__, ("ranks",))
+
+
+def test_classes_at_tau_match_a_rank_valued_condition(monkeypatch):
+    d = DimVector({"v": 3, "w": 3})
+    for frm, to in ((HI, LO), (LO, HI)):
+        tau, tau_to = slope_stability(K3, frm), slope_stability(K3, to)
+        ranked, ranked_to = _slope_ranks(frm, d), _slope_ranks(to, d)
+        monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+        want = invariant(K3, tau, d)
+        monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+        assert invariant(K3, ranked, d).rep == want.rep
+        table = build_invariant_table(K3, tau, d)
+        got = wallcross_transform(K3, InvariantTable(K3, ranked, table.classes), ranked_to, d)
+        assert got.rep == wallcross_transform(K3, table, tau_to, d).rep
+
+
 def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     tau = slope_stability(K3, HI)
     d = DimVector({"v": 2, "w": 2})
@@ -356,7 +420,7 @@ def test_module_memos_are_declared():
     for info in pkgutil.iter_modules(quiverinv.__path__):
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
-    assert memos == {"charclass._ATOM_MEMO", "wallcoeff._U_MEMO"}
+    assert memos == {"charclass._ATOM_MEMO", "invariants._INVARIANT_MEMO"}
 
 
 def test_cache_rejects_corruption(tmp_path):

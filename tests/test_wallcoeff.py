@@ -196,14 +196,12 @@ def test_coefficients_match_enumeration_oracle():
     for label, frm, to, pool in _oracle_cases():
         for _ in range(30):
             tup = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
-            wallcoeff._U_MEMO.clear()
             want_u = oracles.u_coeff_oracle(tup, frm, to)
             assert u_coeff(tup, frm, to) == want_u, (label, tup)
             want_s = oracles.s_coeff_oracle(tup, frm, to)
             assert s_coeff(tup, frm, to) == want_s, (label, tup)
             seen_u.add(want_u != 0)
             seen_s.add(want_s)
-    wallcoeff._U_MEMO.clear()
     assert seen_u == {True, False} and seen_s == {-1, 0, 1}
 
 
@@ -220,7 +218,7 @@ class _CountingStability(WeakStability):
 
 
 def test_each_interval_value_computed_once():
-    # caller tokens keep the u_coeff memo out: every call builds its tables
+    # u_coeff keeps no memo: every call builds its tables
     rng = random.Random(5)
     pool = _letter_pool(K3)
     for n in range(1, 7):
