@@ -47,13 +47,13 @@ with i the inclusion pushforward, and the bracket with the framing unit
 is injective on the computed classes when every framing multiplicity is
 positive.
 
-Within a process, classes at the default reference are reused by
-(quiver, d, order of tau on the subvectors of d), all that they depend on.
-Computed classes can persist in a content-addressed disk cache keyed by
-(quiver, stability token, d), used only for conditions whose token
-follows from their data (stability.token_is_faithful); cache writes are
-atomic and idempotent, reads verify the stored canonical coordinates
-against the stored representative.
+A class depends on tau only through the order of tau on the subvectors
+of d (_order_condition), so that order is the only key under which a
+class is reused: within a process at the default reference, by
+(quiver, d, order), and across processes in a content-addressed disk cache
+keyed by (algorithm version, quiver, d, order).  Cache writes are atomic
+and idempotent, reads verify the stored canonical coordinates against the
+stored representative.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from .stability import (
     pullback_stability,
     reference_increasing_slope,
     slope_stability,
-    token_is_faithful,
 )
 from .vertexalg import (
     HClass,
@@ -155,12 +154,12 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     return PlClass(acc)
 
 
-_INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, order token) -> class
+_INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, ranks) -> class
 
 
-def _order_condition(tau: WeakStability, d: DimVector) -> WeakStability:
+def _order_condition(tau: WeakStability, d: DimVector) -> tuple[WeakStability, tuple]:
     """tau reduced to its order on the subvectors of d: each one's value is
-    its rank (equal values share one), and the token lists the ranks in
+    its rank (equal values share one), returned with the ranks in
     subvectors(d) order.  u_coeff compares values of partial sums only, so
     every class and transform of d is the same here as at tau."""
     subs = subvectors(d)
@@ -169,7 +168,7 @@ def _order_condition(tau: WeakStability, d: DimVector) -> WeakStability:
     ranks = [0] * len(subs)
     for prev, i in zip(order, order[1:]):
         ranks[i] = ranks[prev] + (values[i] != values[prev])
-    return WeakStability(dict(zip(subs, ranks)).__getitem__, ("order", tuple(ranks)))
+    return WeakStability(dict(zip(subs, ranks)).__getitem__, name="order"), tuple(ranks)
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
@@ -205,15 +204,13 @@ def invariant(
     elif not is_increasing(q, reference):
         raise ValueError("reference stability condition must be increasing")
 
-    if not token_is_faithful(tau):
-        cache = None  # the cache key is the token
     if cache is not None:
         hit = cache.get(q, tau, d)
         if hit is not None:
             return hit
 
-    order = _order_condition(tau, d)
-    result = memo.get((q, d, order.token))
+    order, ranks = _order_condition(tau, d)
+    result = memo.get((q, d, ranks))
     if result is None:
         words: dict[tuple, Fraction] = {}
         for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
@@ -222,7 +219,7 @@ def invariant(
             if c:
                 words[tup] = c
         result = _bracket_sum(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
-        memo[q, d, order.token] = result
+        memo[q, d, ranks] = result
 
     if cache is not None:
         cache.put(q, tau, d, result)
@@ -236,10 +233,6 @@ class InvariantTable:
         self.quiver = quiver
         self.stability = stability
         self.classes: dict[DimVector, PlClass] = dict(classes)
-
-    @property
-    def token(self) -> tuple:
-        return self.stability.token
 
     def __contains__(self, d: DimVector) -> bool:
         return DimVector(d) in self.classes
@@ -295,7 +288,7 @@ def wallcross_transform(
     # a bracket with an empty class is empty; each letter multiset is
     # wholly live or wholly dead, so the live words are still a Lie element
     dead = {e for e, x in table.classes.items() if x.rep.is_zero()}
-    frm, to = _order_condition(table.stability, d), _order_condition(to_stab, d)
+    (frm, _), (to, _) = _order_condition(table.stability, d), _order_condition(to_stab, d)
     words: dict[tuple, Fraction] = {}
     for parts in all_decompositions(d):
         if dead.isdisjoint(parts):
@@ -478,49 +471,44 @@ def _representative_json(x: PlClass) -> dict[str, str]:
     }
 
 
-def _token_json(obj):
-    if isinstance(obj, tuple):
-        return [_token_json(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return fraction_str(obj)
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    raise ValueError(f"stability token contains unserializable part {obj!r}")
-
-
-_CACHE_FORMAT = "invariant-cache-v1"
+_CACHE_FORMAT = "invariant-cache-v2"
 # Version of the computation behind a cached class, in every cache key so an
 # entry written under another value is a miss.  Bump it with any change that
 # can alter a computed class: its value, representative or coordinates.
 _ALGORITHM = 1
 
 
+def _cache_key(q: Quiver, stab: WeakStability, d: DimVector) -> dict:
+    """All a cached class depends on; stab enters only by its ranks."""
+    return {
+        "format": _CACHE_FORMAT,
+        "algorithm": _ALGORITHM,
+        "quiver": q.to_json(),
+        "order": list(_order_condition(stab, d)[1]),
+        "dimvec": d.to_json(),
+    }
+
+
 class CacheStore:
     """Content-addressed store of invariant classes on disk.
 
-    One JSON file per (algorithm version, quiver, stability token,
-    dimension vector), named by the SHA-256 of the canonical key
-    serialization.  Files carry the canonical coordinates plus the full
-    representative so cached classes support every downstream operation;
-    loads cross-check the two.
+    One JSON file per (algorithm version, quiver, dimension vector, ranks
+    of the condition on its subvectors), named by the SHA-256 of the
+    canonical key serialization, so an entry serves every condition with
+    the same order there.  Files carry the canonical coordinates plus the
+    full representative so cached classes support every downstream
+    operation; loads cross-check the two.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use cache directory {str(root)!r}: {exc.strerror}") from exc
 
     def _path(self, q: Quiver, stab: WeakStability, d: DimVector) -> Path:
-        key = json.dumps(
-            {
-                "format": _CACHE_FORMAT,
-                "algorithm": _ALGORITHM,
-                "quiver": q.to_json(),
-                "stability": _token_json(stab.token),
-                "dimvec": d.to_json(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        key = json.dumps(_cache_key(q, stab, d), sort_keys=True, separators=(",", ":"))
         return self.root / (hashlib.sha256(key.encode()).hexdigest() + ".json")
 
     def get(self, q: Quiver, stab: WeakStability, d: DimVector) -> PlClass | None:
@@ -547,11 +535,7 @@ class CacheStore:
         return cls
 
     def put(self, q: Quiver, stab: WeakStability, d: DimVector, cls: PlClass) -> None:
-        payload = pl_class_json(cls)
-        payload["format"] = _CACHE_FORMAT
-        payload["algorithm"] = _ALGORITHM
-        payload["quiver"] = q.to_json()
-        payload["stability"] = _token_json(stab.token)
+        payload = {**pl_class_json(cls), **_cache_key(q, stab, d)}
         payload["representative"] = _representative_json(cls)
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         path = self._path(q, stab, d)

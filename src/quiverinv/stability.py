@@ -9,13 +9,9 @@ condition are ever compared.  Two realizations are provided:
     storing only vectors that value() has accepted;
   * trivial_stability: all values equal (every vector semistable).
 
-Each condition carries a hashable token.  Only the tokens of
-SlopeStability and trivial_stability() are bound to follow from the
-condition's data, so equal tokens there mean equal conditions
-(token_is_faithful), and the invariant disk cache keys on those alone.
-A token passed to WeakStability is the caller's choice: two conditions
-with different value functions may share one, and conditions with equal
-value functions may have different ones.
+Conditions carry no key of their own: what is computed from a condition
+depends only on the order of its values, and the invariants module reads
+that order off the condition wherever it reuses a result.
 
 framed_slope builds the perturbed slope on a framed quiver: the framing
 vertex gets slope(d) +- epsilon, with epsilon half the least gap between the
@@ -61,11 +57,11 @@ def fraction_str(x: Fraction) -> str:
 
 
 class WeakStability:
-    """Total preorder on nonzero effective dimension vectors."""
+    """Total preorder on nonzero effective dimension vectors, given by
+    value_fn; name only labels the condition in its repr."""
 
-    def __init__(self, value_fn: Callable[[DimVector], object], token: tuple, name: str = ""):
+    def __init__(self, value_fn: Callable[[DimVector], object], name: str = ""):
         self._value_fn = value_fn
-        self.token = token
         self.name = name
 
     def value(self, d: DimVector):
@@ -85,7 +81,7 @@ class WeakStability:
         return self.value(d) == self.value(e)
 
     def __repr__(self) -> str:
-        return f"WeakStability({self.name or self.token!r})"
+        return f"WeakStability({self.name!r})"
 
 
 class SlopeStability(WeakStability):
@@ -95,8 +91,7 @@ class SlopeStability(WeakStability):
         self.mu: dict[str, Fraction] = {v: parse_fraction(x) for v, x in mu.items()}
         self.epsilon = epsilon  # set by framed_slope, None otherwise
         self._memo: dict[DimVector, Fraction] = {}
-        token = ("slope",) + tuple(sorted((v, fraction_str(x)) for v, x in self.mu.items()))
-        super().__init__(self._slope, token, name="slope")
+        super().__init__(self._slope, name="slope")
 
     def _slope(self, d: DimVector) -> Fraction:
         # value() has validated d; mu is never changed after construction
@@ -127,18 +122,9 @@ def slope_stability(q: Quiver, mu: Mapping[str, object]) -> SlopeStability:
     return SlopeStability(weights)
 
 
-_TRIVIAL = WeakStability(lambda d: 0, ("trivial",), name="trivial")
-
-
 def trivial_stability() -> WeakStability:
     """All nonzero vectors have equal value."""
-    return _TRIVIAL
-
-
-def token_is_faithful(stab: WeakStability) -> bool:
-    """Whether equal tokens imply equal conditions, so results may be
-    stored under the token."""
-    return isinstance(stab, SlopeStability) or stab is _TRIVIAL
+    return WeakStability(lambda d: 0, name="trivial")
 
 
 def reference_increasing_slope(q: Quiver) -> SlopeStability:
@@ -191,11 +177,7 @@ def pullback_stability(m: QuiverMorphism, stab: WeakStability) -> WeakStability:
     """Stability on the source with value(d) = stab(pushforward(d))."""
     if isinstance(stab, SlopeStability):
         return SlopeStability({v: stab.mu[m.vertex_map[v]] for v in m.source.vertices})
-    return WeakStability(
-        lambda d: stab.value(m.pushforward(d)),
-        ("pullback", stab.token, m.key()),
-        name=f"pullback of {stab.name}",
-    )
+    return WeakStability(lambda d: stab.value(m.pushforward(d)), name=f"pullback of {stab.name}")
 
 
 def framed_slope(

@@ -717,8 +717,7 @@ def pair_lex_stability(framed, base_mu, sign, frame_vertex="inf"):
         s = sum((weights[v] * k for v, k in base.items()), Fraction(0)) / base.total()
         return (0, s, 0 if d[frame_vertex] == 0 else sign)
 
-    token = ("pairlex", sign, frame_vertex) + tuple(sorted(weights.items()))
-    return WeakStability(value, token, name=f"pairlex{'+' if sign > 0 else '-'}")
+    return WeakStability(value, name=f"pairlex{'+' if sign > 0 else '-'}")
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_01_increasing_slope_base_case():
                 else:
                     good = pl_is_zero(cls)
                 if not good:
-                    failures.append((name, mu.token, d))
+                    failures.append((name, mu.to_json(), d))
     _report(1, "increasing-slope base case", failures, started, 10.0)
 
 
@@ -209,7 +209,7 @@ def test_04_coefficient_identities():
                 want = Fraction(1 if len(parts) == 1 else 0)
                 got = u_coeff(parts, tau, tau)
                 if got != want:
-                    failures.append(("identity", tau.token, parts, got))
+                    failures.append(("identity", tau.to_json(), parts, got))
 
     # composition through an intermediate condition on random slope triples
     for _ in range(3):
@@ -223,9 +223,7 @@ def test_04_coefficient_identities():
 
     # vanishing under domination unless the dominating values all agree
     fine = slope_stability(K3, {"v": 1, "w": 0})
-    coarse = WeakStability(
-        lambda d: 0 if fine.value(d) < Fraction(1, 2) else 1, ("acceptance-coarse",)
-    )
+    coarse = WeakStability(lambda d: 0 if fine.value(d) < Fraction(1, 2) else 1)
     pool = _range_vectors(K3.vertices, 4)
     if not dominates(coarse, fine, pool):
         failures.append(("domination premise",))
@@ -252,7 +250,7 @@ def test_05_wallcross_random_pairs(tmp_path):
             lhs = wallcross_transform(K3, table, b, d, max_size=5)
             rhs = invariant(K3, b, d, cache=store, max_size=5)
             if not pl_equal(lhs, rhs):
-                failures.append((trial, a.token, b.token, d))
+                failures.append((trial, a.to_json(), b.to_json(), d))
     _report(5, "wall-crossing vs direct", failures, started, 300.0)
 
 
@@ -428,5 +426,5 @@ def test_10_reference_slope_independence():
             a = invariant(K3, tau, d, reference=ref1)
             b = invariant(K3, tau, d, reference=ref2)
             if not pl_equal(a, b):
-                failures.append((tau.token, d))
+                failures.append((tau.to_json(), d))
     _report(10, "reference slope independence", failures, started, 60.0)

@@ -181,6 +181,24 @@ def test_cache_flag_and_environment(qfiles, tmp_path, monkeypatch):
     assert list(envdir.glob("*.json"))
 
 
+def test_cache_path_that_is_no_directory_exits_2(qfiles, tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [
+        "invariant",
+        "--quiver", qfiles["k3"],
+        "--dimvec", '{"v":1,"w":1}',
+        "--slope", '{"v":"1","w":"0"}',
+    ]
+    for path in (blocker, blocker / "below"):
+        code, out = run(argv + ["--cache", str(path)])
+        err = json.loads(out)
+        assert code == 2 and err["kind"] == "input" and repr(str(path)) in err["error"]
+    monkeypatch.setenv("QUIVERINV_CACHE", str(blocker))
+    code, out = run(argv)
+    assert code == 2 and json.loads(out)["kind"] == "input"
+
+
 FROZEN_OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
 
 

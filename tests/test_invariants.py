@@ -24,6 +24,7 @@ from quiverinv.stability import (
     is_generic_pair,
     reference_increasing_slope,
     slope_stability,
+    trivial_stability,
 )
 from quiverinv.invariants import (
     CacheStore,
@@ -260,7 +261,7 @@ def test_invariant_table():
     assert DimVector({"w": 2}) not in table
     with pytest.raises(ValueError):
         table[DimVector({"v": 3})]
-    assert table.token == tau.token
+    assert table.stability is tau
 
 
 def test_wallcross_identity_and_crossing():
@@ -299,7 +300,7 @@ def test_cache_roundtrip(tmp_path):
     # a second computation must round trip through the store unchanged
     hit = invariant(K3, tau, d, cache=store)
     assert hit.rep.functional == cls.rep.functional
-    # distinct stability tokens do not collide
+    # a condition of another order does not collide
     assert store.get(K3, slope_stability(K3, LO), d) is None
 
 
@@ -320,26 +321,31 @@ def test_cache_not_shared_through_caller_tokens(tmp_path):
     d = DimVector({"v": 1, "w": 1})
     lo = slope_stability(K2, LO)
     hi = slope_stability(K2, HI)
-    mine_lo = WeakStability(lo.value, ("mine",))
-    mine_hi = WeakStability(hi.value, ("mine",))
+    mine_lo = WeakStability(lo.value, name="mine")
+    mine_hi = WeakStability(hi.value, name="mine")
     fresh = canonical_coordinates(invariant(K2, mine_lo, d))
     store = CacheStore(tmp_path)
     assert canonical_coordinates(invariant(K2, mine_hi, d, cache=store)) != fresh
     assert canonical_coordinates(invariant(K2, mine_lo, d, cache=store)) == fresh
-    assert not list(tmp_path.iterdir())
+    assert len(list(tmp_path.iterdir())) == 2
+    again = CacheStore(tmp_path)
+    assert canonical_coordinates(again.get(K2, mine_lo, d)) == fresh
+    assert canonical_coordinates(again.get(K2, mine_hi, d)) == canonical_coordinates(
+        invariant(K2, hi, d)
+    )
 
 
 def _refuse(*args):
-    raise AssertionError("recomputed a class the memo holds")
+    raise AssertionError("recomputed a class already held")
 
 
 def test_invariant_memo_ignores_caller_tokens():
-    # one caller token on both sides of the K3 wall: the memo keys on the
-    # order of the values on the subvectors of d, never on the token
+    # one name on both sides of the K3 wall: the memo keys on the order
+    # of the values on the subvectors of d, never on the condition's name
     d = DimVector({"v": 2, "w": 1})
     hi, lo = slope_stability(K3, HI), slope_stability(K3, LO)
-    x = invariant(K3, WeakStability(hi.value, ("mine",)), d)
-    y = invariant(K3, WeakStability(lo.value, ("mine",)), d)
+    x = invariant(K3, WeakStability(hi.value, name="mine"), d)
+    y = invariant(K3, WeakStability(lo.value, name="mine"), d)
     assert not pl_is_zero(x) and pl_is_zero(y)
     assert pl_equal(x, invariant(K3, hi, d)) and pl_equal(y, invariant(K3, lo, d))
 
@@ -351,6 +357,40 @@ def test_invariant_reused_within_a_chamber(monkeypatch):
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     assert again.rep == first.rep and pl_equal(again, first)
+
+
+def test_cache_serves_every_slope_in_a_chamber(monkeypatch, tmp_path):
+    d = DimVector({"v": 2, "w": 2})
+    store = CacheStore(tmp_path)
+    first = invariant(K3, slope_stability(K3, HI), d, cache=store)
+    monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+    monkeypatch.setattr(invariants, "u_coeff", _refuse)
+    monkeypatch.setattr(invariants, "lie_bracket", _refuse)
+    again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d, cache=store)
+    assert again.rep == first.rep
+
+
+def test_cache_store_keys_on_the_order_of_values(tmp_path):
+    # entries of conditions ordered differently on the subvectors of d never
+    # stand in for each other; one of the same order, here {v:5,w:-2} with
+    # HI, reads its entry.  Scaled copies tell the entries apart.
+    d = DimVector({"v": 1, "w": 1})
+    x = invariant(K3, slope_stability(K3, HI), d)
+    conditions = [
+        slope_stability(K3, HI),
+        slope_stability(K3, LO),
+        trivial_stability(),
+        WeakStability(lambda e: e.total(), name="size"),
+    ]
+    store = CacheStore(tmp_path)
+    store.put(K3, conditions[0], d, x)
+    assert all(store.get(K3, tau, d) is None for tau in conditions[1:])
+    for k, tau in enumerate(conditions[1:], start=2):
+        store.put(K3, tau, d, x.scale(k))
+    assert len(list(tmp_path.glob("*.json"))) == len(conditions)
+    for k, tau in enumerate(conditions, start=1):
+        assert store.get(K3, tau, d).rep == x.scale(k).rep
+    assert store.get(K3, slope_stability(K3, {"v": 5, "w": -2}), d).rep == x.rep
 
 
 def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
@@ -369,13 +409,13 @@ def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
 
 def _slope_ranks(mu, d):
     """The rank of each subvector's slope among those of all subvectors of
-    d, under a caller token that says nothing about mu."""
+    d, under a name that says nothing about mu."""
     def slope(e):
         return Fraction(sum(mu[v] * n for v, n in e.items()), e.total())
 
     values = sorted({slope(e) for e in subvectors(d)})
     rank = {e: values.index(slope(e)) for e in subvectors(d)}
-    return WeakStability(rank.__getitem__, ("ranks",))
+    return WeakStability(rank.__getitem__, name="ranks")
 
 
 def test_classes_at_tau_match_a_rank_valued_condition(monkeypatch):

@@ -127,9 +127,7 @@ def test_u_composition_three_vertex():
 
 def test_u_vanishing_under_domination():
     # coarse condition only separates the maximal-slope classes
-    coarse = WeakStability(
-        lambda d: 0 if LO.value(d) < 1 else 1, ("test-coarse",), name="coarse"
-    )
+    coarse = WeakStability(lambda d: 0 if LO.value(d) < 1 else 1, name="coarse")
     for tup in _small_tuples(A2, 3, 4):
         sums = set()
         for n in range(1, len(tup) + 1):
@@ -146,9 +144,9 @@ def test_u_vanishing_under_domination():
 
 
 def test_u_memo_not_shared_through_caller_tokens():
-    # two conditions with one caller-chosen token but different values
-    a = WeakStability(HI.value, ("mine",))
-    b = WeakStability(trivial_stability().value, ("mine",))
+    # two conditions with one name but different values
+    a = WeakStability(HI.value, name="mine")
+    b = WeakStability(trivial_stability().value, name="mine")
     tup = (DV, DW)
     assert u_coeff(tup, LO, a) == u_coeff(tup, LO, HI) == -1
     assert u_coeff(tup, LO, b) == u_coeff(tup, LO, trivial_stability()) == Fraction(-1, 2)
@@ -168,7 +166,7 @@ def _letter_pool(q):
 
 def _oracle_cases():
     """(label, from, to, letter pool) covering slope ties, the trivial
-    condition, tuple values and caller-token conditions."""
+    condition, tuple values and hand-built conditions."""
     rng = random.Random(20201)
     for name, q in (("A2", A2), ("K3", K3), ("A3", A3)):
         pool = _letter_pool(q)
@@ -179,10 +177,10 @@ def _oracle_cases():
             yield f"{name} slopes {k}", lo, hi, pool
             yield f"{name} slope to trivial {k}", lo, trivial_stability(), pool
             yield f"{name} trivial to slope {k}", trivial_stability(), hi, pool
-        coarse = WeakStability(lambda d, s=hi: 2 * s.value(d) // 1, ("mine",))
-        by_size = WeakStability(lambda d: d.total() % 3, ("mine",))
-        yield f"{name} caller tokens", coarse, by_size, pool
-        yield f"{name} caller to slope", by_size, hi, pool
+        coarse = WeakStability(lambda d, s=hi: 2 * s.value(d) // 1, name="mine")
+        by_size = WeakStability(lambda d: d.total() % 3, name="mine")
+        yield f"{name} hand-built", coarse, by_size, pool
+        yield f"{name} hand-built to slope", by_size, hi, pool
     framed, _ = frame_quiver(A2, {"v": 1, "w": 1})
     pool = _letter_pool(framed)
     for sign in (1, -1):
@@ -206,10 +204,10 @@ def test_coefficients_match_enumeration_oracle():
 
 
 class _CountingStability(WeakStability):
-    """Caller-token condition that counts its value() calls."""
+    """Condition that counts its value() calls."""
 
     def __init__(self, value_fn):
-        super().__init__(value_fn, ("counting",))
+        super().__init__(value_fn, name="counting")
         self.calls = 0
 
     def value(self, d):
