@@ -31,7 +31,6 @@ from .invariants import (
     invariant,
     invariant_increasing,
     natural_degree,
-    pair_invariant_check,
     pair_invariant_report,
     pl_class_json,
     selftest,

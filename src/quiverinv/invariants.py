@@ -7,25 +7,24 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
 
   1. fix an increasing reference slope (values grow along every edge);
      against it the invariant of a unit vector is the unit class and
-     every other invariant vanishes;
-  2. enumerate the ordered tuples of unit vectors summing to d and form
-     the free word sum with u_coeff(tuple; reference, tau) weights;
-  3. normalize the sum to iterated bracket words; the word expansion of
-     the brackets must give back the sum exactly, which certifies that
-     the sum is a Lie element;
-  4. evaluate the sum of bracket words of unit classes with one
-     lie_bracket per group of words sharing a last letter, of that
-     letter's class with the sum of the group's prefixes (_bracket_sum).
+     every other invariant vanishes (invariant_increasing);
+  2. the invariant at tau is the wall-crossing transform of that table
+     from the reference slope to tau (wallcross_transform), whose only
+     live letters are the unit vectors.
 
 The result does not depend on the chosen increasing reference slope;
 this is a theorem, and the optional reference argument exists so the
 property can be tested rather than assumed.
 
-wallcross_transform expresses the same classes at a new stability
-condition as bracket words of the classes at an old one, with
-u-coefficients for the pair of conditions, summed the same way over
-the words whose letters all have nonempty classes; the transform of a
-full invariant table must agree with direct computation.
+wallcross_transform expresses the classes at a new stability condition as
+bracket words of the classes at an old one: the free word sum over the
+ordered decompositions of d whose parts all have nonempty classes
+(_live_words), with u-coefficients for the pair of conditions, is
+normalized to iterated bracket words, whose word expansion must give back
+the sum exactly (which certifies that it is a Lie element), and evaluated
+with one lie_bracket per group of words sharing a last letter
+(_bracket_sum).  The transform of a full invariant table must agree with
+direct computation.
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -35,7 +34,7 @@ identity checked by check_morphism_identity says
     prod_v d(v)! * induced_pl_map(invariant at pulled-back tau)
         = prod_v' d'(v')! * invariant on the target at tau.
 
-pair_invariant_check verifies the framed-moduli identity: on the quiver
+pair_invariant_report verifies the framed-moduli identity: on the quiver
 framed by one extra vertex with framing[v] edges to each v, the
 invariant of (d, 1) at a slope perturbed upward equals
 
@@ -65,7 +64,7 @@ import tempfile
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .charclass import (
     ChernRing,
@@ -77,7 +76,6 @@ from .quiver import (
     DimVector,
     Quiver,
     QuiverMorphism,
-    all_decompositions,
     euler_form,
     frame_quiver,
     subvectors,
@@ -107,7 +105,7 @@ from .vertexalg import (
     zero_class,
     zero_pl,
 )
-from .wallcoeff import _distinct_orderings, lie_normalize, u_coeff
+from .wallcoeff import lie_normalize, u_coeff
 
 DEFAULT_MAX_SIZE = 8
 
@@ -154,6 +152,17 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     return PlClass(acc)
 
 
+def _live_words(d: DimVector, letters: Mapping[DimVector, object]) -> Iterator[tuple]:
+    """Ordered decompositions of d whose parts are all keys of letters,
+    each once; keys that are not below d componentwise are never parts."""
+    for e in letters:
+        if e == d:
+            yield (e,)
+        elif e.leq(d):
+            for rest in _live_words(d - e, letters):
+                yield (e,) + rest
+
+
 _INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, ranks) -> class
 
 
@@ -192,7 +201,7 @@ def invariant(
 ) -> PlClass:
     """Invariant class of the semistable moduli of class d at tau.
 
-    reference overrides the increasing slope the word sum is built from;
+    reference overrides the increasing slope whose table is transformed;
     any increasing slope gives the same class.
     """
     d = _check_class(q, d)
@@ -212,13 +221,10 @@ def invariant(
     order, ranks = _order_condition(tau, d)
     result = memo.get((q, d, ranks))
     if result is None:
-        words: dict[tuple, Fraction] = {}
-        for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
-            tup = tuple(map(unit_vector, perm))
-            c = u_coeff(tup, reference, order)
-            if c:
-                words[tup] = c
-        result = _bracket_sum(q, d, lie_normalize(words), lambda e: unit_pl(q, e))
+        increasing = InvariantTable(
+            q, reference, {e: invariant_increasing(q, reference, e) for e in subvectors(d)}
+        )
+        result = wallcross_transform(q, increasing, order, d, max_size=max_size)
         memo[q, d, ranks] = result
 
     if cache is not None:
@@ -277,8 +283,10 @@ def wallcross_transform(
 
     The sum runs over ordered decompositions of d weighted by the
     u-coefficients of the pair (table condition, to_stab), leaving out
-    those with a part whose table class is empty; the result must agree
-    with the directly computed invariant at to_stab.
+    those with a part whose table class is empty; every subvector of d
+    needs a table entry.  invariant is this transform of the
+    increasing-slope table, and the transform of a table at any other
+    condition must agree with it.
     """
     d = _check_class(q, d)
     _check_size(d, max_size)
@@ -287,15 +295,14 @@ def wallcross_transform(
 
     # a bracket with an empty class is empty; each letter multiset is
     # wholly live or wholly dead, so the live words are still a Lie element
-    dead = {e for e, x in table.classes.items() if x.rep.is_zero()}
+    letters = {e: table[e] for e in subvectors(d) if not table[e].rep.is_zero()}
     (frm, _), (to, _) = _order_condition(table.stability, d), _order_condition(to_stab, d)
     words: dict[tuple, Fraction] = {}
-    for parts in all_decompositions(d):
-        if dead.isdisjoint(parts):
-            c = u_coeff(parts, frm, to)
-            if c:
-                words[parts] = c
-    return _bracket_sum(q, d, lie_normalize(words), table.__getitem__)
+    for parts in _live_words(d, letters):
+        c = u_coeff(parts, frm, to)
+        if c:
+            words[parts] = c
+    return _bracket_sum(q, d, lie_normalize(words), letters.__getitem__)
 
 
 def check_wallcross(
@@ -406,10 +413,9 @@ def pair_invariant_report(
             x = induced_pl_map(inclusion, invariant(q, mu, e, cache=cache, max_size=max_size))
             if not x.rep.is_zero():
                 letters[e] = x
-    words = (
+    words = (  # frame is no part of d, so the parts are embedded invariants
         ((frame,) + parts, Fraction((-1) ** len(parts), factorial(len(parts))))
-        for parts in all_decompositions(d)
-        if all(p in letters for p in parts)
+        for parts in _live_words(d, letters)
     )
     rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
 
@@ -431,22 +437,6 @@ def pair_invariant_report(
         "lhs": lhs,
         "rhs": rhs,
     }
-
-
-def pair_invariant_check(
-    q: Quiver,
-    mu,
-    d,
-    framing: Mapping[str, int],
-    *,
-    frame_vertex: str = "inf",
-    cache: "CacheStore | None" = None,
-    max_size: int = DEFAULT_MAX_SIZE,
-) -> bool:
-    report = pair_invariant_report(
-        q, mu, d, framing, frame_vertex=frame_vertex, cache=cache, max_size=max_size
-    )
-    return report["ok"]
 
 
 def pl_class_json(x: PlClass) -> dict:
@@ -667,9 +657,9 @@ def selftest(max_size: int = 4, cache: "CacheStore | None" = None) -> dict:
         if max_size < 3:
             return True
         d = DimVector({"v": 1, "w": 1})
-        return pair_invariant_check(
+        return pair_invariant_report(
             qs["a2"], {"v": 1, "w": 0}, d, {"v": 1, "w": 1}, cache=cache, max_size=max_size
-        )
+        )["ok"]
 
     run("increasing-base-case", base_case)
     run("kronecker-point-classes", kronecker_points)

@@ -209,7 +209,7 @@ def test_04_coefficient_identities():
                 want = Fraction(1 if len(parts) == 1 else 0)
                 got = u_coeff(parts, tau, tau)
                 if got != want:
-                    failures.append(("identity", tau.to_json(), parts, got))
+                    failures.append(("identity", repr(tau), parts, got))
 
     # composition through an intermediate condition on random slope triples
     for _ in range(3):
@@ -426,5 +426,5 @@ def test_10_reference_slope_independence():
             a = invariant(K3, tau, d, reference=ref1)
             b = invariant(K3, tau, d, reference=ref2)
             if not pl_equal(a, b):
-                failures.append((tau.to_json(), d))
+                failures.append((repr(tau), d))
     _report(10, "reference slope independence", failures, started, 60.0)

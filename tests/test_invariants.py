@@ -1,7 +1,9 @@
+import ast
 import importlib
 import itertools
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -13,6 +15,7 @@ from quiverinv.quiver import (
     CycleError,
     DimVector,
     Quiver,
+    all_decompositions,
     binarize_quiver,
     edge_deletion_morphism,
     subvectors,
@@ -36,7 +39,6 @@ from quiverinv.invariants import (
     invariant,
     invariant_increasing,
     natural_degree,
-    pair_invariant_check,
     pair_invariant_report,
     pl_class_json,
     selftest,
@@ -164,6 +166,35 @@ def test_grouped_bracket_sums_equal_per_word_loops(monkeypatch, q, top, frm, to)
             widest = max(widest, len({e for total, e in last if total == d}))
     assert nonzero
     assert widest > 2  # some sum has more than two groups at the top
+
+
+@pytest.mark.parametrize(
+    "d, extra",
+    [(DimVector({"v": 3, "w": 2}), DimVector({"v": 4})),
+     (DimVector({"a": 2, "b": 1, "c": 1}), unit_vector("inf"))],
+)
+def test_live_words_are_the_decompositions_into_letters(d, extra):
+    subs = subvectors(d)
+    units = [e for e in subs if e.as_unit() is not None]
+    sparse = subs[::2] + [extra]  # extra is no subvector, so never a part
+    for keys in (subs, units, sparse):
+        letters = dict.fromkeys(keys)
+        got = list(invariants._live_words(d, letters))
+        want = {p for p in all_decompositions(d) if all(x in letters for x in p)}
+        assert len(got) == len(set(got)) and set(got) == want and want
+
+
+def test_wallcross_transform_needs_every_subvector():
+    # a table lacking a subvector of d is an error even where that class
+    # is zero, so a missing entry is never read as an empty one
+    d = DimVector({"v": 2, "w": 1})
+    full = build_invariant_table(K3, slope_stability(K3, HI), d)
+    assert any(x.rep.is_zero() for _, x in full.items())
+    for e in subvectors(d):
+        table = InvariantTable(K3, full.stability, {k: x for k, x in full.items() if k != e})
+        for to in (HI, LO):
+            with pytest.raises(ValueError, match="missing table entry"):
+                wallcross_transform(K3, table, slope_stability(K3, to), d)
 
 
 @pytest.mark.parametrize("q, d", [(A2, (2, 2)), (K2, (2, 2)), (K3, (2, 1))])
@@ -463,6 +494,25 @@ def test_module_memos_are_declared():
     assert memos == {"charclass._ATOM_MEMO", "invariants._INVARIANT_MEMO"}
 
 
+def test_private_imports_are_declared():
+    # a leading-underscore name imported from a sibling module ties the two
+    # modules together; each such import is declared here
+    imported = set()
+    for path in Path(quiverinv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level or module.partition(".")[0] == "quiverinv":
+                source = module.removeprefix("quiverinv").lstrip(".")
+                imported |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
+    assert imported == {
+        ("cli", "invariants", "_factorial_weight"),
+        ("vertexalg", "charclass", "_merge_slots"),
+        ("vertexalg", "charclass", "_sum_slots"),
+    }
+
+
 def test_cache_rejects_corruption(tmp_path):
     store = CacheStore(tmp_path)
     tau = slope_stability(K3, HI)
@@ -522,7 +572,7 @@ def test_pair_invariant_report():
     assert "inf" in report["framed_quiver"].vertices
     assert report["framed_class"] == d + unit_vector("inf")
     assert pl_equal(report["lhs"], report["rhs"])
-    assert pair_invariant_check(K2, {"v": 1, "w": 0}, d, {"v": 1, "w": 1})
+    assert pair_invariant_report(K2, {"v": 1, "w": 0}, d, {"v": 1, "w": 1})["ok"]
 
     for bad in ({"v": 1}, {"v": 1, "w": 0}, {"v": 1, "w": -1}, {"v": 1, "w": True}):
         with pytest.raises(ValueError, match="framing"):
