@@ -5,16 +5,12 @@ effective dimension vector d, invariant(q, tau, d) is a class of the
 rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
 (the zero class when that is negative).  The algorithm:
 
-  1. fix an increasing reference slope (values grow along every edge);
-     against it the invariant of a unit vector is the unit class and
-     every other invariant vanishes (invariant_increasing);
-  2. the invariant at tau is the wall-crossing transform of that table
-     from the reference slope to tau (wallcross_transform), whose only
-     live letters are the unit vectors.
-
-The result does not depend on the chosen increasing reference slope;
-this is a theorem, and the optional reference argument exists so the
-property can be tested rather than assumed.
+  1. against an increasing slope (values grow along every edge) the
+     invariant of a unit vector is the unit class and every other
+     invariant vanishes (invariant_increasing);
+  2. the invariant at tau is the wall-crossing transform of those unit
+     classes from reference_increasing_slope to tau; any other
+     increasing slope gives the same class (a theorem).
 
 wallcross_transform expresses the classes at a new stability condition as
 bracket words of the classes at an old one: the free word sum over the
@@ -23,7 +19,8 @@ ordered decompositions of d whose parts all have nonempty classes
 normalized to iterated bracket words, whose word expansion must give back
 the sum exactly (which certifies that it is a Lie element), and evaluated
 with one lie_bracket per group of words sharing a last letter
-(_bracket_sum).  The transform of a full invariant table must agree with
+(_bracket_sum).  invariant and wallcross_transform share that word sum
+(_word_sum); the transform of a full invariant table must agree with
 direct computation.
 
 induced_pl_map is the map of rigidified homology attached to a quiver
@@ -48,11 +45,10 @@ positive.
 
 A class depends on tau only through the order of tau on the subvectors
 of d (_order_condition), so that order is the only key under which a
-class is reused: within a process at the default reference, by
-(quiver, d, order), and across processes in a content-addressed disk cache
-keyed by (algorithm version, quiver, d, order).  Cache writes are atomic
-and idempotent, reads verify the stored canonical coordinates against the
-stored representative.
+class is reused: within a process by (quiver, d, order), and across
+processes in a content-addressed disk cache keyed by (algorithm version,
+quiver, d, order).  Cache writes are atomic and idempotent, reads verify
+the stored canonical coordinates against the stored representative.
 """
 
 from __future__ import annotations
@@ -195,23 +191,14 @@ def invariant(
     tau: WeakStability,
     d,
     *,
-    reference: WeakStability | None = None,
     cache: "CacheStore | None" = None,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> PlClass:
-    """Invariant class of the semistable moduli of class d at tau.
-
-    reference overrides the increasing slope whose table is transformed;
-    any increasing slope gives the same class.
-    """
+    """Invariant class of the semistable moduli of class d at tau: the
+    transform of the unit classes from reference_increasing_slope(q),
+    which raises CycleError when q has an oriented cycle."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    q.topological_order()  # CycleError when no increasing slope exists
-    memo = _INVARIANT_MEMO if reference is None else {}  # default reference only
-    if reference is None:
-        reference = reference_increasing_slope(q)
-    elif not is_increasing(q, reference):
-        raise ValueError("reference stability condition must be increasing")
 
     if cache is not None:
         hit = cache.get(q, tau, d)
@@ -219,13 +206,11 @@ def invariant(
             return hit
 
     order, ranks = _order_condition(tau, d)
-    result = memo.get((q, d, ranks))
+    result = _INVARIANT_MEMO.get((q, d, ranks))
     if result is None:
-        increasing = InvariantTable(
-            q, reference, {e: invariant_increasing(q, reference, e) for e in subvectors(d)}
-        )
-        result = wallcross_transform(q, increasing, order, d, max_size=max_size)
-        memo[q, d, ranks] = result
+        reference, _ = _order_condition(reference_increasing_slope(q), d)
+        units = {e: unit_pl(q, e) for e in map(unit_vector, d.support())}
+        result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, order)
 
     if cache is not None:
         cache.put(q, tau, d, result)
@@ -284,9 +269,8 @@ def wallcross_transform(
     The sum runs over ordered decompositions of d weighted by the
     u-coefficients of the pair (table condition, to_stab), leaving out
     those with a part whose table class is empty; every subvector of d
-    needs a table entry.  invariant is this transform of the
-    increasing-slope table, and the transform of a table at any other
-    condition must agree with it.
+    needs a table entry.  The transform of a table at any condition must
+    agree with invariant, which runs the same sum on the unit classes.
     """
     d = _check_class(q, d)
     _check_size(d, max_size)
@@ -297,6 +281,12 @@ def wallcross_transform(
     # wholly live or wholly dead, so the live words are still a Lie element
     letters = {e: table[e] for e in subvectors(d) if not table[e].rep.is_zero()}
     (frm, _), (to, _) = _order_condition(table.stability, d), _order_condition(to_stab, d)
+    return _word_sum(q, d, letters, frm, to)
+
+
+def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm, to) -> PlClass:
+    """Sum over the words of letters summing to d, each weighted by its
+    u-coefficient for the pair (frm, to) and evaluated as bracket words."""
     words: dict[tuple, Fraction] = {}
     for parts in _live_words(d, letters):
         c = u_coeff(parts, frm, to)
@@ -509,15 +499,15 @@ class CacheStore:
             obj = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"unreadable cache entry {path.name}: {exc}") from exc
-        if obj.get("format") != _CACHE_FORMAT:
+        if not isinstance(obj, dict) or obj.get("format") != _CACHE_FORMAT:
             raise ValueError(f"cache entry {path.name} has unknown format")
+        rep, degree = obj.get("representative"), natural_degree(q, d)
+        if not isinstance(rep, dict) or obj.get("degree") != degree:
+            raise ValueError(f"cache entry {path.name} is malformed: bad representative or degree")
         ring = ChernRing((d,))
-        functional = {
-            parse_monomial_string(s, ring): parse_fraction(c)
-            for s, c in obj["representative"].items()
-        }
-        cls = PlClass(HClass(q, ring, int(obj["degree"]), functional))
-        if pl_class_json(cls)["canonical"] != obj["canonical"]:
+        functional = {parse_monomial_string(s, ring): parse_fraction(c) for s, c in rep.items()}
+        cls = PlClass(HClass(q, ring, degree, functional))
+        if pl_class_json(cls)["canonical"] != obj.get("canonical"):
             raise ValueError(
                 f"cache entry {path.name} is corrupt:"
                 " canonical coordinates do not match the representative"

@@ -179,6 +179,8 @@ class Quiver:
         for e in edges:
             eid, src, tgt = e
             _check_id("edge id", eid)
+            _check_id("edge endpoint", src)
+            _check_id("edge endpoint", tgt)
             if src not in vset or tgt not in vset:
                 raise StructureError(f"edge {eid!r} has endpoint outside the vertex set")
             es.append(Edge(eid, src, tgt))
@@ -330,11 +332,11 @@ class QuiverMorphism:
         if set(vmap) != set(source.vertices):
             raise StructureError("vertex_map must be defined on exactly the source vertices")
         for v, w in vmap.items():
-            if w not in target._vset:
+            if _check_id("vertex image", w) not in target._vset:
                 raise StructureError(f"vertex_map sends {v!r} to unknown vertex {w!r}")
         self.vertex_map: dict[str, str] = vmap
 
-        pairs = frozenset((a, b) for a, b in edge_pairs)
+        pairs = frozenset((_check_id("edge id", a), _check_id("edge id", b)) for a, b in edge_pairs)
         lift_of: dict[str, str] = {}
         for se, te in pairs:
             e = source.edge(se)

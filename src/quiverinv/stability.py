@@ -108,6 +108,9 @@ class SlopeStability(WeakStability):
     def to_json(self) -> dict[str, str]:
         return {v: fraction_str(x) for v, x in sorted(self.mu.items())}
 
+    def __repr__(self) -> str:
+        return f"SlopeStability({self.to_json()!r})"
+
 
 def slope_stability(q: Quiver, mu: Mapping[str, object]) -> SlopeStability:
     """Slope condition on q; mu must give a rational weight to every vertex."""

@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import quiverinv
 from quiverinv import charclass, cli, vertexalg
@@ -383,10 +385,22 @@ def test_malformed_input_exits_2(qfiles, tmp_path):
         assert json.loads(out)["kind"] == "input"
 
     bad = tmp_path / "bad.json"
-    bad.write_text('{"vertices": ["v"], "edges": [["v", "v", "e"]]}')
-    code, out = run(["euler", "--quiver", str(bad), "--dimvec", '{"v":1}'])
-    assert code == 2
-    assert json.loads(out)["kind"] == "input"
+    euler_argv = ["euler", "--quiver", str(bad), "--dimvec", '{"v":1}']
+    check_argv = [
+        "morphism-check", "--morphism", str(bad), "--dimvec", '{"v":1}', "--slope", '{"v":0,"w":1}'
+    ]
+    morphism = edge_deletion_morphism(Quiver.from_json(oracles.kronecker_json(2)), ["a0"]).to_json()
+    for argv, obj in [
+        (euler_argv, {"vertices": ["v"], "edges": [["v", "v", "e"]]}),
+        (euler_argv, {"vertices": ["v"], "edges": [{"id": "e", "from": ["v"], "to": "v"}]}),
+        (check_argv, {**morphism, "vertex_map": {"v": ["v"], "w": "w"}}),
+        (check_argv, {**morphism, "edge_pairs": [[["a1"], "a1"]]}),
+        (check_argv, {**morphism, "edge_pairs": [["a1", {"a1": 1}]]}),
+    ]:
+        bad.write_text(json.dumps(obj))
+        code, out = run(argv)
+        assert code == 2, obj
+        assert json.loads(out)["kind"] == "input"
 
     # an unknown option is named before a missing required one
     for argv, named in [
@@ -502,6 +516,66 @@ def test_cli_import_leaves_click_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+IDS = ["v", "w", "a0", "a1", "1", "1/2"]  # values that fit some field of the inputs
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(IDS) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(IDS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _positions(obj, path=()):
+    """The path of keys and indices to every value within obj, obj included."""
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _positions(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+@given(st.data())
+def test_any_field_of_the_json_inputs_keeps_the_exit_code_contract(data):
+    # one field of a valid quiver, morphism or cache entry replaced by any
+    # JSON value: an exit code and one JSON object, never a traceback
+    k2 = Quiver.from_json(oracles.kronecker_json(2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        cache = Path(tmp) / "cache"
+        kind = data.draw(st.sampled_from(["quiver", "morphism", "cache"]))
+        if kind == "quiver":
+            valid = oracles.kronecker_json(2)
+            argv = ["euler", "--quiver", str(path), "--dimvec", '{"v":1}']
+        elif kind == "morphism":
+            valid = edge_deletion_morphism(k2, ["a0"]).to_json()
+            argv = [
+                "morphism-check", "--morphism", str(path), "--dimvec", '{"v":1}',
+                "--slope", '{"v":1,"w":0}',
+            ]
+        else:
+            path.write_text(json.dumps(oracles.kronecker_json(3)))
+            argv = [
+                "invariant", "--quiver", str(path), "--dimvec", '{"v":1,"w":1}',
+                "--slope", '{"v":1,"w":0}', "--cache", str(cache),
+            ]
+            assert run(argv)[0] == 0
+            (path,) = cache.glob("*.json")
+            valid = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(list(_positions(valid))))
+        path.write_text(json.dumps(_replaced(valid, where, data.draw(JSON_VALUES))))
+        code, out = run(argv)
+    assert code in (0, 2, 3), out
+    assert out.count("\n") == 1 and isinstance(json.loads(out), dict)
 
 
 def test_cycle_exits_3(qfiles):

@@ -231,14 +231,31 @@ def test_invariant_input_errors():
     with pytest.raises(ValueError):
         invariant(A2, slope_stability(A2, HI), DimVector({"v": 3, "w": 3}), max_size=4)
     with pytest.raises(ValueError):
-        invariant(
-            A2,
-            slope_stability(A2, HI),
-            DimVector({"v": 1, "w": 1}),
-            reference=slope_stability(A2, HI),  # decreasing along the edge
-        )
-    with pytest.raises(ValueError):
         invariant(A2, slope_stability(A2, HI), DimVector({"v": -1, "w": 2}))
+
+
+@pytest.mark.parametrize(
+    "q, top, mu",
+    [(K3, {"v": 3, "w": 2}, HI), (K3, {"v": 2, "w": 3}, LO),
+     (THREE, {"a": 2, "b": 1, "c": 1}, {"a": 2, "b": 1, "c": 0})],
+)
+def test_invariant_transforms_the_unit_classes_directly(monkeypatch, q, top, mu):
+    # invariant reaches its classes only through the word sum on the unit
+    # classes: no increasing table, check or class is built on the way
+    tau, ref = slope_stability(q, mu), reference_increasing_slope(q)
+    want = {}
+    for d in subvectors(DimVector(top)):
+        table = InvariantTable(q, ref, {e: invariant_increasing(q, ref, e) for e in subvectors(d)})
+        want[d] = wallcross_transform(q, table, tau, d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariant left its single path")
+
+    for name in ("invariant_increasing", "is_increasing", "InvariantTable"):
+        monkeypatch.setattr(invariants, name, refuse)
+    assert any(not x.rep.is_zero() for x in want.values())
+    for d, x in want.items():
+        assert invariant(q, tau, d).rep == x.rep
 
 
 def test_kronecker_point_classes():
@@ -534,6 +551,22 @@ def test_cache_rejects_corruption(tmp_path):
 
     path.write_text("{not json")
     with pytest.raises(ValueError, match="unreadable"):
+        store.get(K3, tau, d)
+
+    # valid JSON of the wrong shape is named, never a crash
+    path.write_text("[]")
+    with pytest.raises(ValueError, match=f"{path.name} has unknown format"):
+        store.get(K3, tau, d)
+    store.put(K3, tau, d, invariant(K3, tau, d))
+    good = json.loads(path.read_text())
+    for field, value in (("representative", []), ("representative", None),
+                         ("degree", None), ("degree", "4"), ("degree", 6)):
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ValueError, match=f"{path.name} is malformed"):
+            store.get(K3, tau, d)
+    del good["canonical"]
+    path.write_text(json.dumps(good))
+    with pytest.raises(ValueError, match="corrupt"):
         store.get(K3, tau, d)
 
 

@@ -62,6 +62,15 @@ def test_slope_seesaw(d, e):
     assert lo <= mu.value(d + e) <= hi
 
 
+def test_slope_repr_names_its_weights():
+    # failure reports record repr(tau), so two slopes must print apart
+    hi = slope_stability(A2, {"v": 1, "w": 0})
+    lo = slope_stability(A2, {"v": 0, "w": "1/2"})
+    assert repr(hi) == "SlopeStability({'v': '1', 'w': '0'})"
+    assert repr(hi) != repr(lo)
+    assert repr(trivial_stability()) == "WeakStability('trivial')"
+
+
 def test_comparisons_and_same_value():
     mu = slope_stability(A2, {"v": 0, "w": 1})
     dv, dw = unit_vector("v"), unit_vector("w")
