@@ -23,13 +23,12 @@ import sys
 from .invariants import (
     CacheStore,
     _factorial_weight,
-    build_invariant_table,
     check_morphism_identity,
     invariant,
     pair_invariant_report,
     pl_class_json,
     selftest,
-    wallcross_transform,
+    wallcross_sides,
 )
 from .quiver import CycleError, DimVector, Quiver, QuiverMorphism, all_decompositions
 from .stability import fraction_str, slope_stability
@@ -154,9 +153,7 @@ def wallcross_check_cmd(
     from_stab = _slope_from(q, slope, "slope")
     to_stab = _slope_from(q, slope2, "slope2")
     cache = _cache_from(cache_path)
-    table = build_invariant_table(q, from_stab, d, cache=cache, max_size=max_size)
-    lhs = wallcross_transform(q, table, to_stab, d, max_size=max_size)
-    rhs = invariant(q, to_stab, d, cache=cache, max_size=max_size)
+    lhs, rhs = wallcross_sides(q, from_stab, to_stab, d, cache=cache, max_size=max_size)
     equal = pl_equal(lhs, rhs)
     _echo(
         {

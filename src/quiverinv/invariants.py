@@ -20,8 +20,8 @@ normalized to iterated bracket words, whose word expansion must give back
 the sum exactly (which certifies that it is a Lie element), and evaluated
 with one lie_bracket per group of words sharing a last letter
 (_bracket_sum).  invariant and wallcross_transform share that word sum
-(_word_sum); the transform of a full invariant table must agree with
-direct computation.
+(_word_sum), run on integer-coded subvectors of d and the ranks of the
+conditions there; the transform of a table must agree with invariant.
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -101,7 +101,7 @@ from .vertexalg import (
     zero_class,
     zero_pl,
 )
-from .wallcoeff import lie_normalize, u_coeff
+from .wallcoeff import _u_from_values, lie_normalize
 
 DEFAULT_MAX_SIZE = 8
 
@@ -162,18 +162,18 @@ def _live_words(d: DimVector, letters: Mapping[DimVector, object]) -> Iterator[t
 _INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, ranks) -> class
 
 
-def _order_condition(tau: WeakStability, d: DimVector) -> tuple[WeakStability, tuple]:
-    """tau reduced to its order on the subvectors of d: each one's value is
-    its rank (equal values share one), returned with the ranks in
-    subvectors(d) order.  u_coeff compares values of partial sums only, so
-    every class and transform of d is the same here as at tau."""
+def _order_condition(tau: WeakStability, d: DimVector) -> tuple[int, ...]:
+    """The order of tau on the subvectors of d: the rank of each one's value
+    (equal values share one), in subvectors(d) order.  u_coeff compares
+    values of partial sums only, so every class and transform of d depends
+    on tau through these ranks alone."""
     subs = subvectors(d)
     values = [tau.value(e) for e in subs]
     order = sorted(range(len(subs)), key=values.__getitem__)
     ranks = [0] * len(subs)
     for prev, i in zip(order, order[1:]):
         ranks[i] = ranks[prev] + (values[i] != values[prev])
-    return WeakStability(dict(zip(subs, ranks)).__getitem__, name="order"), tuple(ranks)
+    return tuple(ranks)
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
@@ -205,12 +205,12 @@ def invariant(
         if hit is not None:
             return hit
 
-    order, ranks = _order_condition(tau, d)
+    ranks = _order_condition(tau, d)
     result = _INVARIANT_MEMO.get((q, d, ranks))
     if result is None:
-        reference, _ = _order_condition(reference_increasing_slope(q), d)
+        reference = _order_condition(reference_increasing_slope(q), d)
         units = {e: unit_pl(q, e) for e in map(unit_vector, d.support())}
-        result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, order)
+        result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, ranks)
 
     if cache is not None:
         cache.put(q, tau, d, result)
@@ -280,22 +280,37 @@ def wallcross_transform(
     # a bracket with an empty class is empty; each letter multiset is
     # wholly live or wholly dead, so the live words are still a Lie element
     letters = {e: table[e] for e in subvectors(d) if not table[e].rep.is_zero()}
-    (frm, _), (to, _) = _order_condition(table.stability, d), _order_condition(to_stab, d)
+    frm, to = _order_condition(table.stability, d), _order_condition(to_stab, d)
     return _word_sum(q, d, letters, frm, to)
 
 
 def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm, to) -> PlClass:
     """Sum over the words of letters summing to d, each weighted by its
-    u-coefficient for the pair (frm, to) and evaluated as bracket words."""
+    u-coefficient for the conditions with ranks frm and to on subvectors(d)
+    (_order_condition), and evaluated as bracket words.  A letter is its
+    index in subvectors(d), in graded order as lie_normalize orders the
+    vectors.  Its code has digit e(v) and radix d(v) + 1 over the support
+    of d; a partial sum of a word stays <= d, so its code is the sum of the
+    letters' codes, with no carry, and indexes the rank lists."""
+    subs, place, size = subvectors(d), {}, 1
+    for v, n in d.items():
+        place[v], size = size, size * (n + 1)
+    codes = [sum(place[v] * n for v, n in e.items()) for e in subs]
+    frm_at, to_at = [0] * size, [0] * size
+    for c, r, s in zip(codes, frm, to):
+        frm_at[c], to_at[c] = r, s
+    index = {e: i for i, e in enumerate(subs)}
     words: dict[tuple, Fraction] = {}
     for parts in _live_words(d, letters):
-        c = u_coeff(parts, frm, to)
+        word = tuple(index[e] for e in parts)
+        c = _u_from_values(tuple(codes[i] for i in word), frm_at.__getitem__, to_at.__getitem__)
         if c:
-            words[parts] = c
-    return _bracket_sum(q, d, lie_normalize(words), letters.__getitem__)
+            words[word] = c
+    bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
+    return _bracket_sum(q, d, bracket_words, letters.__getitem__)
 
 
-def check_wallcross(
+def wallcross_sides(
     q: Quiver,
     from_stab: WeakStability,
     to_stab: WeakStability,
@@ -303,13 +318,19 @@ def check_wallcross(
     *,
     cache: "CacheStore | None" = None,
     max_size: int = DEFAULT_MAX_SIZE,
-) -> bool:
-    """Transformed invariants agree with directly computed ones."""
-    d = _check_class(q, d)
+) -> tuple[PlClass, PlClass]:
+    """The transform to to_stab of the invariants at from_stab, and the
+    invariant computed at to_stab: the two sides of check_wallcross."""
     table = build_invariant_table(q, from_stab, d, cache=cache, max_size=max_size)
     lhs = wallcross_transform(q, table, to_stab, d, max_size=max_size)
-    rhs = invariant(q, to_stab, d, cache=cache, max_size=max_size)
-    return pl_equal(lhs, rhs)
+    return lhs, invariant(q, to_stab, d, cache=cache, max_size=max_size)
+
+
+def check_wallcross(
+    q: Quiver, from_stab, to_stab, d, *, cache=None, max_size: int = DEFAULT_MAX_SIZE
+) -> bool:
+    """Transformed invariants agree with directly computed ones (wallcross_sides)."""
+    return pl_equal(*wallcross_sides(q, from_stab, to_stab, d, cache=cache, max_size=max_size))
 
 
 def induced_pl_map(lam: QuiverMorphism, x: PlClass) -> PlClass:
@@ -464,7 +485,7 @@ def _cache_key(q: Quiver, stab: WeakStability, d: DimVector) -> dict:
         "format": _CACHE_FORMAT,
         "algorithm": _ALGORITHM,
         "quiver": q.to_json(),
-        "order": list(_order_condition(stab, d)[1]),
+        "order": list(_order_condition(stab, d)),
         "dimvec": d.to_json(),
     }
 

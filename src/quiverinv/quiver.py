@@ -87,17 +87,22 @@ class DimVector:
                 return n
         return 0
 
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[str, int], ...]) -> "DimVector":
+        """A vector from items valid as they stand: sorted, nonzero values."""
+        out = object.__new__(cls)
+        out._items = items
+        return out
+
     def __add__(self, other: "DimVector") -> "DimVector":
         # both operands are valid, so the sum skips the validating constructor
         acc = dict(self._items)
         for v, n in other._items:
             acc[v] = acc.get(v, 0) + n
-        out = object.__new__(DimVector)
-        out._items = tuple(sorted(item for item in acc.items() if item[1]))
-        return out
+        return DimVector._trusted(tuple(sorted(item for item in acc.items() if item[1])))
 
     def __sub__(self, other: "DimVector") -> "DimVector":
-        return DimVector(list(self._items) + [(v, -n) for v, n in other._items])
+        return self + DimVector._trusted(tuple((v, -n) for v, n in other._items))
 
     def __rmul__(self, k: int) -> "DimVector":
         return DimVector([(v, k * n) for v, n in self._items])
@@ -561,14 +566,14 @@ def subvectors(d: DimVector) -> list[DimVector]:
     """All nonzero e with 0 <= e <= d componentwise, in graded order."""
     if not d.is_effective() and not d.is_zero():
         raise StructureError("subvectors needs an effective dimension vector")
-    supp = d.support()
-    out = []
-    for combo in itertools.product(*(range(d[v] + 1) for v in supp)):
-        e = DimVector(zip(supp, combo))
-        if not e.is_zero():
-            out.append(e)
+    # d's items are sorted, so dropping the zeros of each combination leaves
+    # valid items for the trusted constructor
+    out = [
+        DimVector._trusted(tuple((v, n) for (v, _), n in zip(d.items(), combo) if n))
+        for combo in itertools.product(*(range(n + 1) for _, n in d.items()))
+    ]
     out.sort(key=DimVector.sort_key)
-    return out
+    return out[1:]  # the zero vector sorts first
 
 
 def decompositions(d: DimVector, parts: int) -> Iterator[tuple[DimVector, ...]]:

@@ -25,6 +25,7 @@ by wall-crossing.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -39,12 +40,13 @@ from .quiver import (
 
 
 def parse_fraction(x: object) -> Fraction:
-    """Exact rational from int, Fraction, or a string like '3/2' or '-1'."""
+    """Exact rational from int, Fraction, or a string like '3/2' or '-1'
+    (only what fraction_str writes, so no short string is a huge int)."""
     if isinstance(x, bool):
         raise ValueError(f"not a rational number: {x!r}")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -10,10 +10,11 @@ version) or iterated brackets (for the Lie version) of the input classes.
 Every stability value either coefficient compares is the value of a
 contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
 superblock, or the head or tail at a cut.  So each call forms the
-n(n+1)/2 contiguous sums once, evaluates both conditions on them into two
-interval tables, and runs the regroupings on indices into those tables;
-one sign rule, shared by both coefficients, reads the cuts off them.
-u_coeff keeps no memo: invariants reuses whole classes instead.
+n(n+1)/2 contiguous sums once, values them by one function per condition
+into two interval tables, and runs the regroupings on indices into those
+tables; one sign rule, shared by both coefficients, reads the cuts off
+them.  invariants passes int codes valued by rank lists to the same core
+(_u_from_values).  u_coeff keeps no memo: invariants reuses classes.
 
 The Lie version has no closed formula.  It is produced here from the
 u-weighted free word sum.  Each length component splits by letter
@@ -31,7 +32,7 @@ theta(p) = n p, theta replacing each word by its left-nested bracketing)
 is the independent check the test oracles keep.
 
 Word sums are plain dicts mapping tuples of letters to Fractions; letters
-are arbitrary hashable objects supporting +, in practice dimension vectors.
+are dimension vectors, or ints ordered as the vectors they stand for.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .quiver import DimVector
 from .stability import WeakStability
@@ -56,9 +57,9 @@ class LieWord(NamedTuple):
     coefficient: Fraction
 
 
-def _interval_values(alphas: tuple, *stabs: WeakStability) -> list[list[list]]:
-    """One table per condition: entry [i][j], for i < j, is the value of
-    alphas[i] + ... + alphas[j-1].  Each sum is formed once."""
+def _interval_values(alphas: tuple, *values: Callable) -> list[list[list]]:
+    """One table per value function: entry [i][j], for i < j, is its value
+    at alphas[i] + ... + alphas[j-1].  Each sum is formed once."""
     sums = []
     for i, x in enumerate(alphas):
         row = [None] * (i + 1) + [x]
@@ -66,8 +67,8 @@ def _interval_values(alphas: tuple, *stabs: WeakStability) -> list[list[list]]:
             row.append(row[-1] + y)
         sums.append(row)
     return [
-        [row[: i + 1] + [stab.value(x) for x in row[i + 1 :]] for i, row in enumerate(sums)]
-        for stab in stabs
+        [row[: i + 1] + [value(x) for x in row[i + 1 :]] for i, row in enumerate(sums)]
+        for value in values
     ]
 
 
@@ -96,7 +97,7 @@ def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
-    frm, to = _interval_values(alphas, from_stab, to_stab)
+    frm, to = _interval_values(alphas, from_stab.value, to_stab.value)
     return _cut_sign(frm, to, range(len(alphas) + 1))
 
 
@@ -119,8 +120,13 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
+    return _u_from_values(alphas, from_stab.value, to_stab.value)
+
+
+def _u_from_values(alphas: tuple, from_value: Callable, to_value: Callable) -> Fraction:
+    """u_coeff of a nonempty tuple, each condition given by a value function."""
     n = len(alphas)
-    frm, to = _interval_values(alphas, from_stab, to_stab)
+    frm, to = _interval_values(alphas, from_value, to_value)
     total_value = to[0][n]
     result = Fraction(0)
     for m in range(1, n + 1):

@@ -441,7 +441,7 @@ def test_10_reference_slope_independence():
                 )
                 if not (pl_equal(a, b) and pl_equal(a, invariant(q, tau, d))):
                     failures.append((repr(tau), d))
-                ranks = {invariants._order_condition(ref, d)[1] for ref in refs}
+                ranks = {invariants._order_condition(ref, d) for ref in refs}
                 reordered += q is q3 and len(ranks) > 1
     if not reordered:
         failures.append("the 3-vertex references order the subvectors of d alike")

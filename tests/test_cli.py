@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,18 @@ def test_malformed_input_exits_2(qfiles, tmp_path):
 COMMANDS = (
     "euler", "ucoeff", "invariant", "wallcross-check", "morphism-check", "pair-check", "selftest",
 )
+
+
+def test_slope_with_a_huge_exponent_exits_2_quickly(qfiles):
+    # "1e4000000" would build a four-million-digit integer; it is refused
+    # before any arithmetic
+    started = time.perf_counter()
+    code, out = run(
+        ["invariant", "--quiver", qfiles["a2"], "--dimvec", '{"v":1,"w":1}',
+         "--slope", '{"v":"1e4000000","w":"0"}']
+    )
+    assert code == 2 and json.loads(out)["kind"] == "input"
+    assert time.perf_counter() - started < 0.5
 
 
 def test_help_exits_0():

@@ -52,7 +52,7 @@ from quiverinv.vertexalg import (
     unit_pl,
     zero_pl,
 )
-from quiverinv.wallcoeff import _distinct_orderings, u_coeff
+from quiverinv.wallcoeff import _distinct_orderings, _u_from_values, u_coeff
 
 from . import oracles
 
@@ -120,20 +120,109 @@ def test_wallcross_transform_brackets_only_live_letters(monkeypatch, d, forward,
         assert dead
         seen, calls = [], []
 
-        def spy(parts, *stabs):
-            seen.append(parts)
-            return u_coeff(parts, *stabs)
+        def spy(codes, *values):
+            seen.append(tuple(map(_decode(d), codes)))
+            return _u_from_values(codes, *values)
 
         with monkeypatch.context() as m:
-            m.setattr(invariants, "u_coeff", spy)
+            m.setattr(invariants, "_u_from_values", spy)
             m.setattr(invariants, "lie_bracket", _stub_bracket(K3, calls))
             wallcross_transform(K3, table, slope_stability(K3, to), d)
         assert len(calls) == want
         assert seen and not any(p in dead for parts in seen for p in parts)
+        assert all(sum(parts, DimVector()) == d for parts in seen)
 
 
 THREE = Quiver(["a", "b", "c"], [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
                                  ("e4", "b", "c"), ("e5", "a", "c")])
+
+
+def _decode(d):
+    """The vector with a given code: digit e(v) and radix d(v) + 1 over the
+    support of d, first vertex first."""
+
+    def decode(code):
+        entries = {}
+        for v, n in d.items():
+            code, entries[v] = divmod(code, n + 1)
+        assert code == 0
+        return DimVector(entries)
+
+    return decode
+
+
+def _rank_condition(ranks, d):
+    """The condition whose value at the i-th subvector of d is ranks[i]."""
+    return WeakStability(dict(zip(subvectors(d), ranks)).__getitem__, name="ranks")
+
+
+@pytest.mark.parametrize(
+    "q, top, slopes",
+    [
+        (K3, {"v": 4, "w": 4}, (HI, LO)),
+        (THREE, {"a": 2, "b": 1, "c": 2}, ({"a": 2, "b": 1, "c": 0}, {"a": 0, "b": 1, "c": 1})),
+    ],
+)
+def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
+    # every word of every transform in both directions: the coefficient
+    # computed on codes and rank lists is u_coeff of the decoded vectors at
+    # the rank conditions, and at the slopes themselves
+    seen, checked, tied = [], 0, False
+
+    def spy(codes, *values):
+        seen.append((codes, _u_from_values(codes, *values)))
+        return seen[-1][1]
+
+    for mu, nu in (slopes, slopes[::-1]):
+        frm, to = slope_stability(q, mu), slope_stability(q, nu)
+        table = build_invariant_table(q, frm, DimVector(top))
+        for d, _ in table.items():
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "_u_from_values", spy)
+                m.setattr(invariants, "lie_bracket", _stub_bracket(q, []))
+                wallcross_transform(q, table, to, d)
+            ranks = invariants._order_condition(frm, d), invariants._order_condition(to, d)
+            tied |= any(len(set(r)) < len(r) for r in ranks)
+            for codes, c in seen:
+                parts = tuple(map(_decode(d), codes))
+                assert sum(parts, DimVector()) == d
+                assert c == u_coeff(parts, *(_rank_condition(r, d) for r in ranks))
+                assert c == u_coeff(parts, frm, to)
+            checked += len(seen)
+    assert checked > 100
+    assert tied
+
+
+def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
+    # coefficients read ranks off lists, so however many words a sum has,
+    # each condition is read only where its ranks on subvectors(d) are formed
+    d = DimVector({"v": 4, "w": 3})
+    table = build_invariant_table(K3, slope_stability(K3, HI), d)
+    reads, words = {}, []
+    value = WeakStability.value
+
+    def counting(self, e):
+        reads[self] = reads.get(self, 0) + 1
+        return value(self, e)
+
+    def spy(codes, *values):
+        words.append(codes)
+        return _u_from_values(codes, *values)
+
+    monkeypatch.setattr(WeakStability, "value", counting)
+    monkeypatch.setattr(invariants, "_u_from_values", spy)
+    monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
+    monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+    for run in (
+        lambda: wallcross_transform(K3, table, slope_stability(K3, LO), d),
+        lambda: invariant(K3, slope_stability(K3, HI), d),
+    ):
+        reads.clear()
+        words.clear()
+        run()
+        assert len(reads) == 2 and len(words) > len(subvectors(d))
+        assert max(reads.values()) <= len(subvectors(d))
 
 
 @pytest.mark.parametrize(
@@ -401,7 +490,7 @@ def test_invariant_memo_ignores_caller_tokens():
 def test_invariant_reused_within_a_chamber(monkeypatch):
     d = DimVector({"v": 3, "w": 2})
     first = invariant(K3, slope_stability(K3, HI), d)
-    monkeypatch.setattr(invariants, "u_coeff", _refuse)
+    monkeypatch.setattr(invariants, "_u_from_values", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     assert again.rep == first.rep and pl_equal(again, first)
@@ -412,7 +501,7 @@ def test_cache_serves_every_slope_in_a_chamber(monkeypatch, tmp_path):
     store = CacheStore(tmp_path)
     first = invariant(K3, slope_stability(K3, HI), d, cache=store)
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
-    monkeypatch.setattr(invariants, "u_coeff", _refuse)
+    monkeypatch.setattr(invariants, "_u_from_values", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d, cache=store)
     assert again.rep == first.rep
@@ -446,7 +535,7 @@ def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
     d = DimVector({"v": 2, "w": 2})
     invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     with monkeypatch.context() as m:
-        m.setattr(invariants, "u_coeff", _refuse)
+        m.setattr(invariants, "_u_from_values", _refuse)
         invariant(K3, tau, d, cache=CacheStore(tmp_path / "hit"))
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
     invariant(K3, tau, d, cache=CacheStore(tmp_path / "fresh"))
@@ -525,6 +614,7 @@ def test_private_imports_are_declared():
                 imported |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
     assert imported == {
         ("cli", "invariants", "_factorial_weight"),
+        ("invariants", "wallcoeff", "_u_from_values"),
         ("vertexalg", "charclass", "_merge_slots"),
         ("vertexalg", "charclass", "_sum_slots"),
     }

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,21 +71,25 @@ def test_dimvector_arithmetic(d, e, k):
 
 
 def test_dimvector_sum_matches_constructor():
-    # sums skip the validating constructor; they must still equal it,
-    # dropping entries that cancel to zero
+    # sums and differences skip the validating constructor; they must
+    # still equal it, dropping entries that cancel to zero
     rng = random.Random(41)
-    cancelled = False
+    cancelled = set()
     for _ in range(300):
         a, b = (
             DimVector({v: rng.randint(-2, 2) for v in rng.sample("uvwxy", rng.randint(0, 5))})
             for _ in range(2)
         )
-        total = a + b
-        assert total == DimVector(list(a.items()) + list(b.items()))
-        assert hash(total) == hash(DimVector(list(a.items()) + list(b.items())))
-        assert all(n for _, n in total.items())
-        cancelled |= any(a[v] and a[v] + b[v] == 0 for v in a.support())
-    assert cancelled
+        for got, want in (
+            (a + b, DimVector(list(a.items()) + list(b.items()))),
+            (a - b, DimVector(list(a.items()) + [(v, -n) for v, n in b.items()])),
+        ):
+            assert got == want and got.items() == want.items() and hash(got) == hash(want)
+            assert all(n for _, n in got.items())
+        for sign in (1, -1):
+            if any(a[v] and a[v] + sign * b[v] == 0 for v in a.support()):
+                cancelled.add(sign)
+    assert cancelled == {1, -1}
 
 
 def test_dimvector_json():
@@ -104,6 +110,25 @@ def test_subvector_order_and_restrict():
     totals = [s.total() for s in subs]
     assert totals == sorted(totals)  # graded enumeration
     assert d.restrict(["v"]) == DimVector({"v": 2})
+
+
+@pytest.mark.parametrize(
+    "d", [{}, {"v": 3}, {"v": 2, "w": 1}, {"w": 1, "v": 4}, {"a": 2, "c": 1, "b": 3, "z": 1}]
+)
+def test_subvectors_match_the_validating_constructor(d):
+    # subvectors skips the validating constructor; items, order and hashes
+    # must be those of vectors built through it
+    d = DimVector(d)
+    supp = d.support()
+    want = [
+        DimVector(dict(zip(supp, combo)))
+        for combo in itertools.product(*(range(d[v] + 1) for v in supp))
+    ]
+    want = sorted((e for e in want if not e.is_zero()), key=DimVector.sort_key)
+    got = subvectors(d)
+    assert [e.items() for e in got] == [e.items() for e in want]
+    assert [hash(e) for e in got] == [hash(e) for e in want]
+    assert len(got) == len(set(got)) == prod(d[v] + 1 for v in supp) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,19 @@ def test_fraction_parsing():
         parse_fraction("0.5 apples")
     with pytest.raises(ValueError):
         parse_fraction(0.5)  # floats are not exact input
+    # only the forms fraction_str writes: no exponent (a short string would
+    # stand for a huge integer), sign '+', spaces, '_' or decimal point
+    for text in ("1e1000000", "1E3", "+1", " 2 ", "2\n", "1_000", "0.5", "1/-2", "", "/2", "1/"):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+    with pytest.raises(ValueError):
+        parse_fraction("1/0")
+    assert parse_fraction("-6/4") == Fraction(-3, 2)
+
+
+@given(st.fractions())
+def test_fraction_strings_round_trip(x):
+    assert parse_fraction(fraction_str(x)) == x
 
 
 def test_slope_values():
