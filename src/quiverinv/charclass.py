@@ -19,7 +19,7 @@ products of tautological bundles and their duals:
     kclass = ((mult, atom), ...),   atom = ((factor, vertex, dual), ...).
 
 chern_atom computes the total Chern class of one atom up to a weight
-bound.  Tensor products are handled through the power sums of the Chern
+bound, and keeps no memo.  Tensor products are handled through the power sums of the Chern
 roots (Newton's identities), which multiply as the Chern character does
 but in integers (_tensor_chern), so no splitting-principle variables and
 no fractions ever materialize.
@@ -83,7 +83,7 @@ class ChernRing:
         """The dense exponent tuple of a monomial, in generator order."""
         e = [0] * len(self._gens)
         for g, x in m:
-            e[self._pos[g]] = x
+            e[self._pos[g]] += x
         return tuple(e)
 
     def unpack(self, e: tuple[int, ...]) -> Monomial:
@@ -368,9 +368,6 @@ def _tensor_chern(eA: list[dict], rA: int, eB: list[dict], rB: int) -> list[dict
     return elem
 
 
-_ATOM_MEMO: dict[tuple, tuple[int, Poly]] = {}
-
-
 def atom_rank(atom: Atom, ring: ChernRing) -> int:
     r = 1
     for f, v, _ in atom:
@@ -383,24 +380,15 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     the weight bound, with int coefficients (_tensor_chern).
 
     Every step is graded, so the class to a smaller bound is the weight
-    truncation of the class to a larger one: the memo keeps, per atom and
-    ring, the class at the largest bound asked for so far.
+    truncation of the class to a larger one; parts above the atom's rank
+    vanish and are not computed.  There is no memo: brackets keep the caps
+    of these classes in their plans (vertexalg._bracket_plan).
     """
     if not atom:
         raise ValueError("empty atom")
-    key = (atom, ring.key())
-    if key in _ATOM_MEMO:
-        top, total = _ATOM_MEMO[key]
-        if top == bound:
-            return total
-        if top > bound:
-            return Poly._trusted(
-                ring, {m: c for m, c in total.terms.items() if monomial_weight(m) <= bound}
-            )
-    if atom_rank(atom, ring) == 0:
-        result = Poly._trusted(ring, {(): 1})
-        _ATOM_MEMO[key] = (bound, result)
-        return result
+    bound = min(bound, atom_rank(atom, ring))
+    if bound <= 0:
+        return Poly._trusted(ring, {(): 1})
 
     parts, rank = None, 1
     for f, v, dual in atom:
@@ -411,9 +399,7 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
         ]
         parts = single if parts is None else _tensor_chern(parts, rank, single, r)
         rank *= r
-    total = Poly._trusted(ring, {m: c for part in parts for m, c in part.items()})
-    _ATOM_MEMO[key] = (bound, total)
-    return total
+    return Poly._trusted(ring, {m: c for part in parts for m, c in part.items()})
 
 
 def kclass_rank(kclass: KClass, ring: ChernRing) -> int:
@@ -487,7 +473,8 @@ def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> P
 
 
 def whitney_transpose(
-    func: Mapping[tuple, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple]
+    func: Mapping[tuple, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple],
+    expansions: dict | None = None,
 ) -> dict[tuple, object]:
     """Transpose of _whitney_pullback from the one-factor ring target to
     source, from and to functionals keyed by packed monomials.
@@ -499,7 +486,8 @@ def whitney_transpose(
     c[0, w, k]^m_k.  Only the counts of tuples with two or more nonzero
     indices are enumerated, in place on the exponents left; a one-index
     tuple takes what is left.  The parts' expansions multiply, that is
-    concatenate; each distinct part is expanded once per call.
+    concatenate; each distinct part is expanded once into expansions, new
+    per call unless the caller keeps one for (source, target, slots).
     """
 
     def expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
@@ -542,7 +530,7 @@ def whitney_transpose(
         (n, [(pos[(f, v, 1)], pos[(f, v, 1)] + rank(f, v)) for f, v in slots[w] if rank(f, v)])
         for w, n in target.dims[0].items()
     ]
-    expansions: dict[tuple, dict[tuple, int]] = {}
+    expansions = {} if expansions is None else expansions
     result: dict[tuple, object] = {}
     for s, x in func.items():
         terms = [((), x)]

@@ -31,6 +31,7 @@ from .invariants import (
     wallcross_sides,
 )
 from .quiver import CycleError, DimVector, Quiver, QuiverMorphism, all_decompositions
+from .quiver import clipped, shown
 from .stability import fraction_str, slope_stability
 from .vertexalg import pl_equal
 from .wallcoeff import LieElementError, lie_normalize, s_coeff, u_coeff
@@ -45,9 +46,9 @@ def _load_json_file(path: str, what: str) -> object:
         with open(path, "r") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {what} file {shown(path)}: {clipped(str(exc))}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} file {shown(path)} is not valid JSON: {exc}") from exc
 
 
 def _parse_inline(text: str, what: str) -> object:
@@ -283,7 +284,7 @@ class _Parser(argparse.ArgumentParser):
             raise
 
     def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {clipped(message, 300)}")
 
 
 def _parser(command: str | None) -> _Parser:

@@ -60,7 +60,7 @@ import tempfile
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .charclass import (
     ChernRing,
@@ -148,15 +148,30 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     return PlClass(acc)
 
 
-def _live_words(d: DimVector, letters: Mapping[DimVector, object]) -> Iterator[tuple]:
-    """Ordered decompositions of d whose parts are all keys of letters,
-    each once; keys that are not below d componentwise are never parts."""
-    for e in letters:
-        if e == d:
-            yield (e,)
-        elif e.leq(d):
-            for rest in _live_words(d - e, letters):
-                yield (e,) + rest
+def _coding(d: DimVector, letters: Iterable[DimVector]) -> tuple:
+    """subvectors(d), the code of each, and for each code the letters below
+    its vector, as (index, code) pairs in the order of letters.  A code has
+    digit e(v) and radix d(v) + 1 over the support of d, so a sum of
+    vectors that stays <= d has the sum of their codes, with no carry."""
+    subs, place, size = subvectors(d), {}, 1
+    for v, n in d.items():
+        place[v], size = size, size * (n + 1)
+    codes = [sum(place[v] * n for v, n in e.items()) for e in subs]
+    index = {e: i for i, e in enumerate(subs)}
+    live = [(index[f], f) for f in letters if f in index]
+    below = {c: [(i, codes[i]) for i, f in live if f.leq(e)] for e, c in zip(subs, codes)}
+    return subs, codes, below
+
+
+def _live_words(rest: int, below: dict) -> Iterator[tuple[int, ...]]:
+    """Ordered decompositions of the vector with code rest into letters
+    (below from _coding), each once, as tuples of indices."""
+    for i, c in below[rest]:
+        if c == rest:
+            yield (i,)
+        else:
+            for tail in _live_words(rest - c, below):
+                yield (i,) + tail
 
 
 _INVARIANT_MEMO: dict[tuple, PlClass] = {}  # (q, d, ranks) -> class
@@ -199,13 +214,13 @@ def invariant(
     which raises CycleError when q has an oriented cycle."""
     d = _check_class(q, d)
     _check_size(d, max_size)
+    ranks = _order_condition(tau, d)
 
     if cache is not None:
-        hit = cache.get(q, tau, d)
+        hit = cache.get(q, d, ranks)
         if hit is not None:
             return hit
 
-    ranks = _order_condition(tau, d)
     result = _INVARIANT_MEMO.get((q, d, ranks))
     if result is None:
         reference = _order_condition(reference_increasing_slope(q), d)
@@ -213,7 +228,7 @@ def invariant(
         result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, ranks)
 
     if cache is not None:
-        cache.put(q, tau, d, result)
+        cache.put(q, d, ranks, result)
     return result
 
 
@@ -289,20 +304,12 @@ def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm
     u-coefficient for the conditions with ranks frm and to on subvectors(d)
     (_order_condition), and evaluated as bracket words.  A letter is its
     index in subvectors(d), in graded order as lie_normalize orders the
-    vectors.  Its code has digit e(v) and radix d(v) + 1 over the support
-    of d; a partial sum of a word stays <= d, so its code is the sum of the
-    letters' codes, with no carry, and indexes the rank lists."""
-    subs, place, size = subvectors(d), {}, 1
-    for v, n in d.items():
-        place[v], size = size, size * (n + 1)
-    codes = [sum(place[v] * n for v, n in e.items()) for e in subs]
-    frm_at, to_at = [0] * size, [0] * size
-    for c, r, s in zip(codes, frm, to):
-        frm_at[c], to_at[c] = r, s
-    index = {e: i for i, e in enumerate(subs)}
+    vectors.  A partial sum of a word stays <= d, so its code (_coding) is
+    the sum of the letters' codes and keys the ranks."""
+    subs, codes, below = _coding(d, letters)
+    frm_at, to_at = dict(zip(codes, frm)), dict(zip(codes, to))
     words: dict[tuple, Fraction] = {}
-    for parts in _live_words(d, letters):
-        word = tuple(index[e] for e in parts)
+    for word in _live_words(codes[-1], below):  # d sorts last
         c = _u_from_values(tuple(codes[i] for i in word), frm_at.__getitem__, to_at.__getitem__)
         if c:
             words[word] = c
@@ -424,9 +431,10 @@ def pair_invariant_report(
             x = induced_pl_map(inclusion, invariant(q, mu, e, cache=cache, max_size=max_size))
             if not x.rep.is_zero():
                 letters[e] = x
-    words = (  # frame is no part of d, so the parts are embedded invariants
-        ((frame,) + parts, Fraction((-1) ** len(parts), factorial(len(parts))))
-        for parts in _live_words(d, letters)
+    subs, codes, below = _coding(d, letters)  # frame is no subvector of d, so never a part
+    words = (
+        ((frame, *(subs[i] for i in parts)), Fraction((-1) ** len(parts), factorial(len(parts))))
+        for parts in _live_words(codes[-1], below)
     )
     rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
 
@@ -479,13 +487,13 @@ _CACHE_FORMAT = "invariant-cache-v2"
 _ALGORITHM = 1
 
 
-def _cache_key(q: Quiver, stab: WeakStability, d: DimVector) -> dict:
-    """All a cached class depends on; stab enters only by its ranks."""
+def _cache_key(q: Quiver, d: DimVector, order: tuple[int, ...]) -> dict:
+    """All a cached class depends on; order is _order_condition(tau, d)."""
     return {
         "format": _CACHE_FORMAT,
         "algorithm": _ALGORITHM,
         "quiver": q.to_json(),
-        "order": list(_order_condition(stab, d)),
+        "order": list(order),
         "dimvec": d.to_json(),
     }
 
@@ -496,9 +504,9 @@ class CacheStore:
     One JSON file per (algorithm version, quiver, dimension vector, ranks
     of the condition on its subvectors), named by the SHA-256 of the
     canonical key serialization, so an entry serves every condition with
-    the same order there.  Files carry the canonical coordinates plus the
-    full representative so cached classes support every downstream
-    operation; loads cross-check the two.
+    the same order there, _order_condition(tau, d), which callers pass.
+    Files carry the canonical coordinates plus the full representative so
+    cached classes support every downstream operation; loads cross-check.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -508,12 +516,12 @@ class CacheStore:
         except OSError as exc:
             raise ValueError(f"cannot use cache directory {str(root)!r}: {exc.strerror}") from exc
 
-    def _path(self, q: Quiver, stab: WeakStability, d: DimVector) -> Path:
-        key = json.dumps(_cache_key(q, stab, d), sort_keys=True, separators=(",", ":"))
+    def _path(self, q: Quiver, d: DimVector, order: tuple[int, ...]) -> Path:
+        key = json.dumps(_cache_key(q, d, order), sort_keys=True, separators=(",", ":"))
         return self.root / (hashlib.sha256(key.encode()).hexdigest() + ".json")
 
-    def get(self, q: Quiver, stab: WeakStability, d: DimVector) -> PlClass | None:
-        path = self._path(q, stab, d)
+    def get(self, q: Quiver, d: DimVector, order: tuple[int, ...]) -> PlClass | None:
+        path = self._path(q, d, order)
         if not path.exists():
             return None
         try:
@@ -535,11 +543,11 @@ class CacheStore:
             )
         return cls
 
-    def put(self, q: Quiver, stab: WeakStability, d: DimVector, cls: PlClass) -> None:
-        payload = {**pl_class_json(cls), **_cache_key(q, stab, d)}
+    def put(self, q: Quiver, d: DimVector, order: tuple[int, ...], cls: PlClass) -> None:
+        payload = {**pl_class_json(cls), **_cache_key(q, d, order)}
         payload["representative"] = _representative_json(cls)
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        path = self._path(q, stab, d)
+        path = self._path(q, d, order)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:

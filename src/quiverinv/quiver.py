@@ -50,9 +50,19 @@ class Edge(NamedTuple):
     target: str
 
 
+def clipped(text: str, limit: int = 100) -> str:
+    """text cut to limit characters and a length note, for error messages."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
+def shown(value: object) -> str:
+    """repr(value), clipped, for an error message."""
+    return clipped(repr(value))
+
+
 def _check_id(name: str, value: object) -> str:
     if not isinstance(value, str) or not value:
-        raise StructureError(f"{name} must be a nonempty string, got {value!r}")
+        raise StructureError(f"{name} must be a nonempty string, got {shown(value)}")
     return value
 
 
@@ -74,7 +84,7 @@ class DimVector:
         for v, n in pairs:
             _check_id("vertex id", v)
             if isinstance(n, bool) or not isinstance(n, int):
-                raise StructureError(f"dimension at {v!r} must be an int, got {n!r}")
+                raise StructureError(f"dimension at {shown(v)} must be an int, got {shown(n)}")
             acc[v] = acc.get(v, 0) + n
         self._items = tuple(sorted((v, n) for v, n in acc.items() if n != 0))
 
@@ -154,10 +164,10 @@ class DimVector:
     @classmethod
     def from_json(cls, obj: object) -> "DimVector":
         if not isinstance(obj, Mapping):
-            raise StructureError(f"dimension vector must be a JSON object, got {obj!r}")
+            raise StructureError(f"dimension vector must be a JSON object, got {shown(obj)}")
         d = cls(obj)
         if not d.is_effective() and not d.is_zero():
-            raise StructureError(f"dimension vector entries must be nonnegative: {obj!r}")
+            raise StructureError(f"dimension vector entries must be nonnegative: {shown(obj)}")
         return d
 
     def __repr__(self) -> str:
@@ -187,7 +197,7 @@ class Quiver:
             _check_id("edge endpoint", src)
             _check_id("edge endpoint", tgt)
             if src not in vset or tgt not in vset:
-                raise StructureError(f"edge {eid!r} has endpoint outside the vertex set")
+                raise StructureError(f"edge {shown(eid)} has endpoint outside the vertex set")
             es.append(Edge(eid, src, tgt))
         es.sort()
         if len({e.id for e in es}) != len(es):
@@ -201,7 +211,7 @@ class Quiver:
         try:
             return self._edge_map[eid]
         except KeyError:
-            raise StructureError(f"no edge with id {eid!r}") from None
+            raise StructureError(f"no edge with id {shown(eid)}") from None
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
@@ -216,7 +226,7 @@ class Quiver:
     def check_dimvec(self, d: DimVector) -> DimVector:
         for v in d.support():
             if v not in self._vset:
-                raise StructureError(f"dimension vector mentions unknown vertex {v!r}")
+                raise StructureError(f"dimension vector mentions unknown vertex {shown(v)}")
         return d
 
     def is_acyclic(self) -> bool:
@@ -235,7 +245,7 @@ class Quiver:
             if e.source != e.target:
                 indeg[e.target] += 1
             else:
-                raise CycleError(f"oriented cycle: loop at {e.source!r}")
+                raise CycleError(f"oriented cycle: loop at {shown(e.source)}")
         order = []
         ready = sorted(v for v, k in indeg.items() if k == 0)
         indeg = dict(indeg)
@@ -287,7 +297,7 @@ class Quiver:
         edges = []
         for item in raw_edges:
             if not isinstance(item, Mapping):
-                raise StructureError(f"edge must be an object, got {item!r}")
+                raise StructureError(f"edge must be an object, got {shown(item)}")
             try:
                 edges.append((item["id"], item["from"], item["to"]))
             except KeyError as exc:
@@ -338,7 +348,7 @@ class QuiverMorphism:
             raise StructureError("vertex_map must be defined on exactly the source vertices")
         for v, w in vmap.items():
             if _check_id("vertex image", w) not in target._vset:
-                raise StructureError(f"vertex_map sends {v!r} to unknown vertex {w!r}")
+                raise StructureError(f"vertex_map sends {shown(v)} to unknown vertex {shown(w)}")
         self.vertex_map: dict[str, str] = vmap
 
         pairs = frozenset((_check_id("edge id", a), _check_id("edge id", b)) for a, b in edge_pairs)
@@ -347,9 +357,9 @@ class QuiverMorphism:
             e = source.edge(se)
             f = target.edge(te)
             if vmap[e.source] != f.source or vmap[e.target] != f.target:
-                raise StructureError(f"edge pair ({se!r}, {te!r}) has incompatible endpoints")
+                raise StructureError(f"edge pair {shown((se, te))} has incompatible endpoints")
             if se in lift_of:
-                raise StructureError(f"source edge {se!r} matched more than once")
+                raise StructureError(f"source edge {shown(se)} matched more than once")
             lift_of[se] = te
         self.edge_pairs = pairs
         self._matched = lift_of
@@ -371,8 +381,8 @@ class QuiverMorphism:
                     )
                     if n != 1:
                         raise StructureError(
-                            f"target edge {f.id!r} lifts {n} times over ({v!r}, {w!r}),"
-                            " expected exactly once"
+                            f"target edge {shown(f.id)} lifts {n} times over"
+                            f" ({shown(v)}, {shown(w)}), expected exactly once"
                         )
         self._preimages = {w: tuple(sorted(vs)) for w, vs in preim.items()}
         self.unmatched_edge_ids: tuple[str, ...] = tuple(
@@ -502,19 +512,19 @@ def frame_quiver(
     """
     _check_id("frame vertex id", frame_vertex)
     if frame_vertex in q._vset:
-        raise StructureError(f"frame vertex id {frame_vertex!r} already used in the quiver")
+        raise StructureError(f"frame vertex id {shown(frame_vertex)} already used in the quiver")
     for v, n in framing.items():
         if v not in q._vset:
-            raise StructureError(f"framing mentions unknown vertex {v!r}")
+            raise StructureError(f"framing mentions unknown vertex {shown(v)}")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise StructureError(f"framing multiplicity at {v!r} must be a nonnegative int")
+            raise StructureError(f"framing multiplicity at {shown(v)} must be a nonnegative int")
     new_edges = []
     existing = set(q.edge_ids())
     for v in sorted(framing):
         for k in range(1, framing[v] + 1):
             eid = f"fr_{v}_{k}"
             if eid in existing:
-                raise StructureError(f"generated framing edge id {eid!r} collides")
+                raise StructureError(f"generated framing edge id {shown(eid)} collides")
             new_edges.append((eid, frame_vertex, v))
     framed = Quiver(
         list(q.vertices) + [frame_vertex],

@@ -34,6 +34,7 @@ from .quiver import (
     Quiver,
     QuiverMorphism,
     StructureError,
+    shown,
     subvectors,
     unit_vector,
 )
@@ -42,16 +43,14 @@ from .quiver import (
 def parse_fraction(x: object) -> Fraction:
     """Exact rational from int, Fraction, or a string like '3/2' or '-1'
     (only what fraction_str writes, so no short string is a huge int)."""
-    if isinstance(x, bool):
-        raise ValueError(f"not a rational number: {x!r}")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {x!r}") from exc
-    raise ValueError(f"not a rational number: {x!r}")
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise ValueError(f"not a rational number: {shown(x)}")
 
 
 def fraction_str(x: Fraction) -> str:
@@ -70,7 +69,7 @@ class WeakStability:
         if d.is_zero():
             raise ValueError("stability value undefined on the zero vector")
         if not d.is_effective():
-            raise ValueError(f"stability value needs an effective vector, got {d!r}")
+            raise ValueError(f"stability value needs an effective vector, got {shown(d)}")
         return self._value_fn(d)
 
     def leq(self, d: DimVector, e: DimVector) -> bool:
@@ -102,7 +101,7 @@ class SlopeStability(WeakStability):
             num = Fraction(0)
             for v, n in d.items():
                 if v not in self.mu:
-                    raise ValueError(f"slope has no weight for vertex {v!r}")
+                    raise ValueError(f"slope has no weight for vertex {shown(v)}")
                 num += self.mu[v] * n
             s = self._memo[d] = num / d.total()
         return s
@@ -119,11 +118,11 @@ def slope_stability(q: Quiver, mu: Mapping[str, object]) -> SlopeStability:
     weights = {}
     for v, x in mu.items():
         if not q.has_vertex(v):
-            raise ValueError(f"slope mentions unknown vertex {v!r}")
+            raise ValueError(f"slope mentions unknown vertex {shown(v)}")
         weights[v] = parse_fraction(x)
     missing = [v for v in q.vertices if v not in weights]
     if missing:
-        raise ValueError(f"slope missing weights for vertices {missing}")
+        raise ValueError(f"slope missing weights for vertices {shown(missing)}")
     return SlopeStability(weights)
 
 
@@ -208,7 +207,7 @@ def framed_slope(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not framed.has_vertex(frame_vertex):
-        raise ValueError(f"no frame vertex {frame_vertex!r} in the quiver")
+        raise ValueError(f"no frame vertex {shown(frame_vertex)} in the quiver")
     if d.is_zero() or not d.is_effective():
         raise ValueError("framed slope needs a nonzero effective base class")
     if d[frame_vertex] != 0:
@@ -216,7 +215,7 @@ def framed_slope(
     base_vertices = [v for v in framed.vertices if v != frame_vertex]
     missing = [v for v in base_vertices if v not in base_mu]
     if missing:
-        raise ValueError(f"slope missing weights for vertices {missing}")
+        raise ValueError(f"slope missing weights for vertices {shown(missing)}")
     base = SlopeStability({v: base_mu[v] for v in base_vertices})
     mu_d = base.value(d)
     parts = [e for e in subvectors(d) if e != d]

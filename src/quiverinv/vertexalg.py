@@ -24,8 +24,9 @@ The operations:
     the i-th Chern class of the symmetrized Hom-minus-Ext complex;
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
-Each packs its input once (ChernRing.pack), runs on dense exponent
-tuples, and unpacks its result once.
+HClass stores a class packed and fraction free, so each runs on int
+numerators of dense exponent tuples; what a bracket needs of the two
+dimension vectors alone is made once per (quiver, a, b) (_bracket_plan).
 
 Classes of the projective linear (rigidified) moduli stack in shifted
 degree are represented by classes of the full stack modulo translations:
@@ -56,6 +57,7 @@ from .charclass import (
     Poly,
     _merge_slots,
     _sum_slots,
+    atom_rank,
     chern_atom,
     ext_pairing_kexpr,
     monomial_basis,
@@ -74,9 +76,14 @@ from .quiver import (
 
 
 class HClass:
-    """Finitely supported functional on a monomial basis, with a degree."""
+    """Finitely supported functional on a monomial basis, with a degree.
 
-    __slots__ = ("quiver", "ring", "degree", "functional")
+    Stored packed and fraction free: num maps packed monomials (ChernRing.
+    pack) to int numerators over one int den > 0, in canonical form (no
+    zeros, gcd(den, values) = 1), so equal classes are equal structures.
+    functional is the {Monomial: Fraction} view, for JSON and tests."""
+
+    __slots__ = ("quiver", "ring", "degree", "num", "den")
 
     def __init__(
         self,
@@ -85,12 +92,10 @@ class HClass:
         degree: int,
         functional: Mapping[Monomial, Fraction],
     ):
-        self.quiver = quiver
-        self.ring = ring
-        self.degree = int(degree)
-        clean: dict[Monomial, Fraction] = {}
-        if self.degree >= 0 and self.degree % 2 == 0:
-            w = self.degree // 2
+        degree = int(degree)
+        packed: dict[tuple, Fraction] = {}
+        if degree >= 0 and degree % 2 == 0:
+            w = degree // 2
             for m, c in functional.items():
                 c = Fraction(c)
                 if not c:
@@ -101,25 +106,35 @@ class HClass:
                     raise ValueError(
                         f"monomial {m!r} has weight {monomial_weight(m)}, class degree {degree}"
                     )
-                clean[m] = c
+                s = ring.pack(m)
+                packed[s] = packed.get(s, 0) + c
         elif functional and any(functional.values()):
             raise ValueError(f"no nonzero classes in degree {degree}")
-        self.functional = clean
+        den = lcm(*(c.denominator for c in packed.values()))
+        self._set(quiver, ring, degree, {s: int(c * den) for s, c in packed.items()}, den)
 
     @classmethod
-    def _trusted(cls, quiver, ring, degree, functional) -> "HClass":
-        """An internal result, valid as it stands: only drops zero values."""
+    def _trusted(cls, quiver, ring, degree, num: Mapping[tuple, int], den: int = 1) -> "HClass":
+        """An internal result num / den (den > 0, int values), valid as it
+        stands: only brought to canonical form."""
         self = object.__new__(cls)
-        self.quiver, self.ring, self.degree = quiver, ring, degree
-        self.functional = {m: c for m, c in functional.items() if c}
+        self._set(quiver, ring, degree, num, den)
         return self
+
+    def _set(self, quiver, ring, degree, num, den) -> None:
+        self.quiver, self.ring, self.degree, g = quiver, ring, degree, gcd(den, *num.values())
+        self.num, self.den = {m: x // g for m, x in num.items() if x}, den // g
+
+    @property
+    def functional(self) -> dict[Monomial, Fraction]:
+        return {self.ring.unpack(m): Fraction(x, self.den) for m, x in self.num.items()}
 
     @property
     def dims(self) -> tuple[DimVector, ...]:
         return self.ring.dims
 
     def is_zero(self) -> bool:
-        return not self.functional
+        return not self.num
 
     def _compatible(self, other: "HClass") -> None:
         if self.quiver != other.quiver or self.ring.key() != other.ring.key():
@@ -129,10 +144,12 @@ class HClass:
 
     def __add__(self, other: "HClass") -> "HClass":
         self._compatible(other)
-        acc = dict(self.functional)
-        for m, c in other.functional.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return HClass._trusted(self.quiver, self.ring, self.degree, acc)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        acc = {m: a * x for m, x in self.num.items()}
+        for m, y in other.num.items():
+            acc[m] = acc.get(m, 0) + b * y
+        return HClass._trusted(self.quiver, self.ring, self.degree, acc, den)
 
     def __sub__(self, other: "HClass") -> "HClass":
         return self + other.scale(-1)
@@ -141,19 +158,15 @@ class HClass:
         c = Fraction(c)
         return HClass._trusted(
             self.quiver, self.ring, self.degree,
-            {m: c * x for m, x in self.functional.items()},
+            {m: c.numerator * x for m, x in self.num.items()}, self.den * c.denominator,
         )
 
     def pair(self, poly: Poly) -> Fraction:
         """Evaluate the functional on a polynomial (off-degree parts give 0)."""
         if poly.ring.key() != self.ring.key():
             raise ValueError("polynomial lives in a different ring")
-        total = Fraction(0)
-        for m, c in poly.terms.items():
-            x = self.functional.get(m)
-            if x is not None:
-                total += c * x
-        return total
+        pack, num = self.ring.pack, self.num
+        return sum((c * num.get(pack(m), 0) for m, c in poly.terms.items()), Fraction(0)) / self.den
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -161,12 +174,13 @@ class HClass:
             and self.quiver == other.quiver
             and self.ring.key() == other.ring.key()
             and self.degree == other.degree
-            and self.functional == other.functional
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self) -> str:
         dims = [d.to_json() for d in self.ring.dims]
-        return f"HClass(dims={dims!r}, degree={self.degree}, support={len(self.functional)})"
+        return f"HClass(dims={dims!r}, degree={self.degree}, support={len(self.num)})"
 
 
 def zero_class(quiver: Quiver, dims: Iterable[DimVector], degree: int) -> HClass:
@@ -185,29 +199,15 @@ def vacuum(quiver: Quiver) -> HClass:
     return unit_class(quiver, DimVector())
 
 
-def _packed(u: HClass) -> dict[tuple, Fraction]:
-    return {u.ring.pack(m): x for m, x in u.functional.items()}
-
-
-def _unpacked(quiver: Quiver, ring: ChernRing, degree: int, func: Mapping) -> HClass:
-    return HClass._trusted(quiver, ring, degree, {ring.unpack(m): x for m, x in func.items()})
-
-
-def _cleared(u: HClass) -> tuple[int, dict[tuple, int]]:
-    """The lcm L of the denominators of u's values, and L u packed, with int values."""
-    den = lcm(*(x.denominator for x in u.functional.values()))
-    return den, {m: (x * den).numerator for m, x in _packed(u).items()}
-
-
 def kunneth(u: HClass, v: HClass) -> HClass:
     """Product class on the two-factor ring of the pair of stacks."""
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
     if u.ring.factors() != 1 or v.ring.factors() != 1:
         raise ValueError("kunneth needs one-factor classes")
-    ring, pv = ChernRing((u.ring.dims[0], v.ring.dims[0])), _packed(v).items()
-    out = {s + t: x * y for s, x in _packed(u).items() for t, y in pv}
-    return _unpacked(u.quiver, ring, u.degree + v.degree, out)
+    ring, pv = ChernRing((u.ring.dims[0], v.ring.dims[0])), v.num.items()
+    out = {s + t: x * y for s, x in u.num.items() for t, y in pv}
+    return HClass._trusted(u.quiver, ring, u.degree + v.degree, out, u.den * v.den)
 
 
 def _cap_terms(ring: ChernRing, terms: Iterable[tuple[Monomial, object]]) -> dict[int, list]:
@@ -236,17 +236,18 @@ def _cap_into(acc: dict, func: Mapping, terms: list, sign: int = 1) -> None:
 
 
 def cap(u: HClass, poly: Poly) -> HClass:
-    """Cap with a homogeneous polynomial: (u cap p)(m) = u(p * m)."""
+    """Cap with a homogeneous polynomial: (u cap p)(m) = u(p * m), on ints."""
     if poly.ring.key() != u.ring.key():
         raise ValueError("polynomial lives in a different ring")
     if poly.is_zero():
         return HClass(u.quiver, u.ring, u.degree, {})
     if not poly.is_homogeneous():
         raise ValueError("cap needs a homogeneous polynomial")
-    (w, terms), = _cap_terms(u.ring, poly.terms.items()).items()
-    out: dict[tuple, Fraction] = {}
-    _cap_into(out, _packed(u), terms)
-    return _unpacked(u.quiver, u.ring, u.degree - 2 * w, out)
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    (w, terms), = _cap_terms(u.ring, ((m, int(c * den)) for m, c in poly.terms.items())).items()
+    out: dict[tuple, int] = {}
+    _cap_into(out, u.num, terms)
+    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * w, out, u.den * den)
 
 
 def _raise(ring: ChernRing, func: Mapping[tuple, object], j: int) -> dict:
@@ -282,14 +283,13 @@ def _horner(ring: ChernRing, terms: list[tuple[int, dict]]) -> dict:
 
 def divided_translation(u: HClass, j: int) -> HClass:
     """Transpose of D^j / j! on ring factor 0; raises the degree by 2j:
-    _raise, then one division of each value by j!."""
+    _raise on the numerators, and j! joins the denominator."""
     if j < 0:
         raise ValueError("translation exponent must be >= 0")
     if j == 0:
         return u
-    raised, scale = _raise(u.ring, _packed(u), j), factorial(j)
-    out = {m: Fraction(x, scale) for m, x in raised.items()}
-    return _unpacked(u.quiver, u.ring, u.degree + 2 * j, out)
+    raised = _raise(u.ring, u.num, j)
+    return HClass._trusted(u.quiver, u.ring, u.degree + 2 * j, raised, u.den * factorial(j))
 
 
 def direct_sum_pushforward(w: HClass) -> HClass:
@@ -299,8 +299,8 @@ def direct_sum_pushforward(w: HClass) -> HClass:
         raise ValueError("pushforward input must be a two-factor class")
     total = w.ring.dims[0] + w.ring.dims[1]
     ring = ChernRing((total,))
-    out = whitney_transpose(_packed(w), w.ring, ring, _sum_slots(total))
-    return _unpacked(w.quiver, ring, w.degree, out)
+    out = whitney_transpose(w.num, w.ring, ring, _sum_slots(total))
+    return HClass._trusted(w.quiver, ring, w.degree, out, w.den)
 
 
 def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
@@ -312,26 +312,64 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
         raise ValueError("class does not live on the morphism source")
     image = mor.pushforward(u.ring.dims[0])
     ring = ChernRing((image,))
-    out = whitney_transpose(_packed(u), u.ring, ring, _merge_slots(mor, image))
-    return _unpacked(mor.target, ring, u.degree, out)
+    out = whitney_transpose(u.num, u.ring, ring, _merge_slots(mor, image))
+    return HClass._trusted(mor.target, ring, u.degree, out, u.den)
 
 
-def _ext_cap_levels(q: Quiver, ring: ChernRing, func: dict, imax: int) -> list[dict]:
+class _BracketPlan:
+    """What state_field needs of classes of dimension vectors a, b on q that
+    depends on (q, a, b) alone: the pair and target rings, chi, epsilon, the
+    sum's Whitney slots and expansions (whitney_transpose), the Ext atoms
+    with summed multiplicities and their cap terms, constant 1 dropped, up
+    to weight imax; remade for a larger imax up to top, the largest atom
+    rank.  A call reads no term above its own imax (_ext_cap_levels)."""
+
+    __slots__ = ("ring", "target", "chi", "eps", "slots", "whitney", "atoms", "top", "imax", "caps")
+
+    def __init__(self, q: Quiver, a: DimVector, b: DimVector):
+        self.ring, self.target = ChernRing((a, b)), ChernRing((a + b,))
+        # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
+        self.chi, self.eps = sym_euler_form(q, a, b), sign_epsilon(q, a, b)
+        self.slots, self.whitney, self.atoms = _sum_slots(a + b), {}, {}
+        for mult, atom in ext_pairing_kexpr(q):  # parallel edges repeat an atom
+            self.atoms[atom] = self.atoms.get(atom, 0) + mult
+        self.top = max(atom_rank(atom, self.ring) for atom in self.atoms)
+        self.imax, self.caps = -1, []
+
+
+_PLAN_MEMO: dict[tuple, _BracketPlan] = {}  # (q, a, b) -> plan
+
+
+def _bracket_plan(q: Quiver, a: DimVector, b: DimVector, imax: int) -> _BracketPlan:
+    plan = _PLAN_MEMO.get((q, a, b))
+    if plan is None:
+        plan = _PLAN_MEMO[q, a, b] = _BracketPlan(q, a, b)
+    imax = min(imax, plan.top)
+    if imax > plan.imax:
+        plan.imax, plan.caps = imax, []
+        for atom, mult in plan.atoms.items():
+            terms = _cap_terms(plan.ring, chern_atom(atom, plan.ring, imax).terms.items())
+            terms.pop(0, None)  # the constant term 1
+            if terms and mult:
+                plan.caps.append((mult, terms))
+    return plan
+
+
+def _ext_cap_levels(caps: list, func: dict, imax: int) -> list[dict]:
     """The functional m -> func(c m) on packed monomials of weight up to
     imax (func's weight), c the total Chern class of ext_pairing_kexpr(q),
     split by weight: entry w, on weight-w monomials, is func cap c_(imax - w).
+    caps holds each atom class a = chern_atom and its multiplicity (_bracket_plan).
 
-    Cap is a module action, so c is applied one atom class a = chern_atom
-    at a time, all weights at once.  An atom of multiplicity m > 0 is capped
-    m times.  For m < 0 the functional z with z(a m') = y(m') is solved
-    -m times from the top weight down: z(m') = y(m') - sum_{g != 1} a_g
-    z(g m'), as a has constant term 1 and g m' lies above m'.
+    Cap is a module action, so c is applied one atom at a time, all weights
+    at once.  An atom of multiplicity m > 0 is capped m times.  For m < 0
+    the functional z with z(a m') = y(m') is solved -m times from the top
+    weight down: z(m') = y(m') - sum_{g != 1} a_g z(g m'), as a has
+    constant term 1 and g m' lies above m'.
     """
     levels = [{} for _ in range(imax)] + [func]
-    for mult, atom in ext_pairing_kexpr(q):
-        terms = _cap_terms(ring, chern_atom(atom, ring, imax).terms.items())
-        terms.pop(0, None)  # the constant term 1
-        for _ in range(abs(mult) if terms else 0):
+    for mult, terms in caps:
+        for _ in range(abs(mult)):
             out = [dict(level) for level in levels]
             # capping reads the input; solving reads the finished upper levels
             src, sign = (levels, 1) if mult > 0 else (out, -1)
@@ -358,41 +396,35 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
     (Dt the transpose of D), that is of Dt^n applied to
     sum_{i >= i0} Dt^(i - i0) caps[i] (k + imax)!/(k + i)! (_horner), over
-    (k + imax)!.  The caps come from _ext_cap_levels, atom by atom.  With u
-    and v scaled by the lcms Lu, Lv of their denominators it all runs on
-    ints and packed monomials: each input is packed once, and each
-    pushed-forward value is unpacked and divided once, by Lu Lv (k + imax)!.
+    (k + imax)!.  The caps come from _ext_cap_levels, atom by atom.  It all
+    runs on int numerators, epsilon in the Horner coefficients, over the
+    denominator den(u) den(v) (k + imax)!; what depends on the dimension
+    vectors alone comes from the plan of (q, a, b) (_bracket_plan).
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
     if u.ring.factors() != 1 or v.ring.factors() != 1:
         raise ValueError("state_field needs one-factor classes")
     powers = sorted(set(int(p) for p in powers))
-    q, a, b = u.quiver, u.ring.dims[0], v.ring.dims[0]
-    chi = sym_euler_form(q, a, b)
-    # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
-    prefactor = sign_epsilon(q, a, b)
-    target = ChernRing((a + b,))
+    q, imax = u.quiver, (u.degree + v.degree) // 2
+    plan = _bracket_plan(q, u.ring.dims[0], v.ring.dims[0], imax)
+    ring, target, chi = plan.ring, plan.target, plan.chi
     out = {p: HClass._trusted(q, target, u.degree + v.degree + 2 * p - 2 * chi, {}) for p in powers}
     if u.is_zero() or v.is_zero():
         return out
 
-    (lu, iu), (lv, iv) = _cleared(u), _cleared(v)
-    ring, iv = ChernRing((a, b)), iv.items()
-    imax = (u.degree + v.degree) // 2
-    levels = _ext_cap_levels(q, ring, {s + t: x * y for s, x in iu.items() for t, y in iv}, imax)
+    uv = {s + t: x * y for s, x in u.num.items() for t, y in v.num.items()}
+    levels = _ext_cap_levels(plan.caps, uv, imax)
     for p in powers:
         k = p - chi
         i0 = max(0, -k)
         if i0 > imax:
             continue
-        top = factorial(k + imax)
-        terms = [(top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
-        acc = _horner(ring, terms)
-        pushed = whitney_transpose(_raise(ring, acc, k + i0), ring, target, _sum_slots(a + b))
-        scale = lu * lv * top  # the one division
-        values = {m: Fraction(prefactor * x, scale) for m, x in pushed.items() if x}
-        out[p] = _unpacked(q, target, out[p].degree, values)
+        top, eps = factorial(k + imax), plan.eps
+        terms = [(eps * top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
+        raised = _raise(ring, _horner(ring, terms), k + i0)
+        pushed = whitney_transpose(raised, ring, target, plan.slots, plan.whitney)
+        out[p] = HClass._trusted(q, target, out[p].degree, pushed, u.den * v.den * top)
     return out
 
 
@@ -457,8 +489,8 @@ def is_translation_image(w: HClass) -> bool:
     w o P = sum_j Dt^j (w cap (-cbar)^j / j!) vanishes (P from the module
     docstring, Dt the transpose of D).
 
-    With L = sum_v c[0, v, 1] = |d| cbar, J = deg(w) / 2, C_0 the packed w
-    cleared of denominators and C_j = C_(j-1) cap L, that sum times
+    With L = sum_v c[0, v, 1] = |d| cbar, J = deg(w) / 2, C_0 the int
+    numerators of w and C_j = C_(j-1) cap L, that sum times
     |d|^J J! is sum_j a_j Dt^j C_j with a_j = (-1)^j |d|^(J - j) J! / j!,
     all ints, summed Horner fashion and tested for emptiness.
     """
@@ -466,7 +498,7 @@ def is_translation_image(w: HClass) -> bool:
         raise ValueError("translation image test works on one-factor classes")
     ring, top, n = w.ring, max(0, w.degree // 2), w.ring.dims[0].total()
     linear = [(((p, 1),), 1) for p, lower, _ in ring._raising if lower is None]  # L
-    levels = [_cleared(w)[1]]
+    levels = [w.num]
     for _ in range(top):
         levels.append({})
         _cap_into(levels[-1], levels[-2], linear)
@@ -505,8 +537,8 @@ def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict
 def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     """Echelon form of the translation images at the given weight.
 
-    Returns (index, steps, free): the column of each monomial of the weight
-    basis, the pivot rows as (pivot column, {column: value}) in descending
+    Returns (index, steps, free): the column of each packed monomial of the
+    weight basis, the pivot rows as (pivot column, {column: value}) in descending
     pivot order, each a primitive integer row supported at and below its
     pivot, and the free columns in ascending order.  Elimination is
     fraction free: a row meeting a pivot row is cross-multiplied with it.
@@ -536,7 +568,7 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
                 else:
                     del row[c]
     return (
-        {m: c for c, m in enumerate(basis)},
+        {ring.pack(m): c for c, m in enumerate(basis)},
         sorted(pivots.items(), reverse=True),
         [c for c in range(len(basis)) if c not in pivots],
     )
@@ -610,15 +642,17 @@ def canonical_coordinates(x: PlClass) -> list[Fraction]:
     """
     if x._coordinates is None and x.degree >= 0 and x.degree % 2 == 0:
         index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
-        vec = {index[m]: c for m, c in x.rep.functional.items()}
+        den, vec = x.rep.den, {index[m]: y for m, y in x.rep.num.items()}
         for p, prow in steps:
             y = vec.get(p)
             if y:
-                y = Fraction(y, prow[p])
+                g = gcd(prow[p], y)
+                a, y = prow[p] // g, y // g
+                if a != 1:  # vec / den = (a vec) / (a den), with ints
+                    vec, den = {c: a * z for c, z in vec.items()}, a * den
                 for c, r in prow.items():
                     vec[c] = vec.get(c, 0) - y * r
-        zero = Fraction(0)
-        x._coordinates = tuple(vec.get(c, zero) for c in free)
+        x._coordinates = tuple(Fraction(vec.get(c, 0), den) for c in free)
     return list(x._coordinates or ())
 
 

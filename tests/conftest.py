@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from quiverinv import invariants
+from quiverinv import invariants, vertexalg
 
 hypothesis.settings.register_profile(
     "suite",
@@ -13,6 +13,8 @@ hypothesis.settings.load_profile("suite")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_invariant_memo(monkeypatch):
-    # classes computed in one test, or under a stub there, never reach another
+def _fresh_module_memos(monkeypatch):
+    # classes and bracket plans made in one test, or under a stub there (such
+    # as a patched divmod in the Chern atoms), never reach another
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
+    monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})

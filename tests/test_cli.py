@@ -434,6 +434,29 @@ def test_slope_with_a_huge_exponent_exits_2_quickly(qfiles):
     assert time.perf_counter() - started < 0.5
 
 
+def test_input_errors_cut_long_values(qfiles, tmp_path):
+    # each echoed value is cut to a prefix and a note of its length, so the
+    # error line stays short however long the offending input
+    nines, name = "9" * 100_000, "x" * 100_000
+    cases = [
+        ("--slope", json.dumps({"v": nines, "w": "0"})),
+        ("--slope", json.dumps({name: "1", "v": "1", "w": "0"})),
+        ("--dimvec", json.dumps({"v": 1, "w": nines})),
+        ("--dimvec", json.dumps([nines])),
+        ("--max-size", nines),
+        ("--quiver", str(tmp_path / name)),
+    ]
+    base = {"--quiver": qfiles["k3"], "--dimvec": '{"v":1,"w":1}', "--slope": '{"v":"1","w":"0"}'}
+    for flag, value in cases:
+        code, out = run(["invariant", *(x for kv in {**base, flag: value}.items() for x in kv)])
+        assert code == 2 and json.loads(out)["kind"] == "input", flag
+        assert len(out.encode()) < 1000 and "characters)" in out, (flag, out[:200])
+    # a short value is echoed whole
+    code, out = run(["invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":1,"w":1}',
+                     "--slope", '{"v":"x","w":"0"}'])
+    assert (code, out) == (2, '{"error":"not a rational number: \'x\'","kind":"input"}\n')
+
+
 def test_help_exits_0():
     code, out = run(["--help"])
     assert code == 0
@@ -627,7 +650,7 @@ def test_failed_check_exits_4(qfiles, tmp_path, monkeypatch):
 def test_inexact_newton_division_exits_4(qfiles, monkeypatch):
     # the Chern atoms' integer Newton step divides exactly on every valid
     # input, so force a remainder: the guard must surface as an internal error
-    monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+    monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
     monkeypatch.setattr(charclass, "divmod", lambda a, b: (a // b, 1), raising=False)
     code, out = run(
         [

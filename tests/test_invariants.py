@@ -31,6 +31,7 @@ from quiverinv.stability import (
 )
 from quiverinv.invariants import (
     CacheStore,
+    _order_condition,
     InvariantTable,
     build_invariant_table,
     check_morphism_identity,
@@ -268,7 +269,8 @@ def test_live_words_are_the_decompositions_into_letters(d, extra):
     sparse = subs[::2] + [extra]  # extra is no subvector, so never a part
     for keys in (subs, units, sparse):
         letters = dict.fromkeys(keys)
-        got = list(invariants._live_words(d, letters))
+        _, codes, below = invariants._coding(d, letters)
+        got = [tuple(subs[i] for i in w) for w in invariants._live_words(codes[-1], below)]
         want = {p for p in all_decompositions(d) if all(x in letters for x in p)}
         assert len(got) == len(set(got)) and set(got) == want and want
 
@@ -426,11 +428,11 @@ def test_cache_roundtrip(tmp_path):
     store = CacheStore(tmp_path)
     tau = slope_stability(K3, HI)
     d = DimVector({"v": 1, "w": 1})
-    assert store.get(K3, tau, d) is None
+    assert store.get(K3, d, _order_condition(tau, d)) is None
     cls = invariant(K3, tau, d, cache=store)
     files = list(tmp_path.glob("*.json"))
     assert files
-    again = CacheStore(tmp_path).get(K3, tau, d)
+    again = CacheStore(tmp_path).get(K3, d, _order_condition(tau, d))
     assert again is not None
     assert again.rep.functional == cls.rep.functional
     assert again.degree == cls.degree
@@ -438,7 +440,7 @@ def test_cache_roundtrip(tmp_path):
     hit = invariant(K3, tau, d, cache=store)
     assert hit.rep.functional == cls.rep.functional
     # a condition of another order does not collide
-    assert store.get(K3, slope_stability(K3, LO), d) is None
+    assert store.get(K3, d, _order_condition(slope_stability(K3, LO), d)) is None
 
 
 def test_cache_misses_entries_of_another_algorithm(tmp_path, monkeypatch):
@@ -446,12 +448,12 @@ def test_cache_misses_entries_of_another_algorithm(tmp_path, monkeypatch):
     d = DimVector({"v": 1, "w": 1})
     store = CacheStore(tmp_path)
     monkeypatch.setattr(invariants, "_ALGORITHM", "written")
-    store.put(K3, tau, d, invariant(K3, tau, d))
-    assert store.get(K3, tau, d) is not None
+    store.put(K3, d, _order_condition(tau, d), invariant(K3, tau, d))
+    assert store.get(K3, d, _order_condition(tau, d)) is not None
     (path,) = tmp_path.glob("*.json")
     assert json.loads(path.read_text())["algorithm"] == "written"
     monkeypatch.setattr(invariants, "_ALGORITHM", "read")
-    assert store.get(K3, tau, d) is None
+    assert store.get(K3, d, _order_condition(tau, d)) is None
 
 
 def test_cache_not_shared_through_caller_tokens(tmp_path):
@@ -466,10 +468,10 @@ def test_cache_not_shared_through_caller_tokens(tmp_path):
     assert canonical_coordinates(invariant(K2, mine_lo, d, cache=store)) == fresh
     assert len(list(tmp_path.iterdir())) == 2
     again = CacheStore(tmp_path)
-    assert canonical_coordinates(again.get(K2, mine_lo, d)) == fresh
-    assert canonical_coordinates(again.get(K2, mine_hi, d)) == canonical_coordinates(
-        invariant(K2, hi, d)
-    )
+    assert canonical_coordinates(again.get(K2, d, _order_condition(mine_lo, d))) == fresh
+    assert canonical_coordinates(
+        again.get(K2, d, _order_condition(mine_hi, d))
+    ) == canonical_coordinates(invariant(K2, hi, d))
 
 
 def _refuse(*args):
@@ -507,6 +509,25 @@ def test_cache_serves_every_slope_in_a_chamber(monkeypatch, tmp_path):
     assert again.rep == first.rep
 
 
+def test_cached_invariant_reads_the_order_of_tau_once(monkeypatch, tmp_path):
+    # the memo key, the cache key and the cache file name share one
+    # evaluation of the order of tau on the subvectors of d
+    tau, d = slope_stability(K3, HI), DimVector({"v": 2, "w": 1})
+    order, calls = invariants._order_condition, []
+
+    def counted(stab, e):
+        calls.append(stab)
+        return order(stab, e)
+
+    monkeypatch.setattr(invariants, "_order_condition", counted)
+    store = CacheStore(tmp_path)
+    for _ in range(2):  # the first call computes and writes, the second reads
+        calls.clear()
+        invariant(K3, tau, d, cache=store)
+        assert calls.count(tau) == 1
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
 def test_cache_store_keys_on_the_order_of_values(tmp_path):
     # entries of conditions ordered differently on the subvectors of d never
     # stand in for each other; one of the same order, here {v:5,w:-2} with
@@ -520,14 +541,15 @@ def test_cache_store_keys_on_the_order_of_values(tmp_path):
         WeakStability(lambda e: e.total(), name="size"),
     ]
     store = CacheStore(tmp_path)
-    store.put(K3, conditions[0], d, x)
-    assert all(store.get(K3, tau, d) is None for tau in conditions[1:])
+    store.put(K3, d, _order_condition(conditions[0], d), x)
+    assert all(store.get(K3, d, _order_condition(tau, d)) is None for tau in conditions[1:])
     for k, tau in enumerate(conditions[1:], start=2):
-        store.put(K3, tau, d, x.scale(k))
+        store.put(K3, d, _order_condition(tau, d), x.scale(k))
     assert len(list(tmp_path.glob("*.json"))) == len(conditions)
     for k, tau in enumerate(conditions, start=1):
-        assert store.get(K3, tau, d).rep == x.scale(k).rep
-    assert store.get(K3, slope_stability(K3, {"v": 5, "w": -2}), d).rep == x.rep
+        assert store.get(K3, d, _order_condition(tau, d)).rep == x.scale(k).rep
+    same = _order_condition(slope_stability(K3, {"v": 5, "w": -2}), d)
+    assert store.get(K3, d, same).rep == x.rep
 
 
 def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
@@ -586,8 +608,8 @@ def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     ]
     assert obj["canonical"]
     store = CacheStore(tmp_path)
-    store.put(K3, tau, d, cls)
-    again = store.get(K3, tau, d)
+    store.put(K3, d, _order_condition(tau, d), cls)
+    again = store.get(K3, d, _order_condition(tau, d))
     assert again is not None and pl_class_json(again) == obj
 
 
@@ -597,7 +619,7 @@ def test_module_memos_are_declared():
     for info in pkgutil.iter_modules(quiverinv.__path__):
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
-    assert memos == {"charclass._ATOM_MEMO", "invariants._INVARIANT_MEMO"}
+    assert memos == {"vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO"}
 
 
 def test_private_imports_are_declared():
@@ -632,32 +654,32 @@ def test_cache_rejects_corruption(tmp_path):
     obj["representative"][key] = "7/3"
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="corrupt"):
-        store.get(K3, tau, d)
+        store.get(K3, d, _order_condition(tau, d))
 
     obj["format"] = "something-else"
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="format"):
-        store.get(K3, tau, d)
+        store.get(K3, d, _order_condition(tau, d))
 
     path.write_text("{not json")
     with pytest.raises(ValueError, match="unreadable"):
-        store.get(K3, tau, d)
+        store.get(K3, d, _order_condition(tau, d))
 
     # valid JSON of the wrong shape is named, never a crash
     path.write_text("[]")
     with pytest.raises(ValueError, match=f"{path.name} has unknown format"):
-        store.get(K3, tau, d)
-    store.put(K3, tau, d, invariant(K3, tau, d))
+        store.get(K3, d, _order_condition(tau, d))
+    store.put(K3, d, _order_condition(tau, d), invariant(K3, tau, d))
     good = json.loads(path.read_text())
     for field, value in (("representative", []), ("representative", None),
                          ("degree", None), ("degree", "4"), ("degree", 6)):
         path.write_text(json.dumps({**good, field: value}))
         with pytest.raises(ValueError, match=f"{path.name} is malformed"):
-            store.get(K3, tau, d)
+            store.get(K3, d, _order_condition(tau, d))
     del good["canonical"]
     path.write_text(json.dumps(good))
     with pytest.raises(ValueError, match="corrupt"):
-        store.get(K3, tau, d)
+        store.get(K3, d, _order_condition(tau, d))
 
 
 def test_induced_pl_map_preserves_shifted_degree():

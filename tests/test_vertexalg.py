@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quiverinv import charclass, vertexalg
 from quiverinv.charclass import ChernRing, Poly, monomial_basis, scaling_coaction
@@ -518,6 +519,74 @@ def test_state_field_matches_termwise_oracle(q):
         assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
 
 
+_RING21 = ChernRing((DimVector({"v": 2, "w": 1}),))
+_BASIS21 = monomial_basis(_RING21, 2)
+_VALUES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 5]))
+_FUNCTIONALS = st.dictionaries(st.sampled_from(_BASIS21), _VALUES)
+
+
+def _reference_sum(f, g, sign=1):
+    acc = dict(f)
+    for m, c in g.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return {m: c for m, c in acc.items() if c}
+
+
+@given(_FUNCTIONALS, _FUNCTIONALS, _VALUES)
+def test_packed_classes_match_fraction_dicts(f, g, c):
+    # one int denominator per class, against {Monomial: Fraction} dicts
+    x, y = HClass(K3, _RING21, 4, f), HClass(K3, _RING21, 4, g)
+    f, g = _reference_sum(f, {}), _reference_sum(g, {})
+    assert x.functional == f and y.functional == g
+    assert HClass(K3, _RING21, 4, x.functional) == x
+    assert (x + y).functional == _reference_sum(f, g)
+    assert (x - y).functional == _reference_sum(f, g, -1)
+    assert x.scale(c).functional == _reference_sum({m: c * v for m, v in f.items()}, {})
+    assert (x == y) == (f == g)
+    # equal classes built along different paths compare equal
+    assert (x + y) - y == x == y + x - y
+    assert x + x == x.scale(2) and x.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == x
+    assert (x - x) == HClass(K3, _RING21, 4, {})
+    poly = Poly(_RING21, {m: Fraction(k + 1, 2) for k, m in enumerate(_BASIS21)})
+    poly = poly + Poly.one(_RING21)  # an off-degree part pairs to 0
+    assert x.pair(poly) == sum((Fraction(k + 1, 2) * f.get(m, 0)
+                                for k, m in enumerate(_BASIS21)), Fraction(0))
+
+
+def test_packed_classes_with_denominators_three_and_five():
+    # values over 3 and over 5 share the denominator 15, and no common
+    # factor is left between it and the numerators
+    m1, m2 = _BASIS21[:2]
+    x = HClass(K3, _RING21, 4, {m1: Fraction(1, 3), m2: Fraction(2, 5)})
+    assert x.den == 15 and x.num == {_RING21.pack(m1): 5, _RING21.pack(m2): 6}
+    y = HClass(K3, _RING21, 4, {m1: Fraction(-1, 3), m2: Fraction(1, 5)})
+    assert (x + y).den == 5 and (x + y).functional == {m2: Fraction(3, 5)}
+    assert (x + y) == HClass(K3, _RING21, 4, {m2: Fraction(6, 10)}) == x.scale(3) - x.scale(2) + y
+
+
+def test_bracket_plan_made_at_a_smaller_imax_gives_the_fresh_bracket(monkeypatch):
+    # a plan grows its caps when a larger imax arrives and serves a smaller
+    # one by reading only the terms up to it
+    rng = random.Random(53)
+    a, b = {"v": 2, "w": 1}, {"v": 1, "w": 2}
+    small = (_random_class(rng, K3, (a,), 0), _random_class(rng, K3, (b,), 1))
+    large = (_random_class(rng, K3, (a,), 3), _random_class(rng, K3, (b,), 2))
+    powers = range(-3, 2)
+    fresh = []
+    for pair in (small, large):
+        monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
+        fresh.append(state_field(*pair, powers))
+    monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
+    assert state_field(*small, powers) == fresh[0]
+    (plan,) = vertexalg._PLAN_MEMO.values()
+    assert plan.imax == 1 < plan.top == 4
+    assert state_field(*large, powers) == fresh[1]
+    assert plan.imax == 4 and vertexalg._PLAN_MEMO == {(K3, DimVector(a), DimVector(b)): plan}
+    assert state_field(*small, powers) == fresh[0]
+    assert fresh[1] == oracles.state_field_oracle(*large, powers)
+    assert not fresh[1][-1].is_zero()
+
+
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
 def test_factored_caps_match_expanded_chern_class(q):
     # entry imax - i of the atom-by-atom levels, on packed monomials, is uv
@@ -536,13 +605,13 @@ def test_factored_caps_match_expanded_chern_class(q):
         uv = kunneth(u, v)
         imax = uv.degree // 2
         rank_zero |= {m > 0 for m, a in kexpr if charclass.atom_rank(a, uv.ring) == 0}
-        packed = {uv.ring.pack(m): x for m, x in uv.functional.items()}
-        levels = vertexalg._ext_cap_levels(q, uv.ring, packed, imax)
+        caps = vertexalg._bracket_plan(q, *uv.dims, imax).caps
+        levels = vertexalg._ext_cap_levels(caps, uv.num, imax)
         total = charclass.chern_kclass(kexpr, uv.ring, imax)
         for i in range(imax + 1):
             ci = total.weight_part(i)
             want = zero_class(q, uv.dims, uv.degree - 2 * i) if ci.is_zero() else cap(uv, ci)
-            level = {uv.ring.unpack(m): x for m, x in levels[imax - i].items()}
+            level = {uv.ring.unpack(m): Fraction(x, uv.den) for m, x in levels[imax - i].items()}
             got = HClass(q, uv.ring, uv.degree - 2 * i, level)
             assert got == want, (d, e, i)
     assert rank_zero == ({True, False} if q.edges else {True})
@@ -662,11 +731,12 @@ def test_kernel_never_builds_sorted_monomials(monkeypatch):
     image = divided_translation(HClass(K3, ring, 10, _random_functional(rng, lower)), 1)
     tests = [image, image + HClass(K3, ring, 12, {rng.choice(basis): Fraction(1)})]
     want = (
-        oracles.state_field_oracle(u, v, (-1,))[-1],  # also fills the atom memo
+        oracles.state_field_oracle(u, v, (-1,))[-1],
         oracles.merge_pushforward_oracle(collapse, x),
         [oracles.translation_image_oracle(ranks, basis, lower, w.functional) for w in tests],
     )
     assert want[2] == [True, False] and not want[0].is_zero()
+    lie_bracket(u, v)  # makes the plan of the ring pair, whose Ext atoms are polynomials
 
     def refuse(*args):
         raise AssertionError("the kernel built a sorted-tuple monomial")
