@@ -394,7 +394,6 @@ def pair_invariant_report(
     d,
     framing: Mapping[str, int],
     *,
-    frame_vertex: str = "inf",
     cache: "CacheStore | None" = None,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> dict:
@@ -416,7 +415,8 @@ def pair_invariant_report(
                 " the framing bracket is injective only then"
             )
 
-    framed, inclusion = frame_quiver(q, framing, frame_vertex)
+    framed, inclusion = frame_quiver(q, framing)
+    (frame_vertex,) = set(framed.vertices) - set(q.vertices)
     frame = unit_vector(frame_vertex)
     dtil = d + frame
     _check_size(dtil, max_size)

@@ -503,28 +503,30 @@ def edge_deletion_morphism(q: Quiver, edge_ids: Iterable[str]) -> QuiverMorphism
     return QuiverMorphism(q, target, {v: v for v in q.vertices}, pairs)
 
 
-def frame_quiver(
-    q: Quiver, framing: Mapping[str, int], frame_vertex: str = "inf"
-) -> tuple[Quiver, QuiverMorphism]:
-    """Add a framing vertex with framing[v] edges to each vertex v.
+def _fresh(base: str, used) -> str:
+    """base if it is not in used, else base_n for the least n >= 1 that is not."""
+    n = 0
+    while (name := f"{base}_{n}" if n else base) in used:
+        n += 1
+    return name
+
+
+def frame_quiver(q: Quiver, framing: Mapping[str, int]) -> tuple[Quiver, QuiverMorphism]:
+    """Add a framing vertex "inf" with framing[v] edges fr_<v>_1, fr_<v>_2,
+    ... to each vertex v; an id that q uses gets the least fresh suffix _n.
 
     Returns the framed quiver and the inclusion morphism of q into it.
     """
-    _check_id("frame vertex id", frame_vertex)
-    if frame_vertex in q._vset:
-        raise StructureError(f"frame vertex id {shown(frame_vertex)} already used in the quiver")
     for v, n in framing.items():
         if v not in q._vset:
             raise StructureError(f"framing mentions unknown vertex {shown(v)}")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise StructureError(f"framing multiplicity at {shown(v)} must be a nonnegative int")
-    new_edges = []
-    existing = set(q.edge_ids())
+    frame_vertex, new_edges, used = _fresh("inf", q._vset), [], set(q.edge_ids())
     for v in sorted(framing):
         for k in range(1, framing[v] + 1):
-            eid = f"fr_{v}_{k}"
-            if eid in existing:
-                raise StructureError(f"generated framing edge id {shown(eid)} collides")
+            eid = _fresh(f"fr_{v}_{k}", used)
+            used.add(eid)
             new_edges.append((eid, frame_vertex, v))
     framed = Quiver(
         list(q.vertices) + [frame_vertex],

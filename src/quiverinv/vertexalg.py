@@ -12,7 +12,7 @@ The operations:
   * cap(u, p): lower the degree by pairing against multiplication by p;
   * divided_translation(u, j): the j-th divided power of the translation
     operator, the transpose of D^j / j! for the derivation D of the Chern
-    class ring (charclass.weight_zero_component);
+    class ring, D(c[0, v, i]) = (d(v) - i + 1) c[0, v, i - 1] (_raise);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
     both are transposed Whitney maps applied to the class's support
@@ -40,9 +40,10 @@ linear caps on ints and needs no linear algebra.  canonical_coordinates
 gives the pairings with the row reduced basis of the kernel of D
 (weight_zero_basis) without building it: the translation images pair to
 zero with that kernel, so reducing the representative by an echelon form
-of them leaves its coordinates at the free columns.  The two zero tests
-agree by duality and are cross-checked in the tests, and weight_zero_basis
-stays as the reference the reduction is tested against.
+of them, the images of single packed monomials under _raise, leaves its
+coordinates at the free columns; _raise is the one statement of D.  The
+two zero tests agree by duality and are cross-checked in the tests, and
+weight_zero_basis stays as the reference the reduction is tested against.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .charclass import (
     ext_pairing_kexpr,
     monomial_basis,
     monomial_weight,
-    weight_zero_component,
     whitney_transpose,
 )
 from .quiver import (
@@ -522,16 +522,17 @@ def pl_equal(x: PlClass, y: PlClass) -> bool:
     return is_translation_image(x.rep - y.rep)
 
 
-def _translation_rows(ring: ChernRing, basis: tuple[Monomial, ...]) -> list[dict[int, int]]:
-    """Rows of the matrix of D on the span of basis: one per monomial of
-    weight one less, keyed by column (position in basis).  Each row is the
-    translation image of the functional 1 at its monomial; D has integer
-    entries, so the rows hold ints."""
-    rows: dict[Monomial, dict[int, int]] = {}
-    for c, m in enumerate(basis):
-        for lower, x in weight_zero_component(Poly(ring, {m: Fraction(1)})).terms.items():
-            rows.setdefault(lower, {})[c] = x.numerator
-    return list(rows.values())
+def _translation_rows(ring: ChernRing, weight: int) -> tuple[dict[tuple, int], list[dict]]:
+    """(index, rows): the column (position in monomial_basis) of each packed
+    monomial of the weight basis, and the rows of the matrix of D from it
+    to the weight - 1 basis, keyed by column.  The row of each monomial m'
+    of weight - 1 is its translation image _raise(ring, {m': 1}, 1); D has
+    integer entries, so the rows hold ints, all of them positive."""
+    index = {ring.pack(m): c for c, m in enumerate(monomial_basis(ring, weight))}
+    return index, [
+        {index[s]: x for s, x in _raise(ring, {ring.pack(m): 1}, 1).items()}
+        for m in monomial_basis(ring, weight - 1)
+    ]
 
 
 def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
@@ -540,15 +541,15 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     Returns (index, steps, free): the column of each packed monomial of the
     weight basis, the pivot rows as (pivot column, {column: value}) in descending
     pivot order, each a primitive integer row supported at and below its
-    pivot, and the free columns in ascending order.  Elimination is
-    fraction free: a row meeting a pivot row is cross-multiplied with it.
-    The pivot of a row is its last column, the rule of weight_zero_basis,
-    so the pivot set is the same; there is no back-substitution and no
-    kernel basis.
+    pivot, and the free columns in ascending order.  The rows come from
+    _translation_rows, and elimination is fraction free: a row meeting a
+    pivot row is cross-multiplied with it.  The pivot of a row is its last
+    column, the rule of weight_zero_basis, so the pivot set is the same;
+    there is no back-substitution and no kernel basis.
     """
-    basis = monomial_basis(ring, weight)
+    index, rows = _translation_rows(ring, weight)
     pivots: dict[int, dict[int, int]] = {}
-    for row in _translation_rows(ring, basis):
+    for row in rows:
         while row:
             p = max(row)
             prow = pivots.get(p)
@@ -567,11 +568,8 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
                     row[c] = z
                 else:
                     del row[c]
-    return (
-        {ring.pack(m): c for c, m in enumerate(basis)},
-        sorted(pivots.items(), reverse=True),
-        [c for c in range(len(basis)) if c not in pivots],
-    )
+    free = [c for c in range(len(index)) if c not in pivots]
+    return index, sorted(pivots.items(), reverse=True), free
 
 
 def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
@@ -586,8 +584,8 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     the reference the reduction is tested against, and nothing in the
     package calls it.
 
-    One exact Gauss-Jordan elimination on the matrix of D (rows the
-    weight - 1 basis, columns the weight basis) taken with the columns in
+    One exact Gauss-Jordan elimination on the matrix of D (_translation_rows,
+    shared with canonical_coordinates) taken with the columns in
     reverse graded order gives the basis directly: the kernel vector at a
     free column c is 1 at c and nonzero only at later pivot columns, so
     these vectors, sorted by c, are the graded-order rref of the kernel.
@@ -597,7 +595,7 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
     basis = monomial_basis(ring, weight)
     # Gauss-Jordan with the last column of each row as its pivot
     pivots: dict[int, dict[int, Fraction]] = {}
-    for row in _translation_rows(ring, basis):
+    for row in _translation_rows(ring, weight)[1]:
         for p, prow in pivots.items():
             x = row.get(p)
             if x:
@@ -634,7 +632,8 @@ def canonical_coordinates(x: PlClass) -> list[Fraction]:
     the representative by the echelon of _translation_echelon, pivots in
     descending order, leaves it supported on the free columns F_1 < F_2 < ...,
     and the weight_zero_basis vector at F_k is 1 there and 0 at the other
-    free columns: the value at F_k is the k-th pairing.
+    free columns: the value at F_k is the k-th pairing.  The reduction
+    holds one Fraction per entry and subtracts vec[p] / prow[p] times prow.
 
     The coordinates are computed on the first request and stored on x
     (classes of odd or negative degree have none); every call returns a
@@ -642,17 +641,14 @@ def canonical_coordinates(x: PlClass) -> list[Fraction]:
     """
     if x._coordinates is None and x.degree >= 0 and x.degree % 2 == 0:
         index, steps, free = _translation_echelon(x.rep.ring, x.degree // 2)
-        den, vec = x.rep.den, {index[m]: y for m, y in x.rep.num.items()}
+        vec = {index[m]: Fraction(y, x.rep.den) for m, y in x.rep.num.items()}
         for p, prow in steps:
             y = vec.get(p)
             if y:
-                g = gcd(prow[p], y)
-                a, y = prow[p] // g, y // g
-                if a != 1:  # vec / den = (a vec) / (a den), with ints
-                    vec, den = {c: a * z for c, z in vec.items()}, a * den
+                y = y / prow[p]
                 for c, r in prow.items():
                     vec[c] = vec.get(c, 0) - y * r
-        x._coordinates = tuple(Fraction(vec.get(c, 0), den) for c in free)
+        x._coordinates = tuple(Fraction(vec.get(c, 0)) for c in free)
     return list(x._coordinates or ())
 
 

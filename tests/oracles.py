@@ -669,7 +669,7 @@ def wallcross_transform_by_words(q, table, to_stab, d):
     return _sum_of_words(q, d, lie_normalize(words), table.__getitem__)
 
 
-def pair_rhs_by_words(q, mu, d, framing, frame_vertex="inf"):
+def pair_rhs_by_words(q, mu, d, framing):
     """The right side of the framed-pair identity, one decomposition at a
     time: (-1)^n / n! [[...[framing unit, i(inv d_1)], ...], i(inv d_n)]."""
     from quiverinv.invariants import induced_pl_map, invariant
@@ -678,7 +678,8 @@ def pair_rhs_by_words(q, mu, d, framing, frame_vertex="inf"):
     from quiverinv.vertexalg import unit_pl
 
     mu = slope_stability(q, mu)
-    framed, inclusion = frame_quiver(q, framing, frame_vertex)
+    framed, inclusion = frame_quiver(q, framing)
+    (frame_vertex,) = set(framed.vertices) - set(q.vertices)
     frame = unit_vector(frame_vertex)
     letters = {
         e: induced_pl_map(inclusion, invariant(q, mu, e))

@@ -357,6 +357,39 @@ def test_pair_check_command(qfiles):
     )
 
 
+def test_pair_check_frames_quivers_using_the_default_ids(tmp_path):
+    # a quiver may use "inf" or fr_<v>_<k> itself: the framing takes fresh ids
+    a2_out = (
+        '{"equal":true,"injective":true,"ok":true,"dimvec":{"v":1,"w":1},'
+        '"framed_class":{"inf":1,"v":1,"w":1},"epsilon":"1/8",'
+        '"framed_slope":{"inf":"5/8","v":"1","w":"0"}}\n'
+    )
+    cases = [
+        (
+            {"vertices": ["inf", "w"], "edges": [{"id": "e1", "from": "inf", "to": "w"}]},
+            "inf",
+            '{"equal":true,"injective":true,"ok":true,"dimvec":{"inf":1,"w":1},'
+            '"framed_class":{"inf":1,"inf_1":1,"w":1},"epsilon":"1/8",'
+            '"framed_slope":{"inf":"1","inf_1":"5/8","w":"0"}}\n',
+        ),
+        (
+            {"vertices": ["v", "w"], "edges": [{"id": "fr_v_1", "from": "v", "to": "w"}]},
+            "v",
+            a2_out,
+        ),
+    ]
+    for k, (obj, v, want) in enumerate(cases):
+        path = tmp_path / f"q{k}.json"
+        path.write_text(json.dumps(obj))
+        code, out = run([
+            "pair-check", "--quiver", str(path),
+            "--dimvec", json.dumps({v: 1, "w": 1}),
+            "--slope", json.dumps({v: "1", "w": "0"}),
+            "--framing", json.dumps({v: 1, "w": 1}),
+        ])
+        assert (code, out) == (0, want)
+
+
 def test_selftest_command():
     code, out = run(["selftest", "--max-size", "2"])
     assert code == 0

@@ -592,16 +592,33 @@ def test_classes_at_tau_match_a_rank_valued_condition(monkeypatch):
 
 
 def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
+    # nor any Poly or sorted-tuple monomial: the rows of D's matrix are the
+    # translation images of single packed monomials (_raise)
+    from quiverinv import charclass
+
     tau = slope_stability(K3, HI)
     d = DimVector({"v": 2, "w": 2})
     cls = invariant(K3, tau, d)
     reference = vertexalg.weight_zero_basis(cls.rep.ring, cls.degree // 2)
     want = [cls.rep.pair(p) for p in reference]
+    n_rows = len(charclass.monomial_basis(cls.rep.ring, cls.degree // 2 - 1))
 
-    def refuse(*args):
-        raise AssertionError("canonical coordinates built the dense kernel basis")
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical coordinates left the packed kernel")
 
     monkeypatch.setattr(vertexalg, "weight_zero_basis", refuse)
+    for name in ("weight_zero_component", "divide_monomial", "mul_monomials"):
+        for module in (charclass, vertexalg, invariants):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "_trusted", refuse)
+    raised, raise_ = [], vertexalg._raise
+
+    def counted(ring, func, j):
+        raised.append((len(func), j))
+        return raise_(ring, func, j)
+
+    monkeypatch.setattr(vertexalg, "_raise", counted)
     obj = pl_class_json(cls)
     assert obj["canonical"] == [
         {"basis_index": k, "value": str(c)} for k, c in enumerate(want) if c
@@ -611,6 +628,8 @@ def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     store.put(K3, d, _order_condition(tau, d), cls)
     again = store.get(K3, d, _order_condition(tau, d))
     assert again is not None and pl_class_json(again) == obj
+    # one reduction for cls, one for the class read back
+    assert n_rows and raised == [(1, 1)] * (2 * n_rows)
 
 
 def test_module_memos_are_declared():

@@ -277,9 +277,13 @@ def test_frame_quiver():
     assert framed.arrows("inf", "w") == 2
     assert inc.source == A2 and inc.target == framed
     assert inc.pushforward(DimVector({"v": 1})) == DimVector({"v": 1})
-    clash = Quiver(["inf", "w"], [("e1", "inf", "w")])
-    with pytest.raises(StructureError):
-        frame_quiver(clash, {"w": 1})
+    # ids the quiver already uses are not taken: the framing gets fresh ones
+    clash = Quiver(["inf", "inf_1", "w"], [("e1", "inf", "w"), ("fr_w_1", "inf_1", "w")])
+    framed, inc = frame_quiver(clash, {"w": 2})
+    assert set(framed.vertices) - set(clash.vertices) == {"inf_2"}
+    assert {e.id for e in framed.edges} - set(clash.edge_ids()) == {"fr_w_1_1", "fr_w_2"}
+    assert framed.arrows("inf_2", "w") == 2 and framed.arrows("inf", "w") == 1
+    assert inc.target == framed
 
 
 def test_binarize_quiver():

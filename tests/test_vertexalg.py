@@ -460,21 +460,54 @@ def test_canonical_coordinates_match_weight_zero_basis(name):
     assert {p for p, _ in steps} == set(range(len(basis))) - set(reference_free)
 
 
+SYMPY_COORDINATE_CASES = {
+    "K3-2-2": (K3, {"v": 2, "w": 2}, (1, 2, 3, 4, 5)),
+    "K3-3-2": (K3, {"v": 3, "w": 2}, (3, 6)),
+    "T4-1-2-1": (T4, {"a": 1, "b": 2, "c": 1}, (2, 4)),
+    "A3-2-1-1": (A3, {"a": 2, "b": 1, "c": 1}, (3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPY_COORDINATE_CASES))
+def test_canonical_coordinates_match_sympy_pairings(name):
+    # the runtime coordinates against pairings with sympy's rref kernel of D,
+    # whose matrix of D shares no code with the package
+    q, d, weights = SYMPY_COORDINATE_CASES[name]
+    rng = random.Random(53)
+    for weight in weights:
+        ring, ranks, basis, lower = _oracle_args(d, weight)
+        rows = oracles.weight_zero_rref_oracle(ranks, basis, lower)
+        # values over 3 and 5 at once, and a class with a 3 in every denominator
+        for functional in (
+            {m: Fraction(rng.randint(-4, 4), (1, 3, 5)[c % 3]) for c, m in enumerate(basis)},
+            {m: Fraction(rng.choice((-2, -1, 1, 2)), 3) for m in basis},
+        ):
+            x = PlClass(HClass(q, ring, 2 * weight, functional))
+            want = [sum(c * functional[m] for m, c in row.items()) for row in rows]
+            assert canonical_coordinates(x) == want and any(want)
+        y = HClass(q, ring, 2 * weight - 2, {
+            m: Fraction(rng.choice((-2, -1, 1, 2)), (3, 5)[c % 2]) for c, m in enumerate(lower)
+        })
+        image = PlClass(divided_translation(y, 1))
+        assert not image.rep.is_zero()
+        assert canonical_coordinates(image) == [Fraction(0)] * len(rows)
+
+
 def test_canonical_coordinates_are_reduced_once_per_class(monkeypatch):
     ring = ChernRing((DimVector({"v": 3, "w": 3}),))
     rep = HClass(K3, ring, 20, _random_functional(random.Random(43), monomial_basis(ring, 10)))
     calls = []
     rows = vertexalg._translation_rows
 
-    def counted(*args):
-        calls.append(args)
-        return rows(*args)
+    def counted(ring, weight):
+        calls.append((ring, weight))
+        return rows(ring, weight)
 
     monkeypatch.setattr(vertexalg, "_translation_rows", counted)
     x = PlClass(rep)
     first = canonical_coordinates(x)
     second = canonical_coordinates(x)
-    assert len(calls) == 1
+    assert calls == [(ring, 10)]
     assert first == second and any(first)
     first[0] += 1
     first.append(Fraction(0))
