@@ -22,6 +22,8 @@ with one lie_bracket per group of words sharing a last letter
 (_bracket_sum).  invariant and wallcross_transform share that word sum
 (_word_sum), run on integer-coded subvectors of d and the ranks of the
 conditions there; the transform of a table must agree with invariant.
+A table or a wall-crossing check ranks each condition on d once and
+restricts the ranks to each e <= d (_orders_below).
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -58,7 +60,8 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -98,7 +101,6 @@ from .vertexalg import (
     pl_equal,
     pl_is_zero,
     unit_pl,
-    zero_class,
     zero_pl,
 )
 from .wallcoeff import _u_from_values, lie_normalize
@@ -134,32 +136,44 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
 
     By bilinearity each group of words with the same last letter e costs
     one bracket, of the sum of their prefixes with leaf(e); the prefixes
-    all sum to total - e, so they share a ring and a degree.
+    all sum to total - e, so they share a ring and a degree.  The terms
+    add up as int numerators over one denominator.
     """
-    acc = zero_class(q, (total,), natural_degree(q, total))
-    groups: dict[DimVector, list] = {}
-    for letters, c in words:
-        if len(letters) == 1:
-            acc = acc + leaf(letters[0]).rep.scale(c)
-        else:
-            groups.setdefault(letters[-1], []).append((letters[:-1], c))
-    for e, prefixes in groups.items():
-        acc = acc + lie_bracket(_bracket_sum(q, total - e, prefixes, leaf), leaf(e)).rep
-    return PlClass(acc)
+    def terms() -> Iterator[tuple[HClass, Fraction]]:
+        groups: dict[DimVector, list] = {}
+        for letters, c in words:
+            if len(letters) == 1:
+                yield leaf(letters[0]).rep, Fraction(c)
+            else:
+                groups.setdefault(letters[-1], []).append((letters[:-1], c))
+        for e, prefixes in groups.items():
+            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf), leaf(e)).rep, Fraction(1)
+
+    degree, ring, num, den = natural_degree(q, total), None, {}, 1
+    for x, c in terms():  # each term is added, and dropped, before the next is made
+        if x.ring.key() != (total.items(),) or x.degree != degree:
+            raise ValueError("bracket sum terms live on different stacks or degrees")
+        ring, common = x.ring, lcm(den, x.den * c.denominator)
+        if common != den:
+            num, den = {m: y * (common // den) for m, y in num.items()}, common
+        k = c.numerator * (den // (x.den * c.denominator))
+        for m, y in x.num.items():
+            num[m] = num.get(m, 0) + k * y
+    return PlClass(HClass._trusted(q, ring or ChernRing((total,)), degree, num, den))
 
 
 def _coding(d: DimVector, letters: Iterable[DimVector]) -> tuple:
     """subvectors(d), the code of each, and for each code the letters below
     its vector, as (index, code) pairs in the order of letters.  A code has
     digit e(v) and radix d(v) + 1 over the support of d, so a sum of
-    vectors that stays <= d has the sum of their codes, with no carry."""
-    subs, place, size = subvectors(d), {}, 1
-    for v, n in d.items():
-        place[v], size = size, size * (n + 1)
-    codes = [sum(place[v] * n for v, n in e.items()) for e in subs]
+    vectors that stays <= d has the sum of their codes, with no carry.  A
+    letter is below a vector when each of its digits is."""
+    subs, sizes = subvectors(d), [n + 1 for _, n in d.items()]
+    digits = [tuple(e[v] for v, _ in d.items()) for e in subs]
+    codes = [sum(x * prod(sizes[:k]) for k, x in enumerate(ds)) for ds in digits]
     index = {e: i for i, e in enumerate(subs)}
-    live = [(index[f], f) for f in letters if f in index]
-    below = {c: [(i, codes[i]) for i, f in live if f.leq(e)] for e, c in zip(subs, codes)}
+    live = [index[f] for f in letters if f in index]
+    below = {c: [(i, codes[i]) for i in live if all(map(le, digits[i], ds))] for ds, c in zip(digits, codes)}
     return subs, codes, below
 
 
@@ -181,14 +195,27 @@ def _order_condition(tau: WeakStability, d: DimVector) -> tuple[int, ...]:
     """The order of tau on the subvectors of d: the rank of each one's value
     (equal values share one), in subvectors(d) order.  u_coeff compares
     values of partial sums only, so every class and transform of d depends
-    on tau through these ranks alone."""
-    subs = subvectors(d)
-    values = [tau.value(e) for e in subs]
-    order = sorted(range(len(subs)), key=values.__getitem__)
-    ranks = [0] * len(subs)
+    on tau through these ranks alone, and those of d fix those of each e."""
+    return _dense_ranks([tau.value(e) for e in subvectors(d)])
+
+
+def _dense_ranks(values: list) -> tuple[int, ...]:
+    """The rank of each value among the values, equal values sharing one."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
     for prev, i in zip(order, order[1:]):
         ranks[i] = ranks[prev] + (values[i] != values[prev])
     return tuple(ranks)
+
+
+def _orders_below(d: DimVector, *conditions: WeakStability) -> dict[DimVector, tuple]:
+    """For every e in subvectors(d), the tuple of _order_condition(tau, e)
+    over the conditions.  Each condition is ranked on subvectors(d) once;
+    subvectors(e) are the subvectors of d below e, in the same graded
+    order, so the ranks at e are those of d there, ranked again."""
+    subs, codes, below = _coding(d, subvectors(d))
+    ranks = [_order_condition(tau, d) for tau in conditions]
+    return {e: tuple(_dense_ranks([r[i] for i, _ in below[c]]) for r in ranks) for e, c in zip(subs, codes)}
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
@@ -211,11 +238,17 @@ def invariant(
 ) -> PlClass:
     """Invariant class of the semistable moduli of class d at tau: the
     transform of the unit classes from reference_increasing_slope(q),
-    which raises CycleError when q has an oriented cycle."""
+    which raises CycleError when q has an oriented cycle.  Each of the two
+    conditions is ranked on the subvectors of d once (_order_condition)."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    ranks = _order_condition(tau, d)
+    reference = _order_condition(reference_increasing_slope(q), d)
+    return _invariant(q, d, _order_condition(tau, d), reference, cache)
 
+
+def _invariant(q: Quiver, d: DimVector, ranks: tuple, reference: tuple, cache) -> PlClass:
+    """invariant at the condition with ranks on subvectors(d), given the
+    ranks of reference_increasing_slope(q) there."""
     if cache is not None:
         hit = cache.get(q, d, ranks)
         if hit is not None:
@@ -223,7 +256,6 @@ def invariant(
 
     result = _INVARIANT_MEMO.get((q, d, ranks))
     if result is None:
-        reference = _order_condition(reference_increasing_slope(q), d)
         units = {e: unit_pl(q, e) for e in map(unit_vector, d.support())}
         result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, ranks)
 
@@ -261,14 +293,13 @@ def build_invariant_table(
     cache: "CacheStore | None" = None,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> InvariantTable:
-    """Invariants at tau for every nonzero e <= d componentwise."""
+    """Invariants at tau for every nonzero e <= d componentwise.  tau and
+    reference_increasing_slope(q) are ranked on the subvectors of d once,
+    and each e gets their ranks there (_orders_below)."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    classes = {
-        e: invariant(q, tau, e, cache=cache, max_size=max_size)
-        for e in subvectors(d)
-    }
-    return InvariantTable(q, tau, classes)
+    orders = _orders_below(d, tau, reference_increasing_slope(q))
+    return InvariantTable(q, tau, {e: _invariant(q, e, r[0], r[1], cache) for e, r in orders.items()})
 
 
 def wallcross_transform(
@@ -291,12 +322,8 @@ def wallcross_transform(
     _check_size(d, max_size)
     if table.quiver != q:
         raise ValueError("table belongs to a different quiver")
-
-    # a bracket with an empty class is empty; each letter multiset is
-    # wholly live or wholly dead, so the live words are still a Lie element
-    letters = {e: table[e] for e in subvectors(d) if not table[e].rep.is_zero()}
-    frm, to = _order_condition(table.stability, d), _order_condition(to_stab, d)
-    return _word_sum(q, d, letters, frm, to)
+    letters = {e: table[e] for e in subvectors(d)}
+    return _word_sum(q, d, letters, _order_condition(table.stability, d), _order_condition(to_stab, d))
 
 
 def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm, to) -> PlClass:
@@ -306,7 +333,9 @@ def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm
     index in subvectors(d), in graded order as lie_normalize orders the
     vectors.  A partial sum of a word stays <= d, so its code (_coding) is
     the sum of the letters' codes and keys the ranks."""
-    subs, codes, below = _coding(d, letters)
+    # a bracket with an empty class is empty; each letter multiset is
+    # wholly live or wholly dead, so the live words are still a Lie element
+    subs, codes, below = _coding(d, [e for e, x in letters.items() if not x.rep.is_zero()])
     frm_at, to_at = dict(zip(codes, frm)), dict(zip(codes, to))
     words: dict[tuple, Fraction] = {}
     for word in _live_words(codes[-1], below):  # d sorts last
@@ -327,10 +356,15 @@ def wallcross_sides(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> tuple[PlClass, PlClass]:
     """The transform to to_stab of the invariants at from_stab, and the
-    invariant computed at to_stab: the two sides of check_wallcross."""
-    table = build_invariant_table(q, from_stab, d, cache=cache, max_size=max_size)
-    lhs = wallcross_transform(q, table, to_stab, d, max_size=max_size)
-    return lhs, invariant(q, to_stab, d, cache=cache, max_size=max_size)
+    invariant computed at to_stab: the two sides of check_wallcross.  The
+    three conditions, reference_increasing_slope(q) the third, are each
+    ranked on the subvectors of d once (_orders_below)."""
+    d = _check_class(q, d)
+    _check_size(d, max_size)
+    orders = _orders_below(d, from_stab, to_stab, reference_increasing_slope(q))
+    frm, to, reference = orders[d]
+    letters = {e: _invariant(q, e, r[0], r[2], cache) for e, r in orders.items()}
+    return _word_sum(q, d, letters, frm, to), _invariant(q, d, to, reference, cache)
 
 
 def check_wallcross(

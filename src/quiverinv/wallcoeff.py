@@ -10,11 +10,12 @@ version) or iterated brackets (for the Lie version) of the input classes.
 Every stability value either coefficient compares is the value of a
 contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
 superblock, or the head or tail at a cut.  So each call forms the
-n(n+1)/2 contiguous sums once, values them by one function per condition
-into two interval tables, and runs the regroupings on indices into those
-tables; one sign rule, shared by both coefficients, reads the cuts off
-them.  invariants passes int codes valued by rank lists to the same core
-(_u_from_values).  u_coeff keeps no memo: invariants reuses classes.
+n(n+1)/2 contiguous sums once and values them by one function per
+condition into two interval tables.  s_coeff reads its cuts off them;
+u_coeff sums its terms by dynamic programming over block boundaries, as
+one int numerator over n! lcm(1..n) (_u_from_values).  invariants passes
+int codes valued by rank lists to the same core.  u_coeff keeps no memo:
+invariants reuses classes.
 
 The Lie version has no closed formula.  It is produced here from the
 u-weighted free word sum.  Each length component splits by letter
@@ -31,15 +32,17 @@ criterion (a sum p of words of length n is a Lie element exactly when
 theta(p) = n p, theta replacing each word by its left-nested bracketing)
 is the independent check the test oracles keep.
 
-Word sums are plain dicts mapping tuples of letters to Fractions; letters
+Word sums are plain dicts mapping tuples of letters to rationals; letters
 are dimension vectors, or ints ordered as the vectors they stand for.
+Word expansions and the elimination run on ints, each letter multiset's
+words scaled by the lcm of their denominators; only results are Fractions.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate, combinations
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .quiver import DimVector
@@ -60,29 +63,8 @@ class LieWord(NamedTuple):
 def _interval_values(alphas: tuple, *values: Callable) -> list[list[list]]:
     """One table per value function: entry [i][j], for i < j, is its value
     at alphas[i] + ... + alphas[j-1].  Each sum is formed once."""
-    sums = []
-    for i, x in enumerate(alphas):
-        row = [None] * (i + 1) + [x]
-        for y in alphas[i + 1 :]:
-            row.append(row[-1] + y)
-        sums.append(row)
-    return [
-        [row[: i + 1] + [value(x) for x in row[i + 1 :]] for i, row in enumerate(sums)]
-        for value in values
-    ]
-
-
-def _cut_sign(frm: list[list], to: list[list], bounds: Sequence[int]) -> int:
-    """s_coeff of the blocks between consecutive bounds, read off the
-    interval tables frm and to; each inner bound is a cut."""
-    first, last = bounds[0], bounds[-1]
-    r = 0
-    for lo, cut, hi in zip(bounds, bounds[1:], bounds[2:]):
-        ascending = frm[lo][cut] <= frm[cut][hi]
-        if ascending != (to[first][cut] > to[cut][last]):
-            return 0
-        r += ascending
-    return -1 if r % 2 else 1
+    sums = [list(accumulate(alphas[i:])) for i in range(len(alphas))]
+    return [[[None] * (i + 1) + list(map(value, row)) for i, row in enumerate(sums)] for value in values]
 
 
 def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> int:
@@ -97,14 +79,15 @@ def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
+    n = len(alphas)
     frm, to = _interval_values(alphas, from_stab.value, to_stab.value)
-    return _cut_sign(frm, to, range(len(alphas) + 1))
-
-
-def _compositions(n: int, blocks: int) -> Iterable[tuple[int, ...]]:
-    """Boundary sequences 0 = a_0 < a_1 < ... < a_blocks = n."""
-    for inner in itertools.combinations(range(1, n), blocks - 1):
-        yield (0,) + inner + (n,)
+    r = 0
+    for cut in range(1, n):
+        ascending = frm[cut - 1][cut] <= frm[cut][cut + 1]
+        if ascending != (to[0][cut] > to[cut][n]):
+            return 0
+        r += ascending
+    return -1 if r % 2 else 1
 
 
 def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> Fraction:
@@ -114,8 +97,7 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     from_stab is constant, then adjacent superblocks whose sums all share
     the to_stab value of the full sum.  Each superblock contributes its
     s_coeff, each block the reciprocal of its factorial, and a superblock
-    count l contributes (-1)^(l-1)/l.  The regroupings run on boundary
-    indices into one table per condition of the n(n+1)/2 interval values.
+    count l contributes (-1)^(l-1)/l (_u_from_values).
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -124,37 +106,49 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
 
 
 def _u_from_values(alphas: tuple, from_value: Callable, to_value: Callable) -> Fraction:
-    """u_coeff of a nonempty tuple, each condition given by a value function."""
+    """u_coeff of a nonempty tuple, each condition given by a value function.
+
+    A term, a chain of superblocks of from-constant blocks, weighs sign /
+    (l prod |block|!), an int multiple of 1 / (n! lcm(1..n)), so the terms
+    sum to one int numerator; n! / prod |block|! is the product of
+    C(j, j - c) over the blocks [c, j).  The letters of a from-constant
+    block share its value, so a cut at c in the superblock [s, t) compares
+    the letters c - 1 and c under from_value, and [s, c) with [c, t) under
+    to_value.  ends[c]: the j with [c, j) from-constant; acc[j]: the
+    signed block chains from s to j; chains[t][l]: the chains of l
+    superblocks from 0 to t.
+    """
     n = len(alphas)
     frm, to = _interval_values(alphas, from_value, to_value)
-    total_value = to[0][n]
-    result = Fraction(0)
-    for m in range(1, n + 1):
-        for a in _compositions(n, m):
-            # from_stab must give each block and every letter in it one value
-            if any(frm[i][j] != frm[k][k + 1] for i, j in zip(a, a[1:]) for k in range(i, j)):
-                continue
-            denom = 1
-            for i, j in zip(a, a[1:]):
-                denom *= factorial(j - i)
-            for l in range(1, m + 1):
-                for b in _compositions(m, l):
-                    sign = 1
-                    for i, j in zip(b, b[1:]):
-                        if to[a[i]][a[j]] != total_value:
-                            sign = 0
-                            break
-                        sign *= _cut_sign(frm, to, a[i : j + 1])
-                        if not sign:
-                            break
-                    if sign:
-                        result += Fraction(sign if l % 2 else -sign, l * denom)
-    return result
+    ends = []
+    for c in range(n):  # the letters c .. run - 1 share the value v
+        v = frm[c][c + 1]
+        run = next((j for j in range(c + 1, n) if frm[j][j + 1] != v), n)
+        ends.append([j for j in range(c + 1, run + 1) if frm[c][j] == v])
+    chains = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for s, t in combinations(range(n + 1), 2):  # the chains to s are complete
+        if to[s][t] != to[0][n] or not any(chains[s]):
+            continue
+        acc = [int(c == s) for c in range(t + 1)]
+        for c in range(s, t):
+            x = acc[c]
+            if x and c > s:  # the cut at c: ascending blocks need descending sums
+                up = frm[c - 1][c] <= frm[c][c + 1]
+                x = (-x if up else x) if up == (to[s][c] > to[c][t]) else 0
+            if x:
+                for j in ends[c]:
+                    if j <= t:
+                        acc[j] += x * comb(j, j - c)
+        for l in range(n):
+            chains[t][l + 1] += chains[s][l] * acc[t]
+    scale = lcm(*range(1, n + 1))
+    num = sum((scale // l) * (y if l % 2 else -y) for l, y in enumerate(chains[n]) if l)
+    return Fraction(num, factorial(n) * scale)
 
 
-def _axpy(acc: dict, x: Fraction, row: dict) -> None:
-    """acc += x * row, dropping entries that cancel."""
-    for k, y in row.items():
+def _axpy(acc: dict, x, row: Iterable[tuple]) -> None:
+    """acc += x * row, row as (key, value) pairs, dropping entries that cancel."""
+    for k, y in row:
         v = acc.get(k, 0) + x * y
         if v:
             acc[k] = v
@@ -162,21 +156,16 @@ def _axpy(acc: dict, x: Fraction, row: dict) -> None:
             acc.pop(k, None)
 
 
-def dynkin_word(letters: Sequence) -> dict[tuple, Fraction]:
-    """Word expansion of the left-nested bracket of the letters."""
+def dynkin_word(letters: Sequence) -> dict[tuple, int]:
+    """Int word expansion of the left-nested bracket of the letters."""
     letters = tuple(letters)
     if not letters:
         raise ValueError("empty word")
-    acc = {(letters[0],): Fraction(1)}
+    acc = {(letters[0],): 1}
     for x in letters[1:]:
-        nxt: dict[tuple, Fraction] = {}
+        nxt: dict[tuple, int] = {}
         for w, c in acc.items():
-            for w2, c2 in ((w + (x,), c), ((x,) + w, -c)):
-                v = nxt.get(w2, Fraction(0)) + c2
-                if v:
-                    nxt[w2] = v
-                elif w2 in nxt:
-                    del nxt[w2]
+            _axpy(nxt, c, ((w + (x,), 1), ((x,) + w, -1)))
         acc = nxt
     return acc
 
@@ -185,7 +174,7 @@ def theta(ws: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
     """Replace each word by its left-nested bracketing, linearly."""
     out: dict[tuple, Fraction] = {}
     for w, c in ws.items():
-        _axpy(out, c, dynkin_word(w))
+        _axpy(out, c, dynkin_word(w).items())
     return out
 
 
@@ -215,15 +204,24 @@ def _distinct_orderings(letters: list) -> Iterator[tuple]:
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _reduce(row: dict, combo: dict, echelon: list) -> None:
-    """Subtract from row the multiples of the echelon rows that clear their
-    pivots, and the same multiples of their combinations from combo."""
+def _reduce(row: dict, combo: dict, echelon: list) -> int:
+    """Clear the echelon pivots from the int row, and the same multiples
+    of their combinations from combo, fraction free: row and combo are
+    first multiplied by a pivot entry that does not divide the row's.
+    Returns the product k of those multipliers."""
+    k = 1
     for pivot, prow, pcombo in echelon:
         x = row.get(pivot)
         if x:
-            x /= prow[pivot]
-            _axpy(row, -x, prow)
-            _axpy(combo, -x, pcombo)
+            y = prow[pivot]
+            q, r = divmod(x, y)
+            if r:
+                for acc in (row, combo):
+                    acc.update({w: y * v for w, v in acc.items()})
+                k, q = k * y, x
+            _axpy(row, -q, prow.items())
+            _axpy(combo, -q, pcombo.items())
+    return k
 
 
 def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
@@ -236,8 +234,8 @@ def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
     [x_1, x_s2, ..., x_sn] span the multilinear part and substituting the
     letters, with a for x_1, maps it onto the span of all of them.  Each
     row is (pivot word, reduced expansion, the same row as a combination
-    of kept orderings); the orderings kept are the first entries of the
-    combinations, one per row.  No letters give no brackets.
+    of kept orderings), all int; the orderings kept are the first entries
+    of the combinations, one per row.  No letters give no brackets.
     """
     order = sorted(set(letters), key=_letter_key)
     rank = {x: i for i, x in enumerate(order)}
@@ -246,9 +244,11 @@ def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
         if not idx or idx[0]:
             break
         w = tuple(order[i] for i in idx)
-        row, combo = dynkin_word(w), {w: Fraction(1)}
+        row, combo = dynkin_word(w), {w: 1}
         _reduce(row, combo, echelon)
         if row:
+            g = gcd(*row.values(), *combo.values())  # keeps the entries small
+            row, combo = ({w: v // g for w, v in acc.items()} for acc in (row, combo))
             echelon.append((next(iter(row)), row, combo))
     return echelon
 
@@ -256,28 +256,29 @@ def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
 def lie_normalize(ws: dict[tuple, Fraction]) -> list[LieWord]:
     """Write a word sum in a basis of left-nested bracket words.
 
-    The words are grouped by letter multiset, shorter multisets first, and
-    each group solved by exact elimination in the basis of
+    The words are grouped by letter multiset, shorter multisets first.
+    Each group is scaled by the lcm of its denominators to an int row and
+    solved by fraction-free elimination in the basis of
     _left_nested_basis; brackets with coefficient zero are left out.  The
-    expansion of the returned bracket words must reproduce the input
-    exactly, which is checked and certifies that the input is a Lie
-    element; LieElementError otherwise.
+    word expansion of the bracket words must give back the row exactly,
+    which is checked and certifies that the input is a Lie element;
+    LieElementError otherwise.
     """
     groups: dict[tuple, dict[tuple, Fraction]] = {}
     for w, c in ws.items():
         if c:
-            groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = c
+            groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = Fraction(c)
     out: list[LieWord] = []
-    for letters in sorted(groups, key=lambda k: (len(k), _word_key(k))):
-        row, combo = groups[letters], {}
-        _reduce(row, combo, _left_nested_basis(letters))
-        # row is now zero, or the expansion check below fails
-        out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
-
-    expanded: dict[tuple, Fraction] = {}
-    for lw in out:
-        _axpy(expanded, lw.coefficient, dynkin_word(lw.letters))
-    original = {w: c for w, c in ws.items() if c}
-    if expanded != original:
-        raise LieElementError("bracket expansion does not reproduce the input")
+    for letters in sorted(groups, key=lambda key: (len(key), _word_key(key))):
+        den = lcm(*(c.denominator for c in groups[letters].values()))
+        target = {w: int(c * den) for w, c in groups[letters].items()}
+        row, combo = dict(target), {}
+        k = _reduce(row, combo, _left_nested_basis(letters))
+        # k target = row - sum combo[w] dynkin_word(w); row is zero or the check fails
+        expanded: dict[tuple, int] = {}
+        for w, c in combo.items():
+            _axpy(expanded, -c, dynkin_word(w).items())
+        if expanded != {w: k * c for w, c in target.items()}:
+            raise LieElementError("bracket expansion does not reproduce the input")
+        out.extend(LieWord(w, Fraction(-combo[w], k * den)) for w in sorted(combo, key=_word_key))
     return out

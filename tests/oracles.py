@@ -4,23 +4,25 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  Four
+nullspace and rref on the matrix of the translation derivation.  Five
 exceptions build on the package's own primitives: the pushforward
 oracles pair with the Whitney pullback of every monomial of the target
 basis, the state-field oracle sums the defining series term by term
 (pushing forward by pairing), the u- and s-coefficient oracles
 enumerate the regroupings of a tuple calling value() on freshly summed
-dimension vectors, without the package's interval tables, and the
+dimension vectors, without the package's interval tables, the
 per-word bracket sums evaluate the invariant, wall-crossing and
 framed-pair sums one bracket word at a time, where the package groups
-the words by last letter and drops words with an empty letter.  The
-vertex algebra probes field_window and weak_commutativity_order are
-test helpers rather than oracles: they iterate the package's
-state_field over a window of powers; so is pair_lex_stability, a
-lexicographic framed condition on the package's WeakStability.  The
-frozen literal tables were worked out by hand from the defining formulas
-and are committed as data; the tests compare the package against them,
-never the reverse.
+the words by last letter and drops words with an empty letter, and
+lie_normalize_oracle solves for bracket words on Fractions, dividing by
+each pivot, where the package eliminates fraction free on ints, on the
+package's word expansions and orderings.  The vertex algebra probes
+field_window and weak_commutativity_order are test helpers rather than
+oracles: they iterate the package's state_field over a window of
+powers; so is pair_lex_stability, a lexicographic framed condition on
+the package's WeakStability.  The frozen literal tables were worked out
+by hand from the defining formulas and are committed as data; the tests
+compare the package against them, never the reverse.
 """
 
 from fractions import Fraction
@@ -607,6 +609,66 @@ def is_lie_element(ws):
         if c:
             comps.setdefault(len(w), {})[w] = c
     return all(theta(comp) == {w: n * c for w, c in comp.items()} for n, comp in comps.items())
+
+
+def lie_normalize_oracle(ws):
+    """lie_normalize by elimination on Fractions, each pivot divided out:
+    the same basis of left-nested brackets (the distinct orderings that
+    start with the least letter, each kept when its expansion is
+    independent of the kept ones), solved group by group, with the word
+    expansion of the result checked against the input."""
+    from quiverinv.wallcoeff import (
+        LieElementError,
+        LieWord,
+        _distinct_orderings,
+        _letter_key,
+        _word_key,
+        dynkin_word,
+    )
+
+    def expansion(w):
+        return {k: Fraction(c) for k, c in dynkin_word(w).items()}
+
+    def reduce(row, combo, echelon):
+        for pivot, prow, pcombo in echelon:
+            x = row.get(pivot)
+            if x:
+                x = x / prow[pivot]
+                for acc, other in ((row, prow), (combo, pcombo)):
+                    for k, y in other.items():
+                        acc[k] = acc.get(k, 0) - x * y
+                        if not acc[k]:
+                            del acc[k]
+
+    def basis(letters):
+        order = sorted(set(letters), key=_letter_key)
+        rank = {x: i for i, x in enumerate(order)}
+        echelon = []
+        for idx in _distinct_orderings([rank[x] for x in letters]):
+            if not idx or idx[0]:
+                break
+            w = tuple(order[i] for i in idx)
+            row, combo = expansion(w), {w: Fraction(1)}
+            reduce(row, combo, echelon)
+            if row:
+                echelon.append((next(iter(row)), row, combo))
+        return echelon
+
+    groups = {}
+    for w, c in ws.items():
+        if c:
+            groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = Fraction(c)
+    out = []
+    for letters in sorted(groups, key=lambda k: (len(k), _word_key(k))):
+        row, combo = dict(groups[letters]), {}
+        reduce(row, combo, basis(letters))
+        out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
+    expanded = word_sum(
+        (w, lw.coefficient * c) for lw in out for w, c in expansion(lw.letters).items()
+    )
+    if expanded != {w: c for w, c in ws.items() if c}:
+        raise LieElementError("bracket expansion does not reproduce the input")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import pkgutil
+import random
 from pathlib import Path
 
 import pytest
@@ -195,13 +196,57 @@ def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
     assert tied
 
 
+def _tied_conditions(q, d, seed):
+    """Conditions with many equal values on the subvectors of d: the
+    trivial one, a slope with weights in -1..1, and two rank conditions
+    with ranks in 0..2."""
+    rng = random.Random(seed)
+    subs = subvectors(d)
+    return [
+        trivial_stability(),
+        slope_stability(q, {v: rng.randint(-1, 1) for v in q.vertices}),
+        *(_rank_condition([rng.randint(0, 2) for _ in subs], d) for _ in range(2)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, top, pairs",
+    [
+        (K3, {"v": 3, "w": 2}, None),
+        (K3, {"v": 2, "w": 3}, None),
+        (THREE, {"a": 2, "b": 2, "c": 2}, [(0, 2), (1, 0), (2, 3), (3, 1)]),
+        (K3, {"v": 4, "w": 4}, [(2, 0)]),
+    ],
+)
+def test_u_dp_matches_enumeration_on_every_decomposition(q, top, pairs):
+    # the block-boundary DP over one denominator against the plain
+    # enumeration of blocks and superblocks, on every ordered decomposition
+    # of d (words up to the size cap at (4,4)); all pairs of the tied
+    # conditions where no pairs are given
+    d = DimVector(top)
+    conditions = _tied_conditions(q, d, seed=d.total())
+    pairs = pairs or [(i, j) for i in range(4) for j in range(4) if i != j]
+    decompositions = list(all_decompositions(d))
+    nonzero = set()
+    for i, j in pairs:
+        frm, to = conditions[i], conditions[j]
+        for parts in decompositions:
+            want = oracles.u_coeff_oracle(parts, frm, to)
+            assert _u_from_values(parts, frm.value, to.value) == want, (i, j, parts)
+            nonzero.add((len(parts), want != 0))
+    assert max(n for n, live in nonzero if live) == d.total()
+    assert any(n > 1 and not live for n, live in nonzero)
+
+
 def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
     # coefficients read ranks off lists, so however many words a sum has,
-    # each condition is read only where its ranks on subvectors(d) are formed
+    # each condition is read only where its ranks on subvectors(d) are
+    # formed; a table or a pair of sides ranks each condition, the
+    # reference slope included, on d alone, and builds that slope once
     d = DimVector({"v": 4, "w": 3})
     table = build_invariant_table(K3, slope_stability(K3, HI), d)
-    reads, words = {}, []
-    value = WeakStability.value
+    reads, words, built = {}, [], []
+    value, reference = WeakStability.value, invariants.reference_increasing_slope
 
     def counting(self, e):
         reads[self] = reads.get(self, 0) + 1
@@ -211,19 +256,44 @@ def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
         words.append(codes)
         return _u_from_values(codes, *values)
 
+    def counted_reference(q):
+        built.append(q)
+        return reference(q)
+
     monkeypatch.setattr(WeakStability, "value", counting)
     monkeypatch.setattr(invariants, "_u_from_values", spy)
     monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
-    monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
-    for run in (
-        lambda: wallcross_transform(K3, table, slope_stability(K3, LO), d),
-        lambda: invariant(K3, slope_stability(K3, HI), d),
+    monkeypatch.setattr(invariants, "reference_increasing_slope", counted_reference)
+    for run, conditions, references in (
+        (lambda: wallcross_transform(K3, table, slope_stability(K3, LO), d), 2, 0),
+        (lambda: invariant(K3, slope_stability(K3, HI), d), 2, 1),
+        (lambda: build_invariant_table(K3, slope_stability(K3, LO), d), 2, 1),
+        (lambda: invariants.wallcross_sides(K3, slope_stability(K3, LO), slope_stability(K3, HI), d), 3, 1),
     ):
+        monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
         reads.clear()
         words.clear()
+        built.clear()
         run()
-        assert len(reads) == 2 and len(words) > len(subvectors(d))
+        assert len(reads) == conditions and len(words) > len(subvectors(d))
         assert max(reads.values()) <= len(subvectors(d))
+        assert len(built) == references
+
+
+@pytest.mark.parametrize("q, top", [(K3, {"v": 4, "w": 3}), (THREE, {"a": 2, "b": 1, "c": 2})])
+def test_orders_below_d_are_the_orders_at_each_subvector(q, top):
+    # d's ranks, restricted to the subvectors of e and ranked again, are
+    # the ranks of the condition on the subvectors of e
+    d, rng, tied = DimVector(top), random.Random(31), 0
+    for _ in range(6):
+        conditions = [slope_stability(q, {v: rng.randint(-2, 2) for v in q.vertices}) for _ in range(2)]
+        conditions += [reference_increasing_slope(q), *_tied_conditions(q, d, rng.random())]
+        orders = invariants._orders_below(d, *conditions)
+        assert list(orders) == subvectors(d)
+        for e, ranks in orders.items():
+            assert ranks == tuple(_order_condition(tau, e) for tau in conditions)
+            tied += sum(len(set(r)) < len(r) for r in ranks)
+    assert tied > 100
 
 
 @pytest.mark.parametrize(

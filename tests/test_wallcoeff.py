@@ -335,12 +335,44 @@ def test_lie_normalize_uses_left_nested_basis():
     {("x", "y"): Fraction(1), ("y", "x"): Fraction(1)},
     {**dynkin_word(("x", "y", "z")), ("x", "y", "z"): Fraction(2)},
     {**dynkin_word(("x", "y")), ("x", "x", "y"): Fraction(1)},
-    {w: c / (1 + (w[0] == "y")) for w, c in dynkin_word(("x", "y", "x", "y")).items()},
+    {w: Fraction(c, 1 + (w[0] == "y")) for w, c in dynkin_word(("x", "y", "x", "y")).items()},
 ], ids=["word", "symmetric", "perturbed", "mixed-length", "rescaled"])
 def test_non_lie_input_raises(ws):
     assert not oracles.is_lie_element(ws)
     with pytest.raises(LieElementError):
         lie_normalize(ws)
+
+
+def _random_lie_element(rng, alphabet):
+    """A random Fraction combination of the expansions of random words."""
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        pairs += [(k, c * y) for k, y in dynkin_word(w).items()]
+    return oracles.word_sum(pairs)
+
+
+@pytest.mark.parametrize("alphabet", [("x", "y", "z"), (DV, DW, DV + DW, 2 * DV)])
+def test_lie_normalize_matches_fraction_elimination(alphabet):
+    # the fraction-free solve returns exactly the Fraction solve's bracket
+    # words, and both refuse a non-Lie perturbation of the same input
+    rng = random.Random(2024)
+    nonempty = refused = 0
+    for _ in range(150):
+        ws = _random_lie_element(rng, alphabet)
+        got = lie_normalize(ws)
+        assert got == oracles.lie_normalize_oracle(ws)
+        nonempty += bool(got)
+        if not ws:
+            continue
+        bad = oracles.word_sum(list(ws.items()) + [(rng.choice(sorted(ws, key=repr)), Fraction(1, 3))])
+        if not oracles.is_lie_element(bad):
+            refused += 1
+            for normalize in (lie_normalize, oracles.lie_normalize_oracle):
+                with pytest.raises(LieElementError):
+                    normalize(bad)
+    assert nonempty > 100 and refused > 50
 
 
 def test_lie_normalize_needs_no_dynkin_check(monkeypatch):
