@@ -18,8 +18,6 @@ from .charclass import (
     monomial_basis,
     monomial_string,
     parse_monomial_string,
-    scaling_coaction,
-    weight_zero_component,
 )
 from .invariants import (
     CacheStore,
@@ -45,13 +43,10 @@ from .quiver import (
     StructureError,
     all_decompositions,
     binarize_quiver,
-    compose_morphisms,
-    correction_form,
     decompositions,
     edge_deletion_morphism,
     euler_form,
     frame_quiver,
-    identity_morphism,
     sign_epsilon,
     subvectors,
     sym_euler_form,
@@ -60,10 +55,8 @@ from .quiver import (
 from .stability import (
     SlopeStability,
     WeakStability,
-    dominates,
     fraction_str,
     framed_slope,
-    is_generic_pair,
     is_increasing,
     parse_fraction,
     pullback_stability,
@@ -98,7 +91,6 @@ from .wallcoeff import (
     dynkin_word,
     lie_normalize,
     s_coeff,
-    theta,
     u_coeff,
 )
 

@@ -29,15 +29,9 @@ series.  The two-point operations cap with a kclass one atom at a time
 expand it, inverting the series of negative multiplicities: it is the
 reference those caps are tested against.
 
-scaling_coaction expands the effect of twisting every tautological bundle
-by a varying line bundle with first Chern class z.  That twist is exp(zD)
-for the derivation
-
-    D(c[v, i]) = (d(v) - i + 1) c[v, i - 1],   c[v, 0] = 1,
-
-(weight_zero_component), so its z^j component is D^j / j!.  The kernel of
-D is the weight-zero subring, and the transposes of the D^j / j! are the
-divided translation operators on homology.
+Twisting every tautological bundle by a line bundle acts on this ring
+through the translation derivation D; the operations that use it work on
+homology, where vertexalg._raise states D and its transpose.
 """
 
 from __future__ import annotations
@@ -127,20 +121,6 @@ def mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     acc = dict(a)
     for g, e in b:
         acc[g] = acc.get(g, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def divide_monomial(m: Monomial, by: Monomial) -> Monomial | None:
-    """m / by, or None when not divisible."""
-    acc = dict(m)
-    for g, e in by:
-        left = acc.get(g, 0) - e
-        if left < 0:
-            return None
-        if left:
-            acc[g] = left
-        else:
-            acc.pop(g, None)
     return tuple(sorted(acc.items()))
 
 
@@ -402,10 +382,6 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     return Poly._trusted(ring, {m: c for part in parts for m, c in part.items()})
 
 
-def kclass_rank(kclass: KClass, ring: ChernRing) -> int:
-    return sum(mult * atom_rank(atom, ring) for mult, atom in kclass)
-
-
 def chern_kclass(kclass: KClass, ring: ChernRing, bound: int) -> Poly:
     """Total Chern class of an integer combination of atoms, truncated."""
     result = Poly.one(ring)
@@ -582,7 +558,8 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
     Product of top Chern classes of Hom bundles between tautological
     bundles: one factor dual(V_v) tensor V_w for every merged ordered pair
     (v, w), and one factor dual(V_source) tensor V_target for every
-    unmatched edge.  Its weight is correction_form(m, d, d).
+    unmatched edge.  Its weight is the correction form of m at (d, d),
+    euler_form(target, m(d), m(d)) - euler_form(source, d, d).
     """
     if source_ring.factors() != 1:
         raise ValueError("correction class lives on a one-factor ring")
@@ -597,41 +574,6 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
         c = chern_atom(((0, v, True), (0, w, False)), source_ring, r)
         result = result * c.weight_part(r)
     return result
-
-
-def weight_zero_component(poly: Poly) -> Poly:
-    """The translation derivation D; a class is weight zero when D kills it.
-
-    D(c[0, v, i]) = (d(v) - i + 1) c[0, v, i - 1] with c[0, v, 0] = 1, and
-    D vanishes on the generators of every other factor.
-    """
-    ring = poly.ring
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in poly.terms.items():
-        for g, e in m:
-            f, v, i = g
-            if f != 0:
-                continue
-            lowered = divide_monomial(m, ((g, 1),))
-            if i > 1:
-                lowered = mul_monomials(lowered, (((f, v, i - 1), 1),))
-            acc[lowered] = acc.get(lowered, 0) + c * (e * (ring.rank(f, v) - i + 1))
-    return Poly(ring, acc)
-
-
-def scaling_coaction(poly: Poly) -> dict[int, Poly]:
-    """Coaction exp(zD) of the scaling line bundle on ring factor 0.
-
-    Returns the finite z-expansion {j: D^j(poly) / j!}; the j = 0 part is
-    the input and the weight of the z^j part drops by j.
-    """
-    out: dict[int, Poly] = {}
-    j = 0
-    while not poly.is_zero():
-        out[j] = poly.scale(Fraction(1, factorial(j)))
-        j += 1
-        poly = weight_zero_component(poly)
-    return out
 
 
 _MONO_RE = re.compile(r"^c\[([^,\]]+),(\d+)\](?:\^(\d+))?$")

@@ -380,7 +380,7 @@ def induced_pl_map(lam: QuiverMorphism, x: PlClass) -> PlClass:
     Cap with the Euler class of the correction bundle, then push the
     functional forward along the induced map of stacks.  Preserves the
     shifted degree: the representative degree drops by twice the
-    correction_form of the class with itself.
+    correction form of the class with itself.
     """
     if x.quiver != lam.source:
         raise ValueError("class does not live on the morphism source")
@@ -568,8 +568,11 @@ class CacheStore:
         if not isinstance(rep, dict) or obj.get("degree") != degree:
             raise ValueError(f"cache entry {path.name} is malformed: bad representative or degree")
         ring = ChernRing((d,))
-        functional = {parse_monomial_string(s, ring): parse_fraction(c) for s, c in rep.items()}
-        cls = PlClass(HClass(q, ring, degree, functional))
+        try:
+            functional = {parse_monomial_string(s, ring): parse_fraction(c) for s, c in rep.items()}
+            cls = PlClass(HClass(q, ring, degree, functional))
+        except ValueError as exc:
+            raise ValueError(f"cache entry {path.name} is malformed: {exc}") from exc
         if pl_class_json(cls)["canonical"] != obj.get("canonical"):
             raise ValueError(
                 f"cache entry {path.name} is corrupt:"
@@ -581,14 +584,17 @@ class CacheStore:
         payload = {**pl_class_json(cls), **_cache_key(q, d, order)}
         payload["representative"] = _representative_json(cls)
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        path = self._path(q, d, order)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        path, tmp = self._path(q, d, order), None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.replace(tmp, path)  # atomic; concurrent writers agree byte for byte
+        except OSError as exc:
+            why = exc.strerror or exc
+            raise ValueError(f"cannot write to cache directory {str(self.root)!r}: {why}") from exc
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
 

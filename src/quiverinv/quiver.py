@@ -17,16 +17,17 @@ is the sign twist used by the homology pairing operations.
 Morphisms collapse vertices and partially match edges subject to a unique
 lifting condition: for every target edge and every pair of preimages of its
 endpoints there is exactly one matched source edge connecting them.  Such
-maps induce direct-sum maps on representations; correction_form measures
-how the Euler form changes under pushforward of dimension vectors, and the
-exact identity
+maps induce direct-sum maps on representations; the correction form
+(correction_form in tests/oracles.py) measures how the Euler form changes
+under pushforward of dimension vectors, and the exact identity
 
     euler_form(target, push(d), push(e))
-        = euler_form(source, d, e) + correction_form(m, d, e)
+        = euler_form(source, d, e) + correction_form(m, d, e),
 
-is what makes the induced maps on moduli interact cleanly with the graded
-structures downstream.  Framing and binarization are the two morphism
-factories used by the invariant checks.
+checked against that oracle in the tests, is what makes the induced maps
+on moduli interact cleanly with the graded structures downstream.  Framing
+and binarization are the two morphism factories used by the invariant
+checks.
 """
 
 from __future__ import annotations
@@ -144,16 +145,6 @@ class DimVector:
             return self._items[0][0]
         return None
 
-    def leq(self, other: "DimVector") -> bool:
-        """Componentwise <=."""
-        return all(n <= other[v] for v, n in self._items) and all(
-            self[v] <= n for v, n in other._items
-        )
-
-    def restrict(self, vertices: Iterable[str]) -> "DimVector":
-        keep = set(vertices)
-        return DimVector([(v, n) for v, n in self._items if v in keep])
-
     def sort_key(self) -> tuple:
         # graded order first, then lexicographic on the sparse items
         return (self.total(), self._items)
@@ -228,13 +219,6 @@ class Quiver:
             if v not in self._vset:
                 raise StructureError(f"dimension vector mentions unknown vertex {shown(v)}")
         return d
-
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-        except StructureError:
-            return False
-        return True
 
     def topological_order(self) -> tuple[str, ...]:
         """Vertices ordered so every edge goes forward; smallest id first
@@ -331,7 +315,7 @@ class QuiverMorphism:
     most one pair per source edge, and for every target edge e' and every
     (v, w) with vertex_map(v) = target(e'), vertex_map(w) = source(e')
     there is exactly one paired source edge from w to v.  Source edges in
-    no pair are "unmatched" and feed correction_form.
+    no pair are "unmatched" and feed the correction form.
     """
 
     def __init__(
@@ -362,7 +346,6 @@ class QuiverMorphism:
                 raise StructureError(f"source edge {shown(se)} matched more than once")
             lift_of[se] = te
         self.edge_pairs = pairs
-        self._matched = lift_of
 
         # unique lifting: every target edge between image vertices is covered
         # exactly once for each preimage pair of its endpoints
@@ -375,7 +358,7 @@ class QuiverMorphism:
                     n = sum(
                         1
                         for e in source.edges
-                        if self._matched.get(e.id) == f.id
+                        if lift_of.get(e.id) == f.id
                         and e.source == v
                         and e.target == w
                     )
@@ -391,12 +374,6 @@ class QuiverMorphism:
 
     def preimages(self, target_vertex: str) -> tuple[str, ...]:
         return self._preimages[target_vertex]
-
-    def matched_target(self, source_edge: str) -> str | None:
-        return self._matched.get(source_edge)
-
-    def is_vertex_injective(self) -> bool:
-        return len(set(self.vertex_map.values())) == len(self.vertex_map)
 
     def pushforward(self, d: DimVector) -> DimVector:
         self.source.check_dimvec(d)
@@ -456,41 +433,6 @@ class QuiverMorphism:
         ):
             raise StructureError("'edge_pairs' must be a list of [source_edge, target_edge]")
         return cls(source, target, vmap, [tuple(p) for p in pairs])
-
-
-def identity_morphism(q: Quiver) -> QuiverMorphism:
-    return QuiverMorphism(q, q, {v: v for v in q.vertices}, [(e, e) for e in q.edge_ids()])
-
-
-def compose_morphisms(second: QuiverMorphism, first: QuiverMorphism) -> QuiverMorphism:
-    """second after first."""
-    if first.target != second.source:
-        raise StructureError("morphisms not composable: target of first != source of second")
-    vmap = {v: second.vertex_map[first.vertex_map[v]] for v in first.source.vertices}
-    pairs = []
-    for e, mid in first.edge_pairs:
-        far = second.matched_target(mid)
-        if far is not None:
-            pairs.append((e, far))
-    return QuiverMorphism(first.source, second.target, vmap, pairs)
-
-
-def correction_form(m: QuiverMorphism, d: DimVector, e: DimVector) -> int:
-    """Bilinear defect of the Euler form under pushforward along m.
-
-    Counts merged ordered vertex pairs weighted d(v) e(w) plus unmatched
-    edges weighted d(source) e(target); satisfies
-
-        euler_form(target, m(d), m(e))
-            = euler_form(source, d, e) + correction_form(m, d, e).
-    """
-    m.source.check_dimvec(d)
-    m.source.check_dimvec(e)
-    total = sum(d[v] * e[w] for v, w in m.merged_pairs())
-    for eid in m.unmatched_edge_ids:
-        a = m.source.edge(eid)
-        total += d[a.source] * e[a.target]
-    return total
 
 
 def edge_deletion_morphism(q: Quiver, edge_ids: Iterable[str]) -> QuiverMorphism:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .quiver import (
     DimVector,
@@ -72,14 +72,8 @@ class WeakStability:
             raise ValueError(f"stability value needs an effective vector, got {shown(d)}")
         return self._value_fn(d)
 
-    def leq(self, d: DimVector, e: DimVector) -> bool:
-        return self.value(d) <= self.value(e)
-
     def lt(self, d: DimVector, e: DimVector) -> bool:
         return self.value(d) < self.value(e)
-
-    def same_value(self, d: DimVector, e: DimVector) -> bool:
-        return self.value(d) == self.value(e)
 
     def __repr__(self) -> str:
         return f"WeakStability({self.name!r})"
@@ -148,32 +142,6 @@ def is_increasing(q: Quiver, stab: WeakStability) -> bool:
             return False
         if not stab.lt(unit_vector(e.source), unit_vector(e.target)):
             return False
-    return True
-
-
-def is_generic_pair(stab: WeakStability, d: DimVector) -> bool:
-    """No two-part decomposition of d into vectors of equal value."""
-    if d.is_zero() or not d.is_effective():
-        raise ValueError("genericity check needs a nonzero effective vector")
-    for e in subvectors(d):
-        f = d - e
-        if f.is_zero():
-            continue
-        if stab.same_value(e, f):
-            return False
-    return True
-
-
-def dominates(
-    coarse: WeakStability, fine: WeakStability, classes: Iterable[DimVector]
-) -> bool:
-    """Whether fine(a) <= fine(b) implies coarse(a) <= coarse(b) on all pairs
-    from the finite set of classes."""
-    cs = list(classes)
-    for a in cs:
-        for b in cs:
-            if fine.leq(a, b) and not coarse.leq(a, b):
-                return False
     return True
 
 

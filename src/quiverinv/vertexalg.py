@@ -11,8 +11,8 @@ The operations:
   * kunneth(u, v): product class on the two-factor ring;
   * cap(u, p): lower the degree by pairing against multiplication by p;
   * divided_translation(u, j): the j-th divided power of the translation
-    operator, the transpose of D^j / j! for the derivation D of the Chern
-    class ring, D(c[0, v, i]) = (d(v) - i + 1) c[0, v, i - 1] (_raise);
+    operator, the transpose of D^j / j! for the translation derivation D
+    of the Chern class ring (_raise);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
     both are transposed Whitney maps applied to the class's support
@@ -41,9 +41,9 @@ gives the pairings with the row reduced basis of the kernel of D
 (weight_zero_basis) without building it: the translation images pair to
 zero with that kernel, so reducing the representative by an echelon form
 of them, the images of single packed monomials under _raise, leaves its
-coordinates at the free columns; _raise is the one statement of D.  The
-two zero tests agree by duality and are cross-checked in the tests, and
-weight_zero_basis stays as the reference the reduction is tested against.
+coordinates at the free columns.  The two zero tests agree by duality
+and are cross-checked in the tests, and weight_zero_basis stays as the
+reference the reduction is tested against.
 """
 
 from __future__ import annotations
@@ -251,10 +251,19 @@ def cap(u: HClass, poly: Poly) -> HClass:
 
 
 def _raise(ring: ChernRing, func: Mapping[tuple, object], j: int) -> dict:
-    """The transpose of D^j on ring factor 0, undivided (ints stay ints), on
-    packed monomials: each step raises one index of a support monomial,
-    c[0, v, i - 1] -> c[0, v, i] with c[0, v, 0] = 1, with coefficient
-    (d(v) - i + 1) times the new exponent of c[0, v, i]."""
+    """The transpose of D^j, undivided (ints stay ints), on packed monomials.
+
+    D is the translation derivation of the Chern class ring, the package's
+    one statement of it:
+
+        D(c[0, v, i]) = (d(v) - i + 1) c[0, v, i - 1],   c[0, v, 0] = 1,
+
+    and D vanishes on the generators of every other factor.  Twisting every
+    tautological bundle of factor 0 by a line bundle with first Chern class
+    z acts as exp(zD), and the kernel of D is the weight-zero subring.  So
+    each step raises one index of a support monomial, c[0, v, i - 1] ->
+    c[0, v, i], with coefficient (d(v) - i + 1) times the new exponent of
+    c[0, v, i]."""
     for _ in range(j):
         out: dict[tuple, object] = {}
         for s, x in func.items():

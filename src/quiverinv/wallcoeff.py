@@ -29,8 +29,8 @@ its own certificate: the word expansion of the brackets must give back
 the input exactly, which holds only for a Lie element (LieElementError
 otherwise, which signals an upstream bug, not bad user data).  The Dynkin
 criterion (a sum p of words of length n is a Lie element exactly when
-theta(p) = n p, theta replacing each word by its left-nested bracketing)
-is the independent check the test oracles keep.
+theta(p) = n p, theta replacing each word by its left-nested bracketing,
+dynkin_word) is the independent check, kept in the test oracles.
 
 Word sums are plain dicts mapping tuples of letters to rationals; letters
 are dimension vectors, or ints ordered as the vectors they stand for.
@@ -168,14 +168,6 @@ def dynkin_word(letters: Sequence) -> dict[tuple, int]:
             _axpy(nxt, c, ((w + (x,), 1), ((x,) + w, -1)))
         acc = nxt
     return acc
-
-
-def theta(ws: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
-    """Replace each word by its left-nested bracketing, linearly."""
-    out: dict[tuple, Fraction] = {}
-    for w, c in ws.items():
-        _axpy(out, c, dynkin_word(w).items())
-    return out
 
 
 def _letter_key(x) -> object:

@@ -20,9 +20,12 @@ package's word expansions and orderings.  The vertex algebra probes
 field_window and weak_commutativity_order are test helpers rather than
 oracles: they iterate the package's state_field over a window of
 powers; so is pair_lex_stability, a lexicographic framed condition on
-the package's WeakStability.  The frozen literal tables were worked out
-by hand from the defining formulas and are committed as data; the tests
-compare the package against them, never the reverse.
+the package's WeakStability.  correction_form, leq, same_value,
+is_generic_pair, dominates and theta are definitions that the package
+does not carry, since nothing in it calls them; they live here as the
+references the tests compare against.  The frozen literal tables were
+worked out by hand from the defining formulas and are committed as data;
+the tests compare the package against them, never the reverse.
 """
 
 from fractions import Fraction
@@ -73,6 +76,21 @@ def euler_form_oracle(qjson, d, e):
 
 def sym_form_oracle(qjson, d, e):
     return euler_form_oracle(qjson, d, e) + euler_form_oracle(qjson, e, d)
+
+
+def correction_form(m, d, e):
+    """Bilinear defect of the Euler form under pushforward along the quiver
+    morphism m: merged ordered vertex pairs weighted d(v) e(w) plus
+    unmatched edges weighted d(source) e(target), so that
+
+        euler_form(target, m(d), m(e))
+            = euler_form(source, d, e) + correction_form(m, d, e).
+    """
+    total = sum(d[v] * e[w] for v, w in m.merged_pairs())
+    for eid in m.unmatched_edge_ids:
+        a = m.source.edge(eid)
+        total += d[a.source] * e[a.target]
+    return total
 
 
 def has_cycle_oracle(qjson):
@@ -459,6 +477,28 @@ def _sum_letters(letters):
     return total
 
 
+def leq(stab, d, e):
+    return stab.value(d) <= stab.value(e)
+
+
+def same_value(stab, d, e):
+    return stab.value(d) == stab.value(e)
+
+
+def is_generic_pair(stab, d):
+    """No two-part decomposition of d into vectors of equal value."""
+    from quiverinv.quiver import subvectors
+
+    return not any(e != d and same_value(stab, e, d - e) for e in subvectors(d))
+
+
+def dominates(coarse, fine, classes):
+    """Whether fine(a) <= fine(b) implies coarse(a) <= coarse(b) on all pairs
+    from the finite set of classes."""
+    cs = list(classes)
+    return all(leq(coarse, a, b) for a in cs for b in cs if leq(fine, a, b))
+
+
 def s_coeff_oracle(alphas, from_stab, to_stab):
     """Sign coefficient straight from the cut rule: each comparison calls
     value() on freshly built dimension-vector sums."""
@@ -469,7 +509,7 @@ def s_coeff_oracle(alphas, from_stab, to_stab):
     r = 0
     head = alphas[0]
     for i in range(1, n):
-        ascending = from_stab.leq(alphas[i - 1], alphas[i])
+        ascending = leq(from_stab, alphas[i - 1], alphas[i])
         head_value = to_stab.value(head)
         tail_value = to_stab.value(_sum_letters(alphas[i:]))
         if ascending and head_value > tail_value:
@@ -503,7 +543,7 @@ def u_coeff_oracle(alphas, from_stab, to_stab):
             for i in range(m):
                 block = alphas[a[i] : a[i + 1]]
                 beta = _sum_letters(block)
-                if any(not from_stab.same_value(beta, x) for x in block):
+                if any(not same_value(from_stab, beta, x) for x in block):
                     ok = False
                     break
                 betas.append(beta)
@@ -599,11 +639,20 @@ def word_sum(pairs):
     return acc
 
 
+def theta(ws):
+    """Replace each word by its left-nested bracketing, linearly."""
+    from quiverinv.wallcoeff import dynkin_word
+
+    out = {}
+    for w, c in ws.items():
+        for k, y in dynkin_word(w).items():
+            out[k] = out.get(k, 0) + c * y
+    return {k: x for k, x in out.items() if x}
+
+
 def is_lie_element(ws):
     """Dynkin criterion: a sum p of words of length n is a Lie element
     exactly when theta(p) = n p, for each length n."""
-    from quiverinv.wallcoeff import theta
-
     comps = {}
     for w, c in ws.items():
         if c:
@@ -768,13 +817,14 @@ def pair_lex_stability(framed, base_mu, sign, frame_vertex="inf"):
     breaker s = 0 for n = 0 and s = sign for n > 0, and purely framed
     classes get the absolute endpoint (sign,), i.e. plus or minus infinity.
     """
+    from quiverinv.quiver import DimVector
     from quiverinv.stability import WeakStability
 
     base_vertices = [v for v in framed.vertices if v != frame_vertex]
     weights = {v: Fraction(base_mu[v]) for v in base_vertices}
 
     def value(d):
-        base = d.restrict(base_vertices)
+        base = DimVector([(v, n) for v, n in d.items() if v != frame_vertex])
         if base.is_zero():
             return (sign,)
         s = sum((weights[v] * k for v, k in base.items()), Fraction(0)) / base.total()

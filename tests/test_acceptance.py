@@ -21,7 +21,6 @@ from quiverinv.quiver import (
 )
 from quiverinv.stability import (
     WeakStability,
-    dominates,
     reference_increasing_slope,
     slope_stability,
     trivial_stability,
@@ -228,7 +227,7 @@ def test_04_coefficient_identities():
     fine = slope_stability(K3, {"v": 1, "w": 0})
     coarse = WeakStability(lambda d: 0 if fine.value(d) < Fraction(1, 2) else 1)
     pool = _range_vectors(K3.vertices, 4)
-    if not dominates(coarse, fine, pool):
+    if not oracles.dominates(coarse, fine, pool):
         failures.append(("domination premise",))
     for d in _range_vectors(K3.vertices, 4):
         for parts in _decomps(d):

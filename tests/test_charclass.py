@@ -7,13 +7,12 @@ import sympy
 from quiverinv.charclass import (
     ChernRing,
     Poly,
+    atom_rank,
     chern_atom,
     chern_kclass,
     correction_top_class,
     direct_sum_pullback,
-    divide_monomial,
     ext_pairing_kexpr,
-    kclass_rank,
     merge_pullback,
     monomial_basis,
     monomial_string,
@@ -22,18 +21,16 @@ from quiverinv.charclass import (
     mul_trunc,
     parse_monomial_string,
     power_trunc,
-    scaling_coaction,
     series_inverse,
-    weight_zero_component,
 )
 from quiverinv.quiver import (
     DimVector,
     Quiver,
     binarize_quiver,
-    correction_form,
     edge_deletion_morphism,
     sym_euler_form,
 )
+from quiverinv.vertexalg import HClass, divided_translation
 
 from . import oracles
 
@@ -51,9 +48,6 @@ def test_monomial_ops():
     m = (((g1), 2), ((g2), 1))
     assert monomial_weight(m) == 4
     assert mul_monomials(m, ((g1, 1),)) == ((g1, 3), (g2, 1))
-    assert divide_monomial(m, ((g2, 1),)) == ((g1, 2),)
-    assert divide_monomial(m, ((g2, 2),)) is None
-    assert divide_monomial(m, m) == ()
 
 
 def _count_monomials(gen_weights, weight):
@@ -194,7 +188,7 @@ def test_chern_atoms_match_chern_character_oracle(q, pairs):
     assert rank_zero
 
 
-def test_kclass_rank_matches_sym_euler_form():
+def test_ext_pairing_rank_matches_sym_euler_form():
     for q in (A2, K2, K3):
         kx = ext_pairing_kexpr(q)
         for d, e in [
@@ -203,7 +197,8 @@ def test_kclass_rank_matches_sym_euler_form():
             (DimVector({"v": 1}), DimVector({"w": 2})),
         ]:
             ring = ChernRing([d, e])
-            assert kclass_rank(kx, ring) == sym_euler_form(q, d, e)
+            rank = sum(mult * atom_rank(atom, ring) for mult, atom in kx)
+            assert rank == sym_euler_form(q, d, e)
 
 
 def _swap_factors(p, target_ring):
@@ -301,24 +296,44 @@ def test_correction_top_class():
     a = Poly.generator(ring, (0, "v", 1))
     b = Poly.generator(ring, (0, "w", 1))
     assert cls == b - a
-    assert cls.weight() == correction_form(m, d, d)
+    assert cls.weight() == oracles.correction_form(m, d, d)
 
     # binarization collapse of K2 at (2,1): merged pair (v1, v2) both ways
     split, collapse, ones = binarize_quiver(K2, DimVector({"v": 2, "w": 1}))
     ring2 = ChernRing([ones])
     cls2 = correction_top_class(collapse, ring2)
     assert cls2.is_homogeneous()
-    assert cls2.weight() == correction_form(collapse, ones, ones)
+    assert cls2.weight() == oracles.correction_form(collapse, ones, ones)
     v1, v2 = collapse.preimages("v")
     x = Poly.generator(ring2, (0, v1, 1))
     y = Poly.generator(ring2, (0, v2, 1))
     assert cls2 == (y - x) * (x - y)
 
 
+def _translation_image(ring, m, j):
+    """divided_translation(u, j) of the class u that is 1 at the monomial m:
+    the transpose of D^j / j!, as the package runs it."""
+    return divided_translation(HClass(K3, ring, 2 * monomial_weight(m), {m: Fraction(1)}), j)
+
+
+def _coaction(p):
+    """The z-expansion {j: D^j(p) / j!} of the twist exp(zD), read off by
+    pairing p with the translation images of every monomial of lower weight:
+    the coefficient of m in D^j(p) / j! is the pairing of p with
+    divided_translation of the class 1 at m."""
+    w, out = p.weight(), {}
+    for j in range(w + 1):
+        lower = monomial_basis(p.ring, w - j)
+        terms = {m: _translation_image(p.ring, m, j).pair(p) for m in lower}
+        if any(terms.values()):
+            out[j] = Poly(p.ring, terms)
+    return out
+
+
 def test_scaling_coaction_rules():
     # line bundle: c1 -> c1 + z
     line = ring1(v=1)
-    co = scaling_coaction(Poly.generator(line, (0, "v", 1)))
+    co = _coaction(Poly.generator(line, (0, "v", 1)))
     assert co[0] == Poly.generator(line, (0, "v", 1))
     assert co[1] == Poly.one(line)
     assert set(co) == {0, 1}
@@ -326,28 +341,29 @@ def test_scaling_coaction_rules():
     # rank r: z^1 component of c_i is (r - i + 1) c_{i-1}
     r = 3
     ring = ring1(v=r)
+    c = [Poly.one(ring)] + [Poly.generator(ring, (0, "v", i)) for i in range(1, r + 1)]
     for i in range(1, r + 1):
-        co = scaling_coaction(Poly.generator(ring, (0, "v", i)))
-        want = (
-            Poly.constant(ring, r)
-            if i == 1
-            else Poly.generator(ring, (0, "v", i - 1)).scale(r - i + 1)
-        )
+        co = _coaction(c[i])
+        want = Poly.constant(ring, r) if i == 1 else c[i - 1].scale(r - i + 1)
         assert co[1] == want
+    # and D is a derivation: D(c1^2) = 2 r c1, D(c1 c2) = r c2 + (r - 1) c1^2
+    assert _coaction(c[1] * c[1])[1] == c[1].scale(2 * r)
+    assert _coaction(c[1] * c[2])[1] == c[2].scale(r) + (c[1] * c[1]).scale(r - 1)
 
 
 def test_scaling_coaction_against_shifted_roots():
-    # full z-expansion of c_i agrees with e_i(x_1 + z, ..., x_r + z)
+    # full z-expansion of c_i agrees with e_i(x_1 + z, ..., x_r + z), and
+    # that of a monomial with the product of those (D is a derivation)
     r = 3
     ring = ring1(v=r)
     xs = sympy.symbols(f"x1:{r + 1}")
-    z = sympy.Symbol("z")
+    z, t = sympy.Symbol("z"), sympy.Symbol("t")
     es = [sympy.Symbol(f"e{i}") for i in range(1, r + 1)]
     names = {(0, "v", i): f"e{i}" for i in range(1, r + 1)}
-    for i in range(1, r + 1):
-        t = sympy.Symbol("t")
-        shifted = sympy.expand(sympy.prod([t + x + z for x in xs])).coeff(t, r - i)
-        co = scaling_coaction(Poly.generator(ring, (0, "v", i)))
+    roots = sympy.expand(sympy.prod([t + x + z for x in xs]))
+    for m in (m for w in range(1, r + 1) for m in monomial_basis(ring, w)):
+        shifted = sympy.prod([roots.coeff(t, r - i) ** e for (_, _, i), e in m])
+        co = _coaction(Poly(ring, {m: Fraction(1)}))
         got = sympy.Integer(0)
         for j, p in co.items():
             got += _poly_to_sympy(p, names) * z**j
@@ -361,18 +377,21 @@ def test_scaling_coaction_against_shifted_roots():
         assert sympy.expand(got - want) == 0
 
 
-def _z1_matrix(ring, w):
-    src = monomial_basis(ring, w)
-    dst = monomial_basis(ring, w - 1)
-    index = {m: i for i, m in enumerate(dst)}
+def _translation_rows(ring, w):
+    """The translation image of each weight w - 1 monomial on the weight w
+    basis: the rows of the transpose of D from weight w to w - 1."""
+    src, dst = monomial_basis(ring, w), monomial_basis(ring, w - 1)
     rows = []
-    for m in src:
-        img = weight_zero_component(Poly(ring, {m: Fraction(1)}))
-        row = [Fraction(0)] * len(dst)
-        for m2, c in img.terms.items():
-            row[index[m2]] = c
-        rows.append(row)
+    for m in dst:
+        img = _translation_image(ring, m, 1).functional
+        rows.append([img.get(x, Fraction(0)) for x in src])
     return rows, len(src), len(dst)
+
+
+def _killed_by_d(p):
+    """D(p) = 0: p pairs to zero with every translation image of its weight."""
+    lower = monomial_basis(p.ring, p.weight() - 1)
+    return all(_translation_image(p.ring, m, 1).pair(p) == 0 for m in lower)
 
 
 def _rank(rows):
@@ -397,20 +416,26 @@ def _rank(rows):
 
 
 def test_weight_zero_dimension_counts():
-    # the z^1 action maps weight w onto weight w - 1, so its kernel has
-    # dimension m(w) - m(w-1); checked by exact row reduction
+    # D maps weight w onto weight w - 1 (its transpose, the translation, is
+    # injective), so its kernel has dimension m(w) - m(w-1); checked by
+    # exact row reduction
     for dims in ({"v": 2}, {"v": 1, "w": 1}, {"v": 2, "w": 1}):
         ring = ring1(**dims)
         for w in range(1, 5):
-            rows, nsrc, ndst = _z1_matrix(ring, w)
+            rows, nsrc, ndst = _translation_rows(ring, w)
             assert _rank(rows) == ndst
-    # and weight-zero classes are exactly the kernel: spot check
+    # and weight-zero classes are exactly the kernel: spot checks, among them
+    # the discriminant c1^2 - 4 c2 = (x1 - x2)^2 of a rank-2 bundle
     ring = ring1(v=1, w=1)
     a = Poly.generator(ring, (0, "v", 1))
     b = Poly.generator(ring, (0, "w", 1))
-    assert weight_zero_component(a - b).is_zero()
-    assert not weight_zero_component(a + b).is_zero()
-    assert weight_zero_component((a - b) * (a - b)).is_zero()
+    assert _killed_by_d(a - b)
+    assert not _killed_by_d(a + b)
+    assert _killed_by_d((a - b) * (a - b))
+    ring = ring1(v=2)
+    c1, c2 = Poly.generator(ring, (0, "v", 1)), Poly.generator(ring, (0, "v", 2))
+    assert _killed_by_d(c1 * c1 - c2.scale(4))
+    assert not _killed_by_d(c1 * c1) and not _killed_by_d(c2)
 
 
 def test_monomial_string_round_trip():

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import quiverinv
-from quiverinv import charclass, cli, vertexalg
+from quiverinv import charclass, cli, invariants, vertexalg
 from quiverinv.cli import main
 from quiverinv.quiver import Quiver, edge_deletion_morphism
 
@@ -200,6 +201,46 @@ def test_cache_path_that_is_no_directory_exits_2(qfiles, tmp_path, monkeypatch):
     monkeypatch.setenv("QUIVERINV_CACHE", str(blocker))
     code, out = run(argv)
     assert code == 2 and json.loads(out)["kind"] == "input"
+
+
+def test_cache_write_failure_exits_2(qfiles, tmp_path, monkeypatch):
+    # a full disk is an input fault of the cache directory: one JSON line
+    # naming it and exit 2, not a traceback
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(invariants.tempfile, "mkstemp", full)
+    cdir = tmp_path / "cache"
+    code, out = run([
+        "invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":1,"w":1}',
+        "--slope", '{"v":1,"w":0}', "--cache", str(cdir),
+    ])
+    err = json.loads(out)
+    assert code == 2 and out.count("\n") == 1 and err["kind"] == "input"
+    assert repr(str(cdir)) in err["error"] and os.strerror(errno.ENOSPC) in err["error"]
+    assert list(cdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rep, key: {**rep, key: True},
+    lambda rep, key: {**rep, "c[v,7]": "1"},
+    lambda rep, key: {**rep, "c[v,1]": "1"},  # weight 1 in a weight-2 class
+], ids=["value-true", "generator-out-of-range", "wrong-weight"])
+def test_malformed_cache_representative_names_the_entry(qfiles, tmp_path, corrupt):
+    argv = [
+        "invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":1,"w":1}',
+        "--slope", '{"v":1,"w":0}', "--cache", str(tmp_path / "cache"),
+    ]
+    assert run(argv)[0] == 0
+    (path,) = (tmp_path / "cache").glob("*.json")
+    entry = json.loads(path.read_text())
+    rep = entry["representative"]
+    entry["representative"] = corrupt(rep, next(iter(rep)))
+    path.write_text(json.dumps(entry))
+    code, out = run(argv)
+    err = json.loads(out)
+    assert code == 2 and err["kind"] == "input"
+    assert err["error"].startswith(f"cache entry {path.name} is malformed: ")
 
 
 FROZEN_OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quiverinv import charclass, vertexalg
-from quiverinv.charclass import ChernRing, Poly, monomial_basis, scaling_coaction
+from quiverinv.charclass import ChernRing, Poly, monomial_basis
 from quiverinv.quiver import (
     DimVector,
     Quiver,
@@ -122,10 +122,16 @@ def test_translation_matches_substitution_oracle(dims):
     for w in range(top + max_j + 1):
         for m in monomial_basis(ring, w):
             expected[m] = oracles.substitution_coaction_oracle(ranks, m)
-            if w <= top:
-                got = scaling_coaction(Poly(ring, {m: Fraction(1)}))
-                assert {j: p.terms for j, p in got.items()} == expected[m]
-    # divided_translation(u, j) is the transpose of the z^j component
+    # divided_translation(u, j) is the transpose of the z^j component: at
+    # the class 1 at s, its value at m is the coefficient of s in the z^j
+    # component of m
+    for w in range(top + 1):
+        for s in monomial_basis(ring, w):
+            u = HClass(A2, ring, 2 * w, {s: Fraction(1)})
+            for j in range(max_j + 1):
+                want = {m: expected[m][j][s] for m in monomial_basis(ring, w + j)
+                        if s in expected[m].get(j, ())}
+                assert divided_translation(u, j).functional == want
     rng = random.Random(5)
     for w in range(top + 1):
         u = HClass(A2, ring, 2 * w, {
@@ -321,16 +327,22 @@ def test_pl_equal_agrees_with_canonical_coordinates():
 
 
 def test_weight_zero_basis_shape():
-    qring = ChernRing((DimVector({"v": 1, "w": 1}),))
-    for w in range(4):
-        basis = weight_zero_basis(qring, w)
-        n_w = len(monomial_basis(qring, w))
-        n_lower = len(monomial_basis(qring, w - 1)) if w else 0
-        assert len(basis) == n_w - n_lower
-        from quiverinv.charclass import weight_zero_component
-
-        for p in basis:
-            assert weight_zero_component(p).is_zero()
+    for d in ({"v": 1, "w": 1}, {"v": 2, "w": 1}):
+        qring = ChernRing((DimVector(d),))
+        ranks = {(0, v): n for v, n in d.items()}
+        for w in range(4):
+            basis = weight_zero_basis(qring, w)
+            n_w = len(monomial_basis(qring, w))
+            n_lower = len(monomial_basis(qring, w - 1)) if w else 0
+            assert len(basis) == n_w - n_lower
+            # in ker D: each vector pairs to zero with the z^1 component of
+            # the substitution oracle at every monomial of weight w - 1
+            for p in basis:
+                image = {}
+                for m, c in p.terms.items():
+                    for s, y in oracles.substitution_coaction_oracle(ranks, m).get(1, {}).items():
+                        image[s] = image.get(s, 0) + c * y
+                assert not any(image.values())
 
 
 ORACLE_RINGS = {
@@ -774,7 +786,7 @@ def test_kernel_never_builds_sorted_monomials(monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel built a sorted-tuple monomial")
 
-    for name in ("divide_monomial", "mul_monomials", "monomial_basis"):
+    for name in ("mul_monomials", "monomial_basis"):
         for module in (charclass, vertexalg):
             monkeypatch.setattr(module, name, refuse, raising=False)
     got = (
