@@ -448,9 +448,48 @@ def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> P
     return apply_ring_map(poly, ring, lambda g: totals[g[1]].weight_part(g[2]))
 
 
+_EXPANSION_MEMO: dict[tuple, dict] = {}  # (part, n) -> _expand(part, n)
+
+
+def _expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
+    """whitney_transpose of one part onto a rank-n vertex; reads only (part, n)."""
+    used = [ex for ex in part if any(ex)]
+    if len(used) < 2:  # one multiset: prod_i c[0, w, i]^e_i, coefficient 1
+        ex = used[0] if used else ()
+        return {ex + (0,) * (n - len(ex)): 1}
+    flat = [(t, i) for t, ex in enumerate(used) for i, e in enumerate(ex, 1) if e]
+    left = [used[t][i - 1] for t, i in flat]
+    choices = ([0] + [i for s, i in flat if s == t] for t in range(len(used)))
+    mixed = [  # (positions in flat, index sum) per tuple to enumerate
+        ([flat.index(ti) for ti in enumerate(tau) if ti[1]], sum(tau))
+        for tau in product(*choices) if len(tau) - tau.count(0) > 1
+    ]
+    mk, out = [0] * (n + 1), {}  # mk: tuples chosen so far, by index sum
+
+    def rec(p: int, denom: int) -> None:
+        if p == len(mixed):
+            m = mk[:]
+            for (_, i), e in zip(flat, left):
+                m[i] += e
+            coeff = prod(map(factorial, m)) // (denom * prod(map(factorial, left)))
+            out[tuple(m[1:])] = out.get(tuple(m[1:]), 0) + coeff
+            return
+        positions, k = mixed[p]
+        for count in range(min(left[u] for u in positions) + 1):
+            rec(p + 1, denom * factorial(count))
+            mk[k] += 1
+            for u in positions:
+                left[u] -= 1
+        mk[k] -= count + 1
+        for u in positions:
+            left[u] += count + 1
+
+    rec(0, 1)
+    return out
+
+
 def whitney_transpose(
     func: Mapping[tuple, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple],
-    expansions: dict | None = None,
 ) -> dict[tuple, object]:
     """Transpose of _whitney_pullback from the one-factor ring target to
     source, from and to functionals keyed by packed monomials.
@@ -462,59 +501,22 @@ def whitney_transpose(
     c[0, w, k]^m_k.  Only the counts of tuples with two or more nonzero
     indices are enumerated, in place on the exponents left; a one-index
     tuple takes what is left.  The parts' expansions multiply, that is
-    concatenate; each distinct part is expanded once into expansions, new
-    per call unless the caller keeps one for (source, target, slots).
+    concatenate.  Each distinct (part, rank of w) is expanded once per
+    process into _EXPANSION_MEMO, which every pushforward shares.
     """
-
-    def expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
-        used = [ex for ex in part if any(ex)]
-        if len(used) < 2:  # one multiset: prod_i c[0, w, i]^e_i, coefficient 1
-            ex = used[0] if used else ()
-            return {ex + (0,) * (n - len(ex)): 1}
-        flat = [(t, i) for t, ex in enumerate(used) for i, e in enumerate(ex, 1) if e]
-        left = [used[t][i - 1] for t, i in flat]
-        choices = ([0] + [i for s, i in flat if s == t] for t in range(len(used)))
-        mixed = [  # (positions in flat, index sum) per tuple to enumerate
-            ([flat.index(ti) for ti in enumerate(tau) if ti[1]], sum(tau))
-            for tau in product(*choices) if len(tau) - tau.count(0) > 1
-        ]
-        mk, out = [0] * (n + 1), {}  # mk: tuples chosen so far, by index sum
-
-        def rec(p: int, denom: int) -> None:
-            if p == len(mixed):
-                m = mk[:]
-                for (_, i), e in zip(flat, left):
-                    m[i] += e
-                coeff = prod(map(factorial, m)) // (denom * prod(map(factorial, left)))
-                out[tuple(m[1:])] = out.get(tuple(m[1:]), 0) + coeff
-                return
-            positions, k = mixed[p]
-            for count in range(min(left[u] for u in positions) + 1):
-                rec(p + 1, denom * factorial(count))
-                mk[k] += 1
-                for u in positions:
-                    left[u] -= 1
-            mk[k] -= count + 1
-            for u in positions:
-                left[u] += count + 1
-
-        rec(0, 1)
-        return out
-
     pos, rank = source._pos, source.rank
     blocks = [  # per target vertex: its rank, the (start, stop) of each slot in source
         (n, [(pos[(f, v, 1)], pos[(f, v, 1)] + rank(f, v)) for f, v in slots[w] if rank(f, v)])
         for w, n in target.dims[0].items()
     ]
-    expansions = {} if expansions is None else expansions
-    result: dict[tuple, object] = {}
+    memo, result = _EXPANSION_MEMO, {}
     for s, x in func.items():
         terms = [((), x)]
         for n, cuts in blocks:
-            part = tuple(s[a:b] for a, b in cuts)
-            if part not in expansions:
-                expansions[part] = expand(part, n)
-            terms = [(m + mw, c * y) for m, c in terms for mw, y in expansions[part].items()]
+            key = (tuple(s[a:b] for a, b in cuts), n)
+            if key not in memo:
+                memo[key] = _expand(*key)
+            terms = [(m + mw, c * y) for m, c in terms for mw, y in memo[key].items()]
         for m, c in terms:
             result[m] = result.get(m, 0) + c
     return result

@@ -21,6 +21,8 @@ import os
 import sys
 
 from .invariants import (
+    DEFAULT_MAX_SIZE,
+    SELFTEST_MAX_SIZE,
     CacheStore,
     _factorial_weight,
     check_morphism_identity,
@@ -236,7 +238,7 @@ _OPTIONS = {
         type=int, default=1, metavar="N",
         help="Accepted for compatibility; evaluation is sequential. [default: %(default)s]",
     ),
-    "--max-size": dict(type=int, default=8, metavar="K", help="[default: %(default)s]"),
+    "--max-size": dict(type=int, default=DEFAULT_MAX_SIZE, metavar="K", help="[default: %(default)s]"),
 }
 
 _COMPUTE = ("--cache", "--jobs", "--max-size")  # the commands that compute invariants
@@ -301,7 +303,7 @@ def _parser(command: str | None) -> _Parser:
             for flag in options:
                 sub.add_argument(flag, **_OPTIONS[flag])
             sub.set_defaults(run=run)
-    commands.choices["selftest"].set_defaults(max_size=4)
+    commands.choices["selftest"].set_defaults(max_size=SELFTEST_MAX_SIZE)
     return parser
 
 

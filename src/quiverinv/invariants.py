@@ -106,6 +106,7 @@ from .vertexalg import (
 from .wallcoeff import _u_from_values, lie_normalize
 
 DEFAULT_MAX_SIZE = 8
+SELFTEST_MAX_SIZE = 4  # selftest's budget
 
 
 def natural_degree(q: Quiver, d: DimVector) -> int:
@@ -564,6 +565,8 @@ class CacheStore:
             raise ValueError(f"unreadable cache entry {path.name}: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("format") != _CACHE_FORMAT:
             raise ValueError(f"cache entry {path.name} has unknown format")
+        if any(obj.get(k) != v for k, v in _cache_key(q, d, order).items()):
+            raise ValueError(f"cache entry {path.name} is for another class")
         rep, degree = obj.get("representative"), natural_degree(q, d)
         if not isinstance(rep, dict) or obj.get("degree") != degree:
             raise ValueError(f"cache entry {path.name} is malformed: bad representative or degree")
@@ -606,7 +609,7 @@ def _selftest_quivers() -> dict[str, Quiver]:
     }
 
 
-def selftest(max_size: int = 4, cache: "CacheStore | None" = None) -> dict:
+def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = None) -> dict:
     """Property battery at a size budget; every check reports pass or fail."""
     qs = _selftest_quivers()
     checks: list[dict] = []

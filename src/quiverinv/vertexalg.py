@@ -15,8 +15,8 @@ The operations:
     of the Chern class ring (_raise);
   * direct_sum_pushforward(w): along the map classifying direct sums;
   * merge_pushforward(m, u): along the map induced by a quiver morphism;
-    both are transposed Whitney maps applied to the class's support
-    (charclass.whitney_transpose), so neither enumerates the target basis;
+    both, as state_field, apply charclass.whitney_transpose (one memo of
+    expansions for all three) to a support, so none enumerates the basis;
   * state_field(u, v, powers): the two-point expansion sum_p z^p (class on
     the sum stack), the coefficient at p collecting, over i >= 0 with
     j = p - chi + i >= 0 (chi the symmetrized Euler form), epsilon times
@@ -26,7 +26,7 @@ The operations:
     quotient below and makes it a graded Lie algebra.
 HClass stores a class packed and fraction free, so each runs on int
 numerators of dense exponent tuples; what a bracket needs of the two
-dimension vectors alone is made once per (quiver, a, b) (_bracket_plan).
+dimension vectors at its weight is made once and never changed (_bracket_plan).
 
 Classes of the projective linear (rigidified) moduli stack in shifted
 degree are represented by classes of the full stack modulo translations:
@@ -58,7 +58,6 @@ from .charclass import (
     Poly,
     _merge_slots,
     _sum_slots,
-    atom_rank,
     chern_atom,
     ext_pairing_kexpr,
     monomial_basis,
@@ -326,41 +325,34 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
 
 
 class _BracketPlan:
-    """What state_field needs of classes of dimension vectors a, b on q that
-    depends on (q, a, b) alone: the pair and target rings, chi, epsilon, the
-    sum's Whitney slots and expansions (whitney_transpose), the Ext atoms
-    with summed multiplicities and their cap terms, constant 1 dropped, up
-    to weight imax; remade for a larger imax up to top, the largest atom
-    rank.  A call reads no term above its own imax (_ext_cap_levels)."""
+    """What state_field needs of classes of dimension vectors a, b on q at
+    weight imax, made once and never changed: the pair and target rings,
+    chi, epsilon, the sum's Whitney slots (whitney_transpose), and the Ext
+    atoms, multiplicities summed, as cap terms to weight imax without 1."""
 
-    __slots__ = ("ring", "target", "chi", "eps", "slots", "whitney", "atoms", "top", "imax", "caps")
+    __slots__ = ("ring", "target", "chi", "eps", "slots", "caps")
 
-    def __init__(self, q: Quiver, a: DimVector, b: DimVector):
+    def __init__(self, q: Quiver, a: DimVector, b: DimVector, imax: int):
         self.ring, self.target = ChernRing((a, b)), ChernRing((a + b,))
         # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
         self.chi, self.eps = sym_euler_form(q, a, b), sign_epsilon(q, a, b)
-        self.slots, self.whitney, self.atoms = _sum_slots(a + b), {}, {}
+        self.slots, atoms, self.caps = _sum_slots(a + b), {}, []
         for mult, atom in ext_pairing_kexpr(q):  # parallel edges repeat an atom
-            self.atoms[atom] = self.atoms.get(atom, 0) + mult
-        self.top = max(atom_rank(atom, self.ring) for atom in self.atoms)
-        self.imax, self.caps = -1, []
+            atoms[atom] = atoms.get(atom, 0) + mult
+        for atom, mult in atoms.items():
+            terms = _cap_terms(self.ring, chern_atom(atom, self.ring, imax).terms.items())
+            terms.pop(0, None)  # the constant term 1
+            if terms and mult:
+                self.caps.append((mult, terms))
 
 
-_PLAN_MEMO: dict[tuple, _BracketPlan] = {}  # (q, a, b) -> plan
+_PLAN_MEMO: dict[tuple, _BracketPlan] = {}  # (q, a, b, imax) -> plan
 
 
 def _bracket_plan(q: Quiver, a: DimVector, b: DimVector, imax: int) -> _BracketPlan:
-    plan = _PLAN_MEMO.get((q, a, b))
+    plan = _PLAN_MEMO.get((q, a, b, imax))
     if plan is None:
-        plan = _PLAN_MEMO[q, a, b] = _BracketPlan(q, a, b)
-    imax = min(imax, plan.top)
-    if imax > plan.imax:
-        plan.imax, plan.caps = imax, []
-        for atom, mult in plan.atoms.items():
-            terms = _cap_terms(plan.ring, chern_atom(atom, plan.ring, imax).terms.items())
-            terms.pop(0, None)  # the constant term 1
-            if terms and mult:
-                plan.caps.append((mult, terms))
+        plan = _PLAN_MEMO[q, a, b, imax] = _BracketPlan(q, a, b, imax)
     return plan
 
 
@@ -408,7 +400,7 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     (k + imax)!.  The caps come from _ext_cap_levels, atom by atom.  It all
     runs on int numerators, epsilon in the Horner coefficients, over the
     denominator den(u) den(v) (k + imax)!; what depends on the dimension
-    vectors alone comes from the plan of (q, a, b) (_bracket_plan).
+    vectors and imax alone comes from the plan of (q, a, b, imax).
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
@@ -432,7 +424,7 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
         top, eps = factorial(k + imax), plan.eps
         terms = [(eps * top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
         raised = _raise(ring, _horner(ring, terms), k + i0)
-        pushed = whitney_transpose(raised, ring, target, plan.slots, plan.whitney)
+        pushed = whitney_transpose(raised, ring, target, plan.slots)
         out[p] = HClass._trusted(q, target, out[p].degree, pushed, u.den * v.den * top)
     return out
 

@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from quiverinv import invariants, vertexalg
+from quiverinv import charclass, invariants, vertexalg
 
 hypothesis.settings.register_profile(
     "suite",
@@ -14,7 +14,9 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def _fresh_module_memos(monkeypatch):
-    # classes and bracket plans made in one test, or under a stub there (such
-    # as a patched divmod in the Chern atoms), never reach another
+    # classes, bracket plans and Whitney expansions made in one test, or under
+    # a stub there (such as a patched divmod in the Chern atoms), never reach
+    # another
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
     monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
+    monkeypatch.setattr(charclass, "_EXPANSION_MEMO", {})

@@ -243,6 +243,23 @@ def test_malformed_cache_representative_names_the_entry(qfiles, tmp_path, corrup
     assert err["error"].startswith(f"cache entry {path.name} is malformed: ")
 
 
+def test_cache_entry_of_another_class_exits_2(qfiles, tmp_path):
+    # an entry under another key's file name is refused, not served: K3 (2,2)
+    # has 5 coordinates at {v:1,w:0} and none at {v:0,w:1}
+    argv = ["invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":2,"w":2}']
+    hi = argv + ["--slope", '{"v":1,"w":0}', "--cache", str(tmp_path / "hi")]
+    lo = argv + ["--slope", '{"v":0,"w":1}', "--cache", str(tmp_path / "lo")]
+    assert run(hi)[0] == 0
+    code, out = run(lo)
+    assert code == 0 and json.loads(out)["canonical"] == []
+    (entry_hi,) = (tmp_path / "hi").glob("*.json")
+    (entry_lo,) = (tmp_path / "lo").glob("*.json")
+    entry_lo.write_text(entry_hi.read_text())
+    code, out = run(lo)
+    assert code == 2
+    assert json.loads(out) == {"error": f"cache entry {entry_lo.name} is for another class", "kind": "input"}
+
+
 FROZEN_OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
 
 

@@ -707,7 +707,7 @@ def test_module_memos_are_declared():
     for info in pkgutil.iter_modules(quiverinv.__path__):
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
-    assert memos == {"vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO"}
+    assert memos == {"vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._EXPANSION_MEMO"}
 
 
 def test_private_imports_are_declared():
@@ -759,6 +759,12 @@ def test_cache_rejects_corruption(tmp_path):
         store.get(K3, d, _order_condition(tau, d))
     store.put(K3, d, _order_condition(tau, d), invariant(K3, tau, d))
     good = json.loads(path.read_text())
+    # every field of the stored key is compared with the key asked for
+    for field, value in (("algorithm", 2), ("order", good["order"][::-1]),
+                         ("quiver", K2.to_json()), ("dimvec", {"v": 1, "w": 1, "u": 0})):
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ValueError, match=f"{path.name} is for another class"):
+            store.get(K3, d, _order_condition(tau, d))
     for field, value in (("representative", []), ("representative", None),
                          ("degree", None), ("degree", "4"), ("degree", 6)):
         path.write_text(json.dumps({**good, field: value}))
@@ -768,6 +774,23 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_text(json.dumps(good))
     with pytest.raises(ValueError, match="corrupt"):
         store.get(K3, d, _order_condition(tau, d))
+
+
+def test_identity_checks_bracket_each_pair_at_one_weight(monkeypatch):
+    # every bracket of a pair (q, a, b) in these checks has one imax, so the
+    # plans, fixed at one weight, are each built once and then reused
+    calls, built = [], []
+    plan, build = vertexalg._bracket_plan, vertexalg._BracketPlan
+    monkeypatch.setattr(vertexalg, "_bracket_plan", lambda *key: calls.append(key) or plan(*key))
+    monkeypatch.setattr(vertexalg, "_BracketPlan", lambda *key: built.append(key) or build(*key))
+    tau_hi, tau_lo = slope_stability(K3, HI), slope_stability(K3, LO)
+    assert check_wallcross(K3, tau_hi, tau_lo, DimVector({"v": 3, "w": 2}))
+    assert pair_invariant_report(K2, HI, DimVector({"v": 2, "w": 2}), {"v": 1, "w": 1})["ok"]
+    weights = {}
+    for q, a, b, imax in calls:
+        weights.setdefault((q, a, b), set()).add(imax)
+    assert {len(w) for w in weights.values()} == {1}
+    assert len(built) == len(set(built)) == len(set(calls)) < len(calls)
 
 
 def test_induced_pl_map_preserves_shifted_degree():

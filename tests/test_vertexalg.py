@@ -1,6 +1,8 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -609,9 +611,8 @@ def test_packed_classes_with_denominators_three_and_five():
     assert (x + y) == HClass(K3, _RING21, 4, {m2: Fraction(6, 10)}) == x.scale(3) - x.scale(2) + y
 
 
-def test_bracket_plan_made_at_a_smaller_imax_gives_the_fresh_bracket(monkeypatch):
-    # a plan grows its caps when a larger imax arrives and serves a smaller
-    # one by reading only the terms up to it
+def test_bracket_with_fresh_or_reused_plans_matches_the_oracle(monkeypatch):
+    # the large pair reaches imax 5 on K3, the one oracle check there
     rng = random.Random(53)
     a, b = {"v": 2, "w": 1}, {"v": 1, "w": 2}
     small = (_random_class(rng, K3, (a,), 0), _random_class(rng, K3, (b,), 1))
@@ -622,14 +623,26 @@ def test_bracket_plan_made_at_a_smaller_imax_gives_the_fresh_bracket(monkeypatch
         monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
         fresh.append(state_field(*pair, powers))
     monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
-    assert state_field(*small, powers) == fresh[0]
-    (plan,) = vertexalg._PLAN_MEMO.values()
-    assert plan.imax == 1 < plan.top == 4
-    assert state_field(*large, powers) == fresh[1]
-    assert plan.imax == 4 and vertexalg._PLAN_MEMO == {(K3, DimVector(a), DimVector(b)): plan}
-    assert state_field(*small, powers) == fresh[0]
+    for pair, want in [(small, fresh[0]), (large, fresh[1]), (small, fresh[0])]:
+        assert state_field(*pair, powers) == want
     assert fresh[1] == oracles.state_field_oracle(*large, powers)
     assert not fresh[1][-1].is_zero()
+
+
+def test_bracket_plans_are_fixed_at_one_weight():
+    # a plan holds its caps to one imax and is never changed: the same
+    # (a, b) bracketed at a larger imax gets a plan of its own
+    rng = random.Random(59)
+    a, b = DimVector({"v": 2, "w": 1}), DimVector({"v": 1, "w": 2})
+    x, y = (_random_class(rng, K3, (d,), 2) for d in (a, b))
+    lie_bracket(unit_class(K3, a), mono_class(K3, b, c1("w"), 2))  # imax 1
+    (plan,) = vertexalg._PLAN_MEMO.values()
+    caps = copy.deepcopy(plan.caps)
+    lie_bracket(x, y)  # imax 4
+    assert vertexalg._PLAN_MEMO.keys() == {(K3, a, b, 1), (K3, a, b, 4)}
+    assert vertexalg._PLAN_MEMO[K3, a, b, 1] is plan
+    assert plan.caps == caps == vertexalg._BracketPlan(K3, a, b, 1).caps
+    assert caps != vertexalg._PLAN_MEMO[K3, a, b, 4].caps
 
 
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
@@ -748,6 +761,34 @@ def test_one_slot_parts_match_pairing_oracles(q, split):
             seen |= _slots_per_part(u.functional, merge_slots)
             assert merge_pushforward(collapse, u) == oracles.merge_pushforward_oracle(collapse, u)
     assert {1, 2} <= seen
+
+
+def test_pushforwards_share_one_expansion_memo(monkeypatch):
+    # _EXPANSION_MEMO is keyed by what an expansion reads, (part, n): the
+    # direct sums split v and w as 1 + 2 and as 2 + 1, and the merge's
+    # rank-one slots meet those of the 1 + 1 sum; the memo is never cleared
+    rng = random.Random(61)
+    collapse = binarize_quiver(K3, DimVector({"v": 2, "w": 2}))[1]
+    ones = {v: 1 for v in collapse.source.vertices}
+    splits = [({"v": 1, "w": 2}, {"v": 2, "w": 1}), ({"v": 2, "w": 1}, {"v": 1, "w": 2}),
+              ({"v": 1, "w": 1}, {"v": 1, "w": 1})]
+    sums, merges = [], []  # by weight
+    for weight in range(1, 5):
+        sums.append([_random_class(rng, K3, split, weight) for split in splits])
+        merges.append(_random_class(rng, collapse.source, (ones,), weight))
+    keys = []  # the memo keys of each pushforward alone
+    for push, classes in [(direct_sum_pushforward, sum(sums, [])), (partial(merge_pushforward, collapse), merges)]:
+        monkeypatch.setattr(charclass, "_EXPANSION_MEMO", {})
+        for x in classes:
+            push(x)
+        keys.append(set(charclass._EXPANSION_MEMO))
+    assert keys[0] & keys[1]
+    monkeypatch.setattr(charclass, "_EXPANSION_MEMO", {})
+    for ws, u in zip(sums, merges):
+        for w in ws:
+            assert direct_sum_pushforward(w) == oracles.direct_sum_pushforward_oracle(w)
+        assert merge_pushforward(collapse, u) == oracles.merge_pushforward_oracle(collapse, u)
+    assert set(charclass._EXPANSION_MEMO) == keys[0] | keys[1]
 
 
 def test_pushforwards_never_enumerate_the_target_basis(monkeypatch):
