@@ -102,7 +102,8 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
 
     For each ordered decomposition of --dimvec, the sign coefficient and
     the transformation coefficient for the pair (--slope, --slope2), plus
-    the whole weighted sum written in a basis of left-nested bracket words.
+    the whole weighted sum written as left-nested bracket words, those that
+    begin with their largest part once (the first-letter Dynkin identity).
     """
     q = _quiver_from(quiver_path)
     d = q.check_dimvec(_dimvec_from(dimvec))

@@ -15,9 +15,11 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
 wallcross_transform expresses the classes at a new stability condition as
 bracket words of the classes at an old one: the free word sum over the
 ordered decompositions of d whose parts all have nonempty classes
-(_live_words), with u-coefficients for the pair of conditions, is
-normalized to iterated bracket words, whose word expansion must give back
-the sum exactly (which certifies that it is a Lie element), and evaluated
+(_live_words), with u-coefficients for the pair of conditions, is written
+in closed form as left-nested bracket words (lie_normalize: in each letter
+multiset, the words that begin with its largest letter once, by the
+first-letter Dynkin identity), whose word expansion must give back the
+sum exactly (which certifies that it is a Lie element), and evaluated
 with one lie_bracket per group of words sharing a last letter
 (_bracket_sum).  invariant and wallcross_transform share that word sum
 (_word_sum), run on integer-coded subvectors of d and the ranks of the
@@ -519,7 +521,7 @@ _CACHE_FORMAT = "invariant-cache-v2"
 # Version of the computation behind a cached class, in every cache key so an
 # entry written under another value is a miss.  Bump it with any change that
 # can alter a computed class: its value, representative or coordinates.
-_ALGORITHM = 1
+_ALGORITHM = 2
 
 
 def _cache_key(q: Quiver, d: DimVector, order: tuple[int, ...]) -> dict:
@@ -610,7 +612,10 @@ def _selftest_quivers() -> dict[str, Quiver]:
 
 
 def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = None) -> dict:
-    """Property battery at a size budget; every check reports pass or fail."""
+    """Property battery at a size budget of at least 3, at which every check
+    runs; every check reports pass or fail."""
+    if max_size < 3:
+        raise ValueError(f"selftest needs a size budget of at least 3, got {max_size}")
     qs = _selftest_quivers()
     checks: list[dict] = []
 
@@ -635,8 +640,6 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
         return True
 
     def kronecker_points() -> bool:
-        if max_size < 2:
-            return True
         from .charclass import Poly
 
         d = DimVector({"v": 1, "w": 1})
@@ -659,9 +662,8 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
     def identity_transform() -> bool:
         q = qs["k2"]
         tau = slope_stability(q, {"v": 1, "w": 0})
-        bound = min(max_size, 3)
         for d in subvectors(DimVector({"v": 2, "w": 2})):
-            if d.total() > bound:
+            if d.total() > 3:
                 continue
             table = build_invariant_table(q, tau, d, cache=cache, max_size=max_size)
             lhs = wallcross_transform(q, table, tau, d, max_size=max_size)
@@ -670,14 +672,11 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
         return True
 
     def wallcross_small() -> bool:
-        if max_size < 2:
-            return True
         q = qs["k3"]
         a = slope_stability(q, {"v": 1, "w": 0})
         b = slope_stability(q, {"v": 0, "w": 1})
-        bound = min(max_size, 3)
         for d in subvectors(DimVector({"v": 2, "w": 2})):
-            if d.total() > bound:
+            if d.total() > 3:
                 continue
             if not check_wallcross(q, a, b, d, cache=cache, max_size=max_size):
                 return False
@@ -688,8 +687,6 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
         tau = slope_stability(q, {"v": 1, "w": 0})
         seen = []
         for d in subvectors(DimVector({"v": 2, "w": 1})):
-            if d.total() > max_size:
-                continue
             seen.append(invariant(q, tau, d, cache=cache, max_size=max_size))
         for x in seen:
             zero = zero_pl(x.quiver, x.dimvec, x.degree)
@@ -698,16 +695,12 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
         return True
 
     def antisymmetry() -> bool:
-        if max_size < 2:
-            return True
         q = qs["k2"]
         x = unit_pl(q, unit_vector("v"))
         y = unit_pl(q, unit_vector("w"))
         return pl_equal(lie_bracket(x, y), lie_bracket(y, x).scale(-1))
 
     def morphism_edge_deletion() -> bool:
-        if max_size < 2:
-            return True
         from .quiver import edge_deletion_morphism
 
         lam = edge_deletion_morphism(qs["k2"], ["e2"])
@@ -716,8 +709,6 @@ def selftest(max_size: int = SELFTEST_MAX_SIZE, cache: "CacheStore | None" = Non
         return check_morphism_identity(lam, tau, d, cache=cache, max_size=max_size)
 
     def pair_small() -> bool:
-        if max_size < 3:
-            return True
         d = DimVector({"v": 1, "w": 1})
         return pair_invariant_report(
             qs["a2"], {"v": 1, "w": 0}, d, {"v": 1, "w": 1}, cache=cache, max_size=max_size

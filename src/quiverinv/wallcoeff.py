@@ -17,24 +17,26 @@ one int numerator over n! lcm(1..n) (_u_from_values).  invariants passes
 int codes valued by rank lists to the same core.  u_coeff keeps no memo:
 invariants reuses classes.
 
-The Lie version has no closed formula.  It is produced here from the
-u-weighted free word sum.  Each length component splits by letter
-multiset, and each part is solved in a basis of left-nested brackets: the
-distinct orderings of the multiset in lexicographic order, each kept when
-its word expansion is independent of the kept ones.  The kept brackets
-number Witt's dimension of the multigraded part of the free Lie algebra
-(Reutenauer, Free Lie Algebras, 1993), not one per surviving word, and
-every one of them brackets a prefix with a single letter.  The solve is
-its own certificate: the word expansion of the brackets must give back
-the input exactly, which holds only for a Lie element (LieElementError
-otherwise, which signals an upstream bug, not bad user data).  The Dynkin
-criterion (a sum p of words of length n is a Lie element exactly when
-theta(p) = n p, theta replacing each word by its left-nested bracketing,
-dynkin_word) is the independent check, kept in the test oracles.
+The Lie version is produced here from the u-weighted free word sum.  Each
+length component splits by letter multiset, and each part is written in
+closed form by the first-letter Dynkin identity: if p is a Lie polynomial
+of degree k in the letter a, then the sum of c_w [w] over the words w of p
+that begin with a is k p, where [w] = [[...[w_1, w_2], ...], w_n]
+(dynkin_word).  It is the weighted form of the Dynkin-Specht-Wever theorem
+(Reutenauer, Free Lie Algebras, 1993, ch. 1), which sums over every word
+and all letters, giving n p.  So each part keeps, with coefficient c_w / k,
+the words that begin with its largest letter a but not with a, a, since
+[a, a] = 0.  The identity holds only for a Lie element, and the result
+carries its own certificate: the word expansion of the brackets must give
+back the input exactly (LieElementError otherwise, which signals an
+upstream bug, not bad user data).  The Dynkin criterion (a sum p of words
+of length n is a Lie element exactly when theta(p) = n p, theta replacing
+each word by its left-nested bracketing) is the independent check, kept in
+the test oracles.
 
 Word sums are plain dicts mapping tuples of letters to rationals; letters
 are dimension vectors, or ints ordered as the vectors they stand for.
-Word expansions and the elimination run on ints, each letter multiset's
+Word expansions and the certificate run on ints, each letter multiset's
 words scaled by the lcm of their denominators; only results are Fractions.
 """
 
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from math import comb, factorial, lcm
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .quiver import DimVector
 from .stability import WeakStability
@@ -178,83 +180,17 @@ def _word_key(w: tuple) -> tuple:
     return tuple(map(_letter_key, w))
 
 
-def _distinct_orderings(letters: list) -> Iterator[tuple]:
-    """Distinct orderings of the letters, in lexicographic order."""
-    seq = sorted(letters)
-    while True:
-        yield tuple(seq)
-        # step to the next ordering: raise the last ascent, reverse the tail
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
-
-
-def _reduce(row: dict, combo: dict, echelon: list) -> int:
-    """Clear the echelon pivots from the int row, and the same multiples
-    of their combinations from combo, fraction free: row and combo are
-    first multiplied by a pivot entry that does not divide the row's.
-    Returns the product k of those multipliers."""
-    k = 1
-    for pivot, prow, pcombo in echelon:
-        x = row.get(pivot)
-        if x:
-            y = prow[pivot]
-            q, r = divmod(x, y)
-            if r:
-                for acc in (row, combo):
-                    acc.update({w: y * v for w, v in acc.items()})
-                k, q = k * y, x
-            _axpy(row, -q, prow.items())
-            _axpy(combo, -q, pcombo.items())
-    return k
-
-
-def _left_nested_basis(letters: Sequence) -> list[tuple[tuple, dict, dict]]:
-    """Echelon form of a basis of left-nested brackets of the letters.
-
-    Walks the distinct orderings in lexicographic order (_word_key) and
-    keeps one when its dynkin_word expansion is independent of the kept
-    ones.  The walk stops after the orderings that start with the least
-    letter a: those brackets already span, because the multilinear brackets
-    [x_1, x_s2, ..., x_sn] span the multilinear part and substituting the
-    letters, with a for x_1, maps it onto the span of all of them.  Each
-    row is (pivot word, reduced expansion, the same row as a combination
-    of kept orderings), all int; the orderings kept are the first entries
-    of the combinations, one per row.  No letters give no brackets.
-    """
-    order = sorted(set(letters), key=_letter_key)
-    rank = {x: i for i, x in enumerate(order)}
-    echelon: list[tuple[tuple, dict, dict]] = []
-    for idx in _distinct_orderings([rank[x] for x in letters]):
-        if not idx or idx[0]:
-            break
-        w = tuple(order[i] for i in idx)
-        row, combo = dynkin_word(w), {w: 1}
-        _reduce(row, combo, echelon)
-        if row:
-            g = gcd(*row.values(), *combo.values())  # keeps the entries small
-            row, combo = ({w: v // g for w, v in acc.items()} for acc in (row, combo))
-            echelon.append((next(iter(row)), row, combo))
-    return echelon
-
-
 def lie_normalize(ws: dict[tuple, Fraction]) -> list[LieWord]:
-    """Write a word sum in a basis of left-nested bracket words.
+    """Write a word sum as left-nested bracket words, in closed form.
 
-    The words are grouped by letter multiset, shorter multisets first.
-    Each group is scaled by the lcm of its denominators to an int row and
-    solved by fraction-free elimination in the basis of
-    _left_nested_basis; brackets with coefficient zero are left out.  The
-    word expansion of the bracket words must give back the row exactly,
-    which is checked and certifies that the input is a Lie element;
-    LieElementError otherwise.
+    The words are grouped by letter multiset, shorter multisets first.  In
+    a group whose largest letter (last under _letter_key) is a, of
+    multiplicity k, a Lie element p equals the sum of c_w / k [w] over its
+    words w that begin with a (the first-letter Dynkin identity); words
+    beginning a, a bracket to zero and are left out.  The word expansion
+    of the bracket words must give back the group exactly, which is
+    checked on ints and certifies that the input is a Lie element;
+    LieElementError otherwise, and for the empty word.
     """
     groups: dict[tuple, dict[tuple, Fraction]] = {}
     for w, c in ws.items():
@@ -262,15 +198,17 @@ def lie_normalize(ws: dict[tuple, Fraction]) -> list[LieWord]:
             groups.setdefault(tuple(sorted(w, key=_letter_key)), {})[w] = Fraction(c)
     out: list[LieWord] = []
     for letters in sorted(groups, key=lambda key: (len(key), _word_key(key))):
+        if not letters:
+            raise LieElementError("the empty word is not a Lie element")
+        a = letters[-1]
+        k = letters.count(a)
         den = lcm(*(c.denominator for c in groups[letters].values()))
         target = {w: int(c * den) for w, c in groups[letters].items()}
-        row, combo = dict(target), {}
-        k = _reduce(row, combo, _left_nested_basis(letters))
-        # k target = row - sum combo[w] dynkin_word(w); row is zero or the check fails
+        kept = sorted((w for w in target if w[0] == a and w[1:2] != (a,)), key=_word_key)
         expanded: dict[tuple, int] = {}
-        for w, c in combo.items():
-            _axpy(expanded, -c, dynkin_word(w).items())
+        for w in kept:
+            _axpy(expanded, target[w], dynkin_word(w).items())
         if expanded != {w: k * c for w, c in target.items()}:
             raise LieElementError("bracket expansion does not reproduce the input")
-        out.extend(LieWord(w, Fraction(-combo[w], k * den)) for w in sorted(combo, key=_word_key))
+        out.extend(LieWord(w, Fraction(target[w], k * den)) for w in kept)
     return out

@@ -4,33 +4,39 @@ Everything here is computed by routes that do not share code with the
 package: bilinear forms straight off the JSON dicts, sympy splitting
 variables for tensor Chern classes, DFS for cycle detection, brute force
 subset search for stable points of binary tree classes, sympy rank,
-nullspace and rref on the matrix of the translation derivation.  Five
-exceptions build on the package's own primitives: the pushforward
-oracles pair with the Whitney pullback of every monomial of the target
-basis, the state-field oracle sums the defining series term by term
-(pushing forward by pairing), the u- and s-coefficient oracles
-enumerate the regroupings of a tuple calling value() on freshly summed
-dimension vectors, without the package's interval tables, the
-per-word bracket sums evaluate the invariant, wall-crossing and
-framed-pair sums one bracket word at a time, where the package groups
-the words by last letter and drops words with an empty letter, and
-lie_normalize_oracle solves for bracket words on Fractions, dividing by
-each pivot, where the package eliminates fraction free on ints, on the
-package's word expansions and orderings.  The vertex algebra probes
-field_window and weak_commutativity_order are test helpers rather than
-oracles: they iterate the package's state_field over a window of
-powers; so is pair_lex_stability, a lexicographic framed condition on
-the package's WeakStability.  correction_form, leq, same_value,
-is_generic_pair, dominates and theta are definitions that the package
-does not carry, since nothing in it calls them; they live here as the
-references the tests compare against.  The frozen literal tables were
-worked out by hand from the defining formulas and are committed as data;
-the tests compare the package against them, never the reverse.
+nullspace and rref on the matrix of the translation derivation, and
+Atiyah-Bott localization for integrals over the Grassmannians that are
+Kronecker moduli spaces (grassmannian_integral; the invariant pairs with
+them through slice_projection, the twisting formula for Chern classes on
+the package's Poly). Five exceptions build on the package's own
+primitives: the pushforward oracles pair with the Whitney pullback of
+every monomial of the target basis, the state-field oracle sums the
+defining series term by term (pushing forward by pairing), the u- and
+s-coefficient oracles enumerate the regroupings of a tuple calling
+value() on freshly summed dimension vectors, without the package's
+interval tables, the per-word bracket sums evaluate the invariant,
+wall-crossing and framed-pair sums one bracket word at a time, where the
+package groups the words by last letter and drops words with an empty
+letter, and lie_normalize_oracle solves for bracket words by elimination
+on Fractions in a basis of left-nested brackets (left_nested_basis,
+walking distinct_orderings), where the package writes them in closed
+form by the first-letter Dynkin identity; the two share only the
+package's word expansions, and their bracket words differ, so tests
+compare the expansions. The vertex algebra probes field_window and
+weak_commutativity_order are test helpers rather than oracles: they
+iterate the package's state_field over a window of powers; so is
+pair_lex_stability, a lexicographic framed condition on the package's
+WeakStability. correction_form, leq, same_value, is_generic_pair,
+dominates and theta are definitions that the package does not carry,
+since nothing in it calls them; they live here as the references the
+tests compare against. The frozen literal tables were worked out by hand
+from the defining formulas and are committed as data; the tests compare
+the package against them, never the reverse.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import sympy
 
@@ -572,6 +578,54 @@ def u_coeff_oracle(alphas, from_stab, to_stab):
     return result
 
 
+def grassmannian_integral(m, n, monomial, t):
+    """The integral over the Grassmannian of n-dimensional quotients of C^m
+    of a monomial in c[0, v, i] and c[0, w, i], the Chern classes of the
+    family V_v = O and V_w = Q, the universal quotient, by Atiyah-Bott
+    localization (Atiyah-Bott, Topology 23, 1984): the torus acts on C^m
+    with the distinct integer weights t; at the fixed point of an n-subset
+    S, Q has the roots t_s for s in S, and the tangent space Hom(K, Q),
+    with K the kernel, has Euler class prod (t_s - t_j) over s in S and j
+    not in S."""
+    total = Fraction(0)
+    for subset in combinations(range(m), n):
+        roots = [t[s] for s in subset]
+        value = 1
+        for (_, vertex, i), e in monomial:
+            value *= 0 if vertex == "v" else sum(map(prod, combinations(roots, i))) ** e
+        euler = prod(t[s] - t[j] for s in subset for j in range(m) if j not in subset)
+        total += Fraction(value, euler)
+    return total
+
+
+def slice_projection(poly, vertex):
+    """P'(poly) = sum_j (-s)^j D^j(poly) / j! on a one-factor ring, with
+    s = c[0, vertex, 1] / d(vertex) and D the translation derivation: the
+    ring map that replaces each c_k(V_x) by c_k(V_x (x) M), c_1(M) = -s,
+    by the twisting formula c_k(E (x) M) = sum_j C(r - k + j, j)
+    c_{k-j}(E) c_1(M)^j for E of rank r.  Its image lies in ker D, so a
+    rigidified class pairs with it independently of the representative,
+    and on a family with V_vertex trivial P'(f) takes the value of f."""
+    from quiverinv.charclass import Poly
+
+    ring = poly.ring
+    mu = Poly.generator(ring, (0, vertex, 1)).scale(Fraction(-1, ring.rank(0, vertex)))
+    image = {}
+    for f, x, k in ring.generators():
+        lower = [Poly.one(ring)] + [Poly.generator(ring, (f, x, i)) for i in range(1, k + 1)]
+        image[(f, x, k)] = sum(
+            ((lower[k - j] * mu.power(j)).scale(comb(ring.rank(f, x) - k + j, j)) for j in range(k + 1)),
+            Poly.zero(ring),
+        )
+    out = Poly.zero(ring)
+    for monomial, c in poly.terms.items():
+        term = Poly.constant(ring, c)
+        for g, e in monomial:
+            term = term * image[g].power(e)
+        out = out + term
+    return out
+
+
 # ---------------------------------------------------------------------------
 # vertex algebra probes (test helpers built on the package's state_field)
 
@@ -660,48 +714,71 @@ def is_lie_element(ws):
     return all(theta(comp) == {w: n * c for w, c in comp.items()} for n, comp in comps.items())
 
 
+def distinct_orderings(letters):
+    """Distinct orderings of the letters, in lexicographic order."""
+    seq = sorted(letters)
+    while True:
+        yield tuple(seq)
+        # step to the next ordering: raise the last ascent, reverse the tail
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
+def _expansion(w):
+    from quiverinv.wallcoeff import dynkin_word
+
+    return {k: Fraction(c) for k, c in dynkin_word(w).items()}
+
+
+def _eliminate(row, combo, echelon):
+    """Clear the echelon pivots from row, and the same multiples of their
+    combinations from combo, dividing by each pivot."""
+    for pivot, prow, pcombo in echelon:
+        x = row.get(pivot)
+        if x:
+            x = x / prow[pivot]
+            for acc, other in ((row, prow), (combo, pcombo)):
+                for k, y in other.items():
+                    acc[k] = acc.get(k, 0) - x * y
+                    if not acc[k]:
+                        del acc[k]
+
+
+def left_nested_basis(letters):
+    """Echelon form of a basis of left-nested brackets of the letters: the
+    distinct orderings that start with the least letter, in lexicographic
+    order, each kept when its expansion is independent of the kept ones.
+    Each row is (pivot word, reduced expansion, the row as a combination
+    of kept orderings); the rows number Witt's dimension."""
+    from quiverinv.wallcoeff import _letter_key
+
+    order = sorted(set(letters), key=_letter_key)
+    rank = {x: i for i, x in enumerate(order)}
+    echelon = []
+    for idx in distinct_orderings([rank[x] for x in letters]):
+        if not idx or idx[0]:
+            break
+        w = tuple(order[i] for i in idx)
+        row, combo = _expansion(w), {w: Fraction(1)}
+        _eliminate(row, combo, echelon)
+        if row:
+            echelon.append((next(iter(row)), row, combo))
+    return echelon
+
+
 def lie_normalize_oracle(ws):
-    """lie_normalize by elimination on Fractions, each pivot divided out:
-    the same basis of left-nested brackets (the distinct orderings that
-    start with the least letter, each kept when its expansion is
-    independent of the kept ones), solved group by group, with the word
-    expansion of the result checked against the input."""
-    from quiverinv.wallcoeff import (
-        LieElementError,
-        LieWord,
-        _distinct_orderings,
-        _letter_key,
-        _word_key,
-        dynkin_word,
-    )
-
-    def expansion(w):
-        return {k: Fraction(c) for k, c in dynkin_word(w).items()}
-
-    def reduce(row, combo, echelon):
-        for pivot, prow, pcombo in echelon:
-            x = row.get(pivot)
-            if x:
-                x = x / prow[pivot]
-                for acc, other in ((row, prow), (combo, pcombo)):
-                    for k, y in other.items():
-                        acc[k] = acc.get(k, 0) - x * y
-                        if not acc[k]:
-                            del acc[k]
-
-    def basis(letters):
-        order = sorted(set(letters), key=_letter_key)
-        rank = {x: i for i, x in enumerate(order)}
-        echelon = []
-        for idx in _distinct_orderings([rank[x] for x in letters]):
-            if not idx or idx[0]:
-                break
-            w = tuple(order[i] for i in idx)
-            row, combo = expansion(w), {w: Fraction(1)}
-            reduce(row, combo, echelon)
-            if row:
-                echelon.append((next(iter(row)), row, combo))
-        return echelon
+    """lie_normalize by elimination on Fractions in left_nested_basis,
+    solved group by group, with the word expansion of the result checked
+    against the input."""
+    from quiverinv.wallcoeff import LieElementError, LieWord, _letter_key, _word_key
 
     groups = {}
     for w, c in ws.items():
@@ -710,14 +787,18 @@ def lie_normalize_oracle(ws):
     out = []
     for letters in sorted(groups, key=lambda k: (len(k), _word_key(k))):
         row, combo = dict(groups[letters]), {}
-        reduce(row, combo, basis(letters))
+        _eliminate(row, combo, left_nested_basis(letters))
         out.extend(LieWord(w, -combo[w]) for w in sorted(combo, key=_word_key))
-    expanded = word_sum(
-        (w, lw.coefficient * c) for lw in out for w, c in expansion(lw.letters).items()
-    )
-    if expanded != {w: c for w, c in ws.items() if c}:
+    if expand_lie_words(out) != {w: c for w, c in ws.items() if c}:
         raise LieElementError("bracket expansion does not reproduce the input")
     return out
+
+
+def expand_lie_words(lie_words):
+    """The word sum of a list of LieWords, by their word expansions."""
+    return word_sum(
+        (w, lw.coefficient * c) for lw in lie_words for w, c in _expansion(lw.letters).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -754,11 +835,11 @@ def invariant_by_words(q, tau, d):
     from quiverinv.quiver import unit_vector
     from quiverinv.stability import reference_increasing_slope
     from quiverinv.vertexalg import unit_pl
-    from quiverinv.wallcoeff import _distinct_orderings, lie_normalize, u_coeff
+    from quiverinv.wallcoeff import lie_normalize, u_coeff
 
     reference = reference_increasing_slope(q)
     words = {}
-    for perm in _distinct_orderings([v for v, n in d.items() for _ in range(n)]):
+    for perm in distinct_orderings([v for v, n in d.items() for _ in range(n)]):
         tup = tuple(unit_vector(v) for v in perm)
         c = u_coeff(tup, reference, tau)
         if c:

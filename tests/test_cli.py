@@ -449,10 +449,18 @@ def test_pair_check_frames_quivers_using_the_default_ids(tmp_path):
 
 
 def test_selftest_command():
-    code, out = run(["selftest", "--max-size", "2"])
+    code, out = run(["selftest", "--max-size", "3"])
     assert code == 0
     obj = json.loads(out)
-    assert obj["ok"] is True and obj["max_size"] == 2
+    assert obj["ok"] is True and obj["max_size"] == 3
+
+
+@pytest.mark.parametrize("budget", ["2", "0", "-5"])
+def test_selftest_budget_below_3_exits_2(budget):
+    # below 3 some checks could not run, so no report is given at all
+    code, out = run(["selftest", "--max-size", budget])
+    assert code == 2
+    assert json.loads(out)["kind"] == "input"
 
 
 def test_malformed_input_exits_2(qfiles, tmp_path):
@@ -591,10 +599,12 @@ def test_parser_adds_the_options_of_the_invoked_command_only():
 
 
 # SHA-256 of the stdout of each command as the per-word bracket evaluator
-# printed it; grouping the bracket sums must not change a byte
+# printed it; grouping the bracket sums must not change a byte.  ucoeff's
+# lie_words are as the first-letter normalization writes them: other bracket
+# words than the left-nested basis gave, with the same word expansion
 STDOUT_SHA256 = {
     "euler": "a968ff19ad0c43f71ba480df4459aefadf6dc854039315bfc675652cedd139b5",
-    "ucoeff": "ed51b7301e004cf3db25788ad449571a57ef934540bdd8aa59f917ca1c8c6bab",
+    "ucoeff": "86ea198afa23698c91eb0c4b7db56b34b7fa2488187caa77d3529b6beeea7bb7",
     "invariant": "a5bd9a50dc20857c0661b49a886ee5219643481846e24ead3d5efe46016c49d4",
     "wallcross-check": "d16cc0ae57a473853aca8be56f0642043a415de4a18f3c0fbed4283695e8bba3",
     "morphism-check": "fe3d89f093875765c739e487cac9d37534a524649ab64995dbd7249c7b18e14d",

@@ -306,26 +306,33 @@ def test_left_nested_basis_has_witt_dimension():
     for a in range(9):
         for b in range(9 - a):
             if a + b:
-                kept = wallcoeff._left_nested_basis((DV,) * a + (DW,) * b)
+                kept = oracles.left_nested_basis((DV,) * a + (DW,) * b)
                 sizes[(a, b)] = len(kept)
                 assert len(kept) == _witt_dimension([m for m in (a, b) if m]), (a, b)
     assert sizes[(4, 4)] == 8 and sizes[(3, 3)] == 3 and sizes[(2, 0)] == 0
     for n in range(1, 6):
         letters = [unit_vector(v) + DV for v in "abcde"[:n]]
-        assert len(wallcoeff._left_nested_basis(letters)) == factorial(n - 1)
+        assert len(oracles.left_nested_basis(letters)) == factorial(n - 1)
 
 
-def test_lie_normalize_uses_left_nested_basis():
+def _writes(lie_words, ws):
+    """The bracket words expand to ws, as the Fraction solve's do."""
+    solved = oracles.lie_normalize_oracle(ws)
+    return oracles.expand_lie_words(lie_words) == ws == oracles.expand_lie_words(solved)
+
+
+def test_lie_normalize_keeps_the_words_led_by_the_largest_letter():
     # a combination of all 10 left-nested brackets of (v, v, w, w, w) comes
-    # back as a combination of Witt's 2 basis brackets
+    # back as its words that begin with w but not with w, w, each divided
+    # by the 3 w's, where the elimination keeps Witt's 2 basis brackets
     perms = sorted(set(itertools.permutations("vvwww")))
     ws = oracles.theta({perm: Fraction(k + 1) for k, perm in enumerate(perms)})
-    kept = [next(iter(combo)) for _, _, combo in wallcoeff._left_nested_basis("vvwww")]
-    # vvwww brackets [v, v] = 0, and [[[v, w], w], v] = [[[v, w], v], w] by
-    # Jacobi since [[v, w], [w, v]] = 0, so vwwvw depends on vwvww
-    assert kept == [("v", "w", "v", "w", "w"), ("v", "w", "w", "w", "v")]
     out = lie_normalize(ws)
-    assert {lw.letters for lw in out} == set(kept)
+    assert out == [
+        wallcoeff.LieWord(w, ws[w] / 3) for w in sorted(ws) if w[0] == "w" and w[1] == "v"
+    ]
+    assert len(out) > len(oracles.left_nested_basis("vvwww")) == 2
+    assert _writes(out, ws)
 
 
 @pytest.mark.parametrize("ws", [
@@ -337,8 +344,9 @@ def test_lie_normalize_uses_left_nested_basis():
 ], ids=["word", "symmetric", "perturbed", "mixed-length", "rescaled"])
 def test_non_lie_input_raises(ws):
     assert not oracles.is_lie_element(ws)
-    with pytest.raises(LieElementError):
-        lie_normalize(ws)
+    for normalize in (lie_normalize, oracles.lie_normalize_oracle):
+        with pytest.raises(LieElementError):
+            normalize(ws)
 
 
 def _random_lie_element(rng, alphabet):
@@ -353,14 +361,14 @@ def _random_lie_element(rng, alphabet):
 
 @pytest.mark.parametrize("alphabet", [("x", "y", "z"), (DV, DW, DV + DW, 2 * DV)])
 def test_lie_normalize_matches_fraction_elimination(alphabet):
-    # the fraction-free solve returns exactly the Fraction solve's bracket
-    # words, and both refuse a non-Lie perturbation of the same input
+    # the closed form and the Fraction solve in a left-nested basis write
+    # the same word sum, and both refuse a non-Lie perturbation of it
     rng = random.Random(2024)
     nonempty = refused = 0
     for _ in range(150):
         ws = _random_lie_element(rng, alphabet)
         got = lie_normalize(ws)
-        assert got == oracles.lie_normalize_oracle(ws)
+        assert _writes(got, ws)
         nonempty += bool(got)
         if not ws:
             continue
@@ -373,18 +381,59 @@ def test_lie_normalize_matches_fraction_elimination(alphabet):
     assert nonempty > 100 and refused > 50
 
 
+def _random_bracketing(rng, letters):
+    """The word expansion of a random bracketing of the letters, in order."""
+    if len(letters) == 1:
+        return {letters: Fraction(1)}
+    cut = rng.randint(1, len(letters) - 1)
+    x, y = _random_bracketing(rng, letters[:cut]), _random_bracketing(rng, letters[cut:])
+    return oracles.word_sum(
+        pair for u, a in x.items() for v, b in y.items() for pair in ((u + v, a * b), (v + u, -a * b))
+    )
+
+
+def test_lie_normalize_on_random_bracketings():
+    # arbitrary bracketings over 2 to 4 letters, of length 2 to 8, not only the
+    # left-nested ones: the output expands back to the input and to the
+    # Fraction solve's, and holds exactly the words that begin with their
+    # largest letter once; a non-Lie perturbation is refused
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(60):
+        alphabet = [(DV, DW, DV + DW, 2 * DV)[i] for i in range(rng.randint(2, 4))]
+        terms = [
+            (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 6)),
+             _random_bracketing(rng, tuple(rng.choices(alphabet, k=rng.randint(2, 8)))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        ws = oracles.word_sum((w, x * c) for x, p in terms for w, c in p.items())
+        assert oracles.is_lie_element(ws)
+        out = lie_normalize(ws)
+        assert _writes(out, ws)
+        top = {w: max(w, key=wallcoeff._letter_key) for w in ws}
+        assert {lw.letters for lw in out} == {w for w, a in top.items() if w[0] == a and w[1:2] != (a,)}
+        long = sorted((w for w in ws if len(w) > 1), key=repr)
+        if long:  # a word of length 2 or more is no Lie element
+            checked += 1
+            bad = oracles.word_sum(list(ws.items()) + [(rng.choice(long), Fraction(1, 2))])
+            assert not oracles.is_lie_element(bad)
+            with pytest.raises(LieElementError):
+                lie_normalize(bad)
+    assert checked > 20
+
+
 def test_lie_normalize_needs_no_dynkin_check():
     # the expansion check is the certificate: the package carries no theta
-    # at all, and its answer is the Fraction solve's
+    # at all, and its answer writes the same sum as the Fraction solve's
     assert not hasattr(wallcoeff, "theta")
     ws = oracles.word_sum(
         list(dynkin_word(("x", "y", "x", "z")).items())
         + [(w, 3 * c) for w, c in dynkin_word(("y", "z")).items()]
     )
     assert oracles.is_lie_element(ws)
-    want = lie_normalize(ws)
-    assert want == oracles.lie_normalize_oracle(ws)
-    assert {lw.letters for lw in want} >= {("y", "z")}
+    got = lie_normalize(ws)
+    assert _writes(got, ws)
+    assert wallcoeff.LieWord(("z", "y"), Fraction(-3)) in got
 
 
 def test_empty_word_is_not_a_lie_element():
