@@ -19,10 +19,11 @@ products of tautological bundles and their duals:
     kclass = ((mult, atom), ...),   atom = ((factor, vertex, dual), ...).
 
 chern_atom computes the total Chern class of one atom up to a weight
-bound, and keeps no memo.  Tensor products are handled through the power sums of the Chern
-roots (Newton's identities), which multiply as the Chern character does
-but in integers (_tensor_chern), so no splitting-principle variables and
-no fractions ever materialize.
+bound, once per (ranks of its factors, dualities, bound) per process.
+Tensor products are handled through the power sums of the Chern roots
+(Newton's identities), which multiply as the Chern character does but in
+integers (_tensor_chern), so no splitting-principle variables and no
+fractions ever materialize.
 Duals flip the sign of odd Chern classes; rank-zero factors give the unit
 series.  The two-point operations cap with a kclass one atom at a time
 (vertexalg), so they never expand its total class.  chern_kclass does
@@ -355,31 +356,43 @@ def atom_rank(atom: Atom, ring: ChernRing) -> int:
     return r
 
 
+_ATOM_MEMO: dict[tuple, dict] = {}  # ((rank, dual) per factor, bound) -> class in local generators
+
+
 def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     """Total Chern class of a tensor product of tautological bundles, up to
     the weight bound, with int coefficients (_tensor_chern).
 
     Every step is graded, so the class to a smaller bound is the weight
     truncation of the class to a larger one; parts above the atom's rank
-    vanish and are not computed.  There is no memo: brackets keep the caps
-    of these classes in their plans (vertexalg._bracket_plan).
+    vanish and are not computed.  The class reads the ring only through
+    the ranks of the factors, so it is computed once per (ranks,
+    dualities, bound) into _ATOM_MEMO, in local generators (j, i) for c_i
+    of the j-th factor, which are then renamed to the factors' generators
+    (a repeated factor adds its exponents).  Brackets keep the caps of
+    these classes in their plans (vertexalg._bracket_plan).
     """
     if not atom:
         raise ValueError("empty atom")
-    bound = min(bound, atom_rank(atom, ring))
-    if bound <= 0:
+    factors = tuple((ring.rank(f, v), dual) for f, v, dual in atom)
+    key = (factors, min(bound, prod(r for r, _ in factors)))
+    if key[1] <= 0:
         return Poly._trusted(ring, {(): 1})
-
-    parts, rank = None, 1
-    for f, v, dual in atom:
-        r = ring.rank(f, v)
-        single = [{(): 1}] + [
-            {(((f, v, i), 1),): -1 if dual and i % 2 else 1} if i <= r else {}
-            for i in range(1, bound + 1)
-        ]
-        parts = single if parts is None else _tensor_chern(parts, rank, single, r)
-        rank *= r
-    return Poly._trusted(ring, {m: c for part in parts for m, c in part.items()})
+    if key not in _ATOM_MEMO:
+        parts, rank = None, 1
+        for j, (r, dual) in enumerate(factors):
+            single = [{(): 1}] + [
+                {(((j, i), 1),): -1 if dual and i % 2 else 1} if i <= r else {}
+                for i in range(1, key[1] + 1)
+            ]
+            parts = single if parts is None else _tensor_chern(parts, rank, single, r)
+            rank *= r
+        _ATOM_MEMO[key] = {m: c for part in parts for m, c in part.items()}
+    terms: dict[Monomial, int] = {}
+    for m, c in _ATOM_MEMO[key].items():
+        m = mul_monomials((), [((atom[j][0], atom[j][1], i), e) for (j, i), e in m])
+        terms[m] = terms.get(m, 0) + c
+    return Poly._trusted(ring, terms)
 
 
 def chern_kclass(kclass: KClass, ring: ChernRing, bound: int) -> Poly:

@@ -24,8 +24,9 @@ with one lie_bracket per group of words sharing a last letter
 (_bracket_sum).  invariant and wallcross_transform share that word sum
 (_word_sum), run on integer-coded subvectors of d and the ranks of the
 conditions there; the transform of a table must agree with invariant.
-A table or a wall-crossing check ranks each condition on d once and
-restricts the ranks to each e <= d (_orders_below).
+Each check builds the subvectors of its d and their codes once
+(_lattice), ranks each condition on them once, and restricts the ranks to
+each e <= d (_orders_below).
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -65,7 +66,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import le
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .charclass import (
     ChernRing,
@@ -165,24 +166,28 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     return PlClass(HClass._trusted(q, ring or ChernRing((total,)), degree, num, den))
 
 
-def _coding(d: DimVector, letters: Iterable[DimVector]) -> tuple:
-    """subvectors(d), the code of each, and for each code the letters below
-    its vector, as (index, code) pairs in the order of letters.  A code has
-    digit e(v) and radix d(v) + 1 over the support of d, so a sum of
-    vectors that stays <= d has the sum of their codes, with no carry.  A
-    letter is below a vector when each of its digits is."""
-    subs, sizes = subvectors(d), [n + 1 for _, n in d.items()]
-    digits = [tuple(e[v] for v, _ in d.items()) for e in subs]
-    codes = [sum(x * prod(sizes[:k]) for k, x in enumerate(ds)) for ds in digits]
-    index = {e: i for i, e in enumerate(subs)}
-    live = [index[f] for f in letters if f in index]
-    below = {c: [(i, codes[i]) for i in live if all(map(le, digits[i], ds))] for ds, c in zip(digits, codes)}
-    return subs, codes, below
+def _lattice(d: DimVector) -> tuple[list, list, list]:
+    """subvectors(d); the code of each, digit e(v) with radix d(v) + 1 at v,
+    so a sum of vectors that stays <= d has the sum of their codes, with no
+    carry; and for each, the indices of the vectors under it, which for e
+    there are subvectors(e), in order.  A check builds the lattice of its d
+    once and reads every e <= d off it."""
+    subs, radix = subvectors(d), [n + 1 for _, n in d.items()]
+    digits = [tuple(e[v] for v in d.support()) for e in subs]
+    codes = [sum(x * prod(radix[:k]) for k, x in enumerate(ds)) for ds in digits]
+    return subs, codes, [[k for k in range(t + 1) if all(map(le, digits[k], ds))] for t, ds in enumerate(digits)]
+
+
+def _below(lattice: tuple, top: int, live: set) -> dict:
+    """For the code of each vector under the one at top, the live letters
+    below it, as (index, code) pairs in index order."""
+    _, codes, unders = lattice
+    return {codes[k]: [(i, codes[i]) for i in unders[k] if i in live] for k in unders[top]}
 
 
 def _live_words(rest: int, below: dict) -> Iterator[tuple[int, ...]]:
     """Ordered decompositions of the vector with code rest into letters
-    (below from _coding), each once, as tuples of indices."""
+    (below from _below), each once, as tuples of indices."""
     for i, c in below[rest]:
         if c == rest:
             yield (i,)
@@ -199,7 +204,12 @@ def _order_condition(tau: WeakStability, d: DimVector) -> tuple[int, ...]:
     (equal values share one), in subvectors(d) order.  u_coeff compares
     values of partial sums only, so every class and transform of d depends
     on tau through these ranks alone, and those of d fix those of each e."""
-    return _dense_ranks([tau.value(e) for e in subvectors(d)])
+    return _ranks(tau, subvectors(d))
+
+
+def _ranks(tau: WeakStability, subs: list) -> tuple[int, ...]:
+    """_order_condition on the subvectors of a lattice."""
+    return _dense_ranks([tau.value(e) for e in subs])
 
 
 def _dense_ranks(values: list) -> tuple[int, ...]:
@@ -211,14 +221,12 @@ def _dense_ranks(values: list) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _orders_below(d: DimVector, *conditions: WeakStability) -> dict[DimVector, tuple]:
-    """For every e in subvectors(d), the tuple of _order_condition(tau, e)
-    over the conditions.  Each condition is ranked on subvectors(d) once;
-    subvectors(e) are the subvectors of d below e, in the same graded
-    order, so the ranks at e are those of d there, ranked again."""
-    subs, codes, below = _coding(d, subvectors(d))
-    ranks = [_order_condition(tau, d) for tau in conditions]
-    return {e: tuple(_dense_ranks([r[i] for i, _ in below[c]]) for r in ranks) for e, c in zip(subs, codes)}
+def _orders_below(lattice: tuple, *conditions: WeakStability) -> list[tuple]:
+    """For each vector e of the lattice, in order, the tuple of
+    _order_condition(tau, e) over the conditions.  Each condition is ranked
+    on the lattice once; the ranks at e are those under e, ranked again."""
+    ranks = [_ranks(tau, lattice[0]) for tau in conditions]
+    return [tuple(_dense_ranks([r[k] for k in under]) for r in ranks) for under in lattice[2]]
 
 
 def invariant_increasing(q: Quiver, mu: WeakStability, d) -> PlClass:
@@ -242,16 +250,18 @@ def invariant(
     """Invariant class of the semistable moduli of class d at tau: the
     transform of the unit classes from reference_increasing_slope(q),
     which raises CycleError when q has an oriented cycle.  Each of the two
-    conditions is ranked on the subvectors of d once (_order_condition)."""
+    conditions is ranked on the lattice of d once (_ranks)."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    reference = _order_condition(reference_increasing_slope(q), d)
-    return _invariant(q, d, _order_condition(tau, d), reference, cache)
+    lattice = _lattice(d)
+    reference = _ranks(reference_increasing_slope(q), lattice[0])
+    return _invariant(q, lattice, -1, _ranks(tau, lattice[0]), reference, cache)  # d is last
 
 
-def _invariant(q: Quiver, d: DimVector, ranks: tuple, reference: tuple, cache) -> PlClass:
-    """invariant at the condition with ranks on subvectors(d), given the
-    ranks of reference_increasing_slope(q) there."""
+def _invariant(q: Quiver, lattice: tuple, top: int, ranks: tuple, reference: tuple, cache) -> PlClass:
+    """invariant of the lattice vector d at top at the condition with ranks on
+    subvectors(d), given the ranks of reference_increasing_slope(q) there."""
+    d = lattice[0][top]
     if cache is not None:
         hit = cache.get(q, d, ranks)
         if hit is not None:
@@ -260,7 +270,7 @@ def _invariant(q: Quiver, d: DimVector, ranks: tuple, reference: tuple, cache) -
     result = _INVARIANT_MEMO.get((q, d, ranks))
     if result is None:
         units = {e: unit_pl(q, e) for e in map(unit_vector, d.support())}
-        result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, d, units, reference, ranks)
+        result = _INVARIANT_MEMO[q, d, ranks] = _word_sum(q, lattice, top, units, reference, ranks)
 
     if cache is not None:
         cache.put(q, d, ranks, result)
@@ -297,12 +307,14 @@ def build_invariant_table(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> InvariantTable:
     """Invariants at tau for every nonzero e <= d componentwise.  tau and
-    reference_increasing_slope(q) are ranked on the subvectors of d once,
-    and each e gets their ranks there (_orders_below)."""
+    reference_increasing_slope(q) are ranked on the lattice of d once, and
+    each e gets their ranks there (_orders_below)."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    orders = _orders_below(d, tau, reference_increasing_slope(q))
-    return InvariantTable(q, tau, {e: _invariant(q, e, r[0], r[1], cache) for e, r in orders.items()})
+    lattice = _lattice(d)
+    orders = _orders_below(lattice, tau, reference_increasing_slope(q))
+    classes = {e: _invariant(q, lattice, k, *r, cache) for k, (e, r) in enumerate(zip(lattice[0], orders))}
+    return InvariantTable(q, tau, classes)
 
 
 def wallcross_transform(
@@ -325,28 +337,32 @@ def wallcross_transform(
     _check_size(d, max_size)
     if table.quiver != q:
         raise ValueError("table belongs to a different quiver")
-    letters = {e: table[e] for e in subvectors(d)}
-    return _word_sum(q, d, letters, _order_condition(table.stability, d), _order_condition(to_stab, d))
+    lattice = _lattice(d)
+    letters = {e: table[e] for e in lattice[0]}
+    frm, to = _ranks(table.stability, lattice[0]), _ranks(to_stab, lattice[0])
+    return _word_sum(q, lattice, -1, letters, frm, to)
 
 
-def _word_sum(q: Quiver, d: DimVector, letters: Mapping[DimVector, PlClass], frm, to) -> PlClass:
-    """Sum over the words of letters summing to d, each weighted by its
-    u-coefficient for the conditions with ranks frm and to on subvectors(d)
-    (_order_condition), and evaluated as bracket words.  A letter is its
-    index in subvectors(d), in graded order as lie_normalize orders the
-    vectors.  A partial sum of a word stays <= d, so its code (_coding) is
-    the sum of the letters' codes and keys the ranks."""
+def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, PlClass], frm, to) -> PlClass:
+    """Sum over the words of letters summing to the lattice vector d at
+    top, each weighted by its u-coefficient for the conditions with ranks
+    frm and to on subvectors(d) (_order_condition), and evaluated as
+    bracket words.  A letter is its lattice index, in graded order as
+    lie_normalize orders the vectors.  A partial sum of a word stays <= d,
+    so its code (_lattice) is the sum of the letters' codes and keys the
+    ranks."""
+    subs, codes, unders = lattice
     # a bracket with an empty class is empty; each letter multiset is
     # wholly live or wholly dead, so the live words are still a Lie element
-    subs, codes, below = _coding(d, [e for e, x in letters.items() if not x.rep.is_zero()])
-    frm_at, to_at = dict(zip(codes, frm)), dict(zip(codes, to))
+    live = {k for k in unders[top] if subs[k] in letters and not letters[subs[k]].rep.is_zero()}
+    frm_at, to_at = ({codes[k]: r for k, r in zip(unders[top], ranks)} for ranks in (frm, to))
     words: dict[tuple, Fraction] = {}
-    for word in _live_words(codes[-1], below):  # d sorts last
+    for word in _live_words(codes[top], _below(lattice, top, live)):
         c = _u_from_values(tuple(codes[i] for i in word), frm_at.__getitem__, to_at.__getitem__)
         if c:
             words[word] = c
     bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
-    return _bracket_sum(q, d, bracket_words, letters.__getitem__)
+    return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__)
 
 
 def wallcross_sides(
@@ -361,13 +377,14 @@ def wallcross_sides(
     """The transform to to_stab of the invariants at from_stab, and the
     invariant computed at to_stab: the two sides of check_wallcross.  The
     three conditions, reference_increasing_slope(q) the third, are each
-    ranked on the subvectors of d once (_orders_below)."""
+    ranked on the lattice of d once (_orders_below)."""
     d = _check_class(q, d)
     _check_size(d, max_size)
-    orders = _orders_below(d, from_stab, to_stab, reference_increasing_slope(q))
-    frm, to, reference = orders[d]
-    letters = {e: _invariant(q, e, r[0], r[2], cache) for e, r in orders.items()}
-    return _word_sum(q, d, letters, frm, to), _invariant(q, d, to, reference, cache)
+    lattice = _lattice(d)
+    orders = _orders_below(lattice, from_stab, to_stab, reference_increasing_slope(q))
+    letters = {e: _invariant(q, lattice, k, r[0], r[2], cache) for k, (e, r) in enumerate(zip(lattice[0], orders))}
+    frm, to, reference = orders[-1]
+    return _word_sum(q, lattice, -1, letters, frm, to), _invariant(q, lattice, -1, to, reference, cache)
 
 
 def check_wallcross(
@@ -461,17 +478,20 @@ def pair_invariant_report(
 
     lhs = invariant(framed, perturbed, dtil, cache=cache, max_size=max_size)
 
+    lattice = _lattice(d)
+    subs, orders = lattice[0], _orders_below(lattice, mu, reference_increasing_slope(q))
+    at_d = orders[-1][0]  # mu's ranks on subvectors(d)
     unit_frame = unit_pl(framed, frame)
-    letters = {frame: unit_frame}  # and the live embedded invariants
-    for e in subvectors(d):
-        if mu.value(e) == mu.value(d):
-            x = induced_pl_map(inclusion, invariant(q, mu, e, cache=cache, max_size=max_size))
+    letters = {frame: unit_frame}  # and the live embedded invariants of slope(d)
+    for k, r in enumerate(orders):
+        if at_d[k] == at_d[-1]:
+            x = induced_pl_map(inclusion, _invariant(q, lattice, k, *r, cache))
             if not x.rep.is_zero():
-                letters[e] = x
-    subs, codes, below = _coding(d, letters)  # frame is no subvector of d, so never a part
+                letters[subs[k]] = x
+    below = _below(lattice, -1, {k for k, e in enumerate(subs) if e in letters})
     words = (
         ((frame, *(subs[i] for i in parts)), Fraction((-1) ** len(parts), factorial(len(parts))))
-        for parts in _live_words(codes[-1], below)
+        for parts in _live_words(lattice[1][-1], below)
     )
     rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
 

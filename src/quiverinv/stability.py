@@ -4,9 +4,9 @@ A weak stability condition assigns to every nonzero effective dimension
 vector a value in some totally ordered set; only values of the same
 condition are ever compared.  Two realizations are provided:
 
-  * slope_stability: value(d) = sum_v mu_v d(v) / sum_v d(v), exact Fraction
-    arithmetic throughout; each instance memoizes its values by vector,
-    storing only vectors that value() has accepted;
+  * slope_stability: value(d) = sum_v mu_v d(v) / sum_v d(v), exact: the
+    weights are stored once as ints over one common denominator, so a
+    value is one Fraction of two int sums;
   * trivial_stability: all values equal (every vector semistable).
 
 Conditions carry no key of their own: what is computed from a condition
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
 from .quiver import (
@@ -80,25 +81,21 @@ class WeakStability:
 
 
 class SlopeStability(WeakStability):
-    """Slope from per-vertex weights; value(d) = <mu, d> / |d|."""
+    """Slope from per-vertex weights; value(d) = <mu, d> / |d| = <m, d> / (L |d|), mu = m / L."""
 
     def __init__(self, mu: Mapping[str, Fraction], epsilon: Fraction | None = None):
         self.mu: dict[str, Fraction] = {v: parse_fraction(x) for v, x in mu.items()}
         self.epsilon = epsilon  # set by framed_slope, None otherwise
-        self._memo: dict[DimVector, Fraction] = {}
+        self._den = lcm(*(x.denominator for x in self.mu.values()))
+        self._num = {v: x.numerator * (self._den // x.denominator) for v, x in self.mu.items()}
         super().__init__(self._slope, name="slope")
 
     def _slope(self, d: DimVector) -> Fraction:
-        # value() has validated d; mu is never changed after construction
-        s = self._memo.get(d)
-        if s is None:
-            num = Fraction(0)
-            for v, n in d.items():
-                if v not in self.mu:
-                    raise ValueError(f"slope has no weight for vertex {shown(v)}")
-                num += self.mu[v] * n
-            s = self._memo[d] = num / d.total()
-        return s
+        try:  # value() has validated d
+            num = sum(self._num[v] * n for v, n in d.items())
+        except KeyError as exc:
+            raise ValueError(f"slope has no weight for vertex {shown(exc.args[0])}") from None
+        return Fraction(num, self._den * d.total())
 
     def to_json(self) -> dict[str, str]:
         return {v: fraction_str(x) for v, x in sorted(self.mu.items())}

@@ -69,8 +69,6 @@ from .quiver import (
     Quiver,
     QuiverMorphism,
     euler_form,
-    sign_epsilon,
-    sym_euler_form,
 )
 
 
@@ -335,7 +333,8 @@ class _BracketPlan:
     def __init__(self, q: Quiver, a: DimVector, b: DimVector, imax: int):
         self.ring, self.target = ChernRing((a, b)), ChernRing((a + b,))
         # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
-        self.chi, self.eps = sym_euler_form(q, a, b), sign_epsilon(q, a, b)
+        ab = euler_form(q, a, b)  # chi = sym_euler_form, eps = sign_epsilon
+        self.chi, self.eps = ab + euler_form(q, b, a), -1 if ab % 2 else 1
         self.slots, atoms, self.caps = _sum_slots(a + b), {}, []
         for mult, atom in ext_pairing_kexpr(q):  # parallel edges repeat an atom
             atoms[atom] = atoms.get(atom, 0) + mult

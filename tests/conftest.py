@@ -14,9 +14,10 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def _fresh_module_memos(monkeypatch):
-    # classes, bracket plans and Whitney expansions made in one test, or under
-    # a stub there (such as a patched divmod in the Chern atoms), never reach
-    # another
+    # classes, bracket plans, Chern atoms and Whitney expansions made in one
+    # test, or under a stub there (such as a patched divmod in the Chern
+    # atoms), never reach another
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
     monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
     monkeypatch.setattr(charclass, "_EXPANSION_MEMO", {})
+    monkeypatch.setattr(charclass, "_ATOM_MEMO", {})

@@ -26,10 +26,10 @@ compare the expansions. The vertex algebra probes field_window and
 weak_commutativity_order are test helpers rather than oracles: they
 iterate the package's state_field over a window of powers; so is
 pair_lex_stability, a lexicographic framed condition on the package's
-WeakStability. correction_form, leq, same_value, is_generic_pair,
-dominates and theta are definitions that the package does not carry,
-since nothing in it calls them; they live here as the references the
-tests compare against. The frozen literal tables were worked out by hand
+WeakStability. correction_form, slope_value, order_ranks, leq,
+same_value, is_generic_pair, dominates and theta are definitions that the
+package does not carry, since nothing in it calls them; they live here as
+the references the tests compare against. The frozen literal tables were worked out by hand
 from the defining formulas and are committed as data; the tests compare
 the package against them, never the reverse.
 """
@@ -481,6 +481,16 @@ def _sum_letters(letters):
     for x in letters[1:]:
         total = total + x
     return total
+
+
+def slope_value(mu, d):
+    """<mu, d> / |d| in Fractions, for weights given as a vertex mapping."""
+    return sum((Fraction(mu[v]) * n for v, n in d.items()), Fraction(0)) / d.total()
+
+
+def order_ranks(values):
+    """The rank of each value: how many distinct values lie below it."""
+    return tuple(len({y for y in values if y < x}) for x in values)
 
 
 def leq(stab, d, e):

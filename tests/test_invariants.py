@@ -4,6 +4,7 @@ import itertools
 import json
 import pkgutil
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from quiverinv.charclass import ChernRing, Poly, chern_kclass, monomial_basis
 import quiverinv
-from quiverinv import invariants, vertexalg
+from quiverinv import charclass, invariants, vertexalg
 from quiverinv.quiver import (
     CycleError,
     DimVector,
@@ -287,9 +288,11 @@ def test_orders_below_d_are_the_orders_at_each_subvector(q, top):
     for _ in range(6):
         conditions = [slope_stability(q, {v: rng.randint(-2, 2) for v in q.vertices}) for _ in range(2)]
         conditions += [reference_increasing_slope(q), *_tied_conditions(q, d, rng.random())]
-        orders = invariants._orders_below(d, *conditions)
-        assert list(orders) == subvectors(d)
-        for e, ranks in orders.items():
+        subs, _, unders = lattice = invariants._lattice(d)
+        orders = invariants._orders_below(lattice, *conditions)
+        assert subs == subvectors(d) and len(orders) == len(unders) == len(subs)
+        for e, under, ranks in zip(subs, unders, orders):
+            assert [subs[k] for k in under] == subvectors(e)
             assert ranks == tuple(_order_condition(tau, e) for tau in conditions)
             tied += sum(len(set(r)) < len(r) for r in ranks)
     assert tied > 100
@@ -333,15 +336,18 @@ def test_grouped_bracket_sums_equal_per_word_loops(monkeypatch, q, top, frm, to)
      (DimVector({"a": 2, "b": 1, "c": 1}), unit_vector("inf"))],
 )
 def test_live_words_are_the_decompositions_into_letters(d, extra):
-    subs = subvectors(d)
+    # on the lattice of d, at d and at every e under it by d's codes
+    subs, codes, _ = lattice = invariants._lattice(d)
     units = [e for e in subs if e.as_unit() is not None]
     sparse = subs[::2] + [extra]  # extra is no subvector, so never a part
     for keys in (subs, units, sparse):
         letters = dict.fromkeys(keys)
-        _, codes, below = invariants._coding(d, letters)
-        got = [tuple(subs[i] for i in w) for w in invariants._live_words(codes[-1], below)]
-        want = {p for p in all_decompositions(d) if all(x in letters for x in p)}
-        assert len(got) == len(set(got)) and set(got) == want and want
+        for top, e in enumerate(subs):
+            below = invariants._below(lattice, top, {k for k, f in enumerate(subs) if f in letters})
+            got = [tuple(subs[i] for i in w) for w in invariants._live_words(codes[top], below)]
+            want = {p for p in all_decompositions(e) if all(x in letters for x in p)}
+            assert len(got) == len(set(got)) and set(got) == want
+            assert want or e != d
 
 
 def test_wallcross_transform_needs_every_subvector():
@@ -582,13 +588,13 @@ def test_cached_invariant_reads_the_order_of_tau_once(monkeypatch, tmp_path):
     # the memo key, the cache key and the cache file name share one
     # evaluation of the order of tau on the subvectors of d
     tau, d = slope_stability(K3, HI), DimVector({"v": 2, "w": 1})
-    order, calls = invariants._order_condition, []
+    order, calls = invariants._ranks, []
 
-    def counted(stab, e):
+    def counted(stab, subs):
         calls.append(stab)
-        return order(stab, e)
+        return order(stab, subs)
 
-    monkeypatch.setattr(invariants, "_order_condition", counted)
+    monkeypatch.setattr(invariants, "_ranks", counted)
     store = CacheStore(tmp_path)
     for _ in range(2):  # the first call computes and writes, the second reads
         calls.clear()
@@ -707,7 +713,9 @@ def test_module_memos_are_declared():
     for info in pkgutil.iter_modules(quiverinv.__path__):
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
-    assert memos == {"vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._EXPANSION_MEMO"}
+    assert memos == {
+        "vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._EXPANSION_MEMO", "charclass._ATOM_MEMO",
+    }
 
 
 def test_private_imports_are_declared():
@@ -791,6 +799,45 @@ def test_identity_checks_bracket_each_pair_at_one_weight(monkeypatch):
         weights.setdefault((q, a, b), set()).add(imax)
     assert {len(w) for w in weights.values()} == {1}
     assert len(built) == len(set(built)) == len(set(calls)) < len(calls)
+
+
+def test_identity_checks_share_each_atom_class(monkeypatch):
+    # the seed-1 job list of the identity-checks benchmark: the atom table
+    # holds one entry per (ranks, dualities, bound) asked for, each asked for
+    # from several rings and several quivers, so a table keyed by ring or by
+    # quiver would hold more
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    worker = importlib.import_module("worker")
+    calls, plan_quiver = [], []
+    atom, build = charclass.chern_atom, vertexalg._BracketPlan
+
+    def spy(where):
+        def counted(a, ring, bound):
+            calls.append((where(), a, ring, bound))
+            return atom(a, ring, bound)
+        return counted
+
+    def plan(q, *rest):
+        plan_quiver.append(q)
+        return build(q, *rest)
+
+    monkeypatch.setattr(vertexalg, "_BracketPlan", plan)
+    monkeypatch.setattr(vertexalg, "chern_atom", spy(lambda: plan_quiver[-1]))
+    monkeypatch.setattr(charclass, "chern_atom", spy(lambda: None))  # correction classes
+    for label, job in worker.identity_check_jobs(quiverinv, 1):
+        assert job() is True, label
+
+    def key(a, ring, bound):
+        ranks = [ring.rank(f, v) for f, v, _ in a]
+        return tuple(zip(ranks, (dual for *_, dual in a))), min(bound, prod(ranks))
+
+    asked = [(q, ring, key(a, ring, bound)) for q, a, ring, bound in calls if key(a, ring, bound)[1] > 0]
+    keys = {k for *_, k in asked}
+    assert set(charclass._ATOM_MEMO) == keys
+    assert len(keys) < len({(ring, k) for _, ring, k in asked})
+    from_plans = {(q, k) for q, _, k in asked if q is not None}
+    assert len({k for _, k in from_plans}) < len(from_plans)
+    assert any(q is None for q, *_ in asked)  # correction classes read the table too
 
 
 def test_induced_pl_map_preserves_shifted_degree():

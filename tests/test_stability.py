@@ -14,7 +14,7 @@ from quiverinv.stability import (
     slope_stability,
     trivial_stability,
 )
-from quiverinv.quiver import edge_deletion_morphism, frame_quiver, subvectors
+from quiverinv.quiver import binarize_quiver, edge_deletion_morphism, frame_quiver, subvectors
 
 from . import oracles
 
@@ -170,33 +170,29 @@ def test_framed_slope_properties():
     assert neg.value(d + unit_vector("inf")) < base.value(d)
 
 
-def _fresh_slope(mu, d):
-    return sum((Fraction(mu[v]) * n for v, n in d.items()), Fraction(0)) / d.total()
-
-
-def test_slope_values_memoized_per_instance():
+def test_slope_values_match_the_oracle_and_refuse_bad_vectors():
     d = DimVector({"v": 3, "w": 3})
     mu_a = {"v": Fraction(2, 3), "w": -5}
     mu_b = {"v": 1, "w": Fraction(7, 2)}
     a, b = slope_stability(A2, mu_a), slope_stability(A2, mu_b)
     bad = [DimVector({}), DimVector({"v": -1, "w": 2}), DimVector({"w": -1})]
-    for _ in range(3):  # cold, then warm twice
-        for e in subvectors(d):
-            assert a.value(e) == _fresh_slope(mu_a, e)
-            assert b.value(e) == _fresh_slope(mu_b, e)
-        for e in bad:
-            for stab in (a, b):
-                with pytest.raises(ValueError):
-                    stab.value(e)
+    for e in subvectors(d):
+        assert a.value(e) == oracles.slope_value(mu_a, e)
+        assert b.value(e) == oracles.slope_value(mu_b, e)
+    for e in bad:
+        for stab in (a, b):
+            with pytest.raises(ValueError):
+                stab.value(e)
+    with pytest.raises(ValueError, match="no weight for vertex"):
+        a.value(DimVector({"v": 1, "x": 1}))
 
 
-def test_derived_slopes_unchanged_by_memo():
+def test_derived_slopes_match_the_oracle_and_frozen_epsilons():
     m = edge_deletion_morphism(K2, ["a0"])
     target_mu = {"v": Fraction(1, 3), "w": 4}
     back = pullback_stability(m, slope_stability(m.target, target_mu))
-    for _ in range(2):
-        for e in subvectors(DimVector({"v": 3, "w": 3})):
-            assert back.value(e) == _fresh_slope(target_mu, m.pushforward(e))
+    for e in subvectors(DimVector({"v": 3, "w": 3})):
+        assert back.value(e) == oracles.slope_value(target_mu, m.pushforward(e))
     F = Fraction
     # (quiver, framing, base slope, d, epsilon, frame weights for sign +1, -1)
     frozen = [
@@ -215,6 +211,40 @@ def test_derived_slopes_unchanged_by_memo():
             stab = framed_slope(framed, mu, d, sign)
             assert stab.epsilon == eps
             assert stab.mu == {**mu, "inf": frame_weight}
-            for _ in range(2):
-                for e in subvectors(d + unit_vector("inf")):
-                    assert stab.value(e) == _fresh_slope(stab.mu, e)
+            for e in subvectors(d + unit_vector("inf")):
+                assert stab.value(e) == oracles.slope_value(stab.mu, e)
+
+
+@pytest.mark.parametrize(
+    "q, mu",
+    [
+        (K3, {"v": -3, "w": 5}),  # negative ints
+        (K3, {"v": Fraction(-2, 3), "w": Fraction(5, 3)}),  # one denominator
+        (T4, {"a": Fraction(7, 6), "b": -2, "c": Fraction(-3, 4), "d": Fraction(1, 10)}),  # mixed
+        (T4, {"a": 1, "b": Fraction(1, 2), "c": 0, "d": Fraction(-1, 3)}),
+    ],
+)
+def test_integer_slopes_match_the_fraction_oracle(q, mu):
+    # the weights are stored as ints over one denominator; every value, and
+    # the order ranks on the subvectors of d, must be those of the Fraction
+    # formula, also for the slopes derived from the condition
+    from quiverinv.invariants import _order_condition
+
+    top = DimVector({v: 2 for v in q.vertices})
+    framed, _ = frame_quiver(q, {v: 1 for v in q.vertices})
+    _, collapse, ones = binarize_quiver(q, top)
+    derived = [
+        (slope_stability(q, mu), top, mu),
+        *((framed_slope(framed, mu, top, s), top + unit_vector("inf"), None) for s in (1, -1)),
+        (pullback_stability(collapse, slope_stability(q, mu)), ones, None),
+    ]
+    tied = 0
+    for stab, d, weights in derived:
+        weights = weights or stab.mu
+        values = [oracles.slope_value(weights, e) for e in subvectors(d)]
+        assert [stab.value(e) for e in subvectors(d)] == values
+        assert _order_condition(stab, d) == oracles.order_ranks(values)
+        tied += len(set(values)) < len(values)
+    back = derived[-1][0]
+    assert all(back.value(e) == oracles.slope_value(mu, collapse.pushforward(e)) for e in subvectors(ones))
+    assert tied

@@ -645,6 +645,57 @@ def test_bracket_plans_are_fixed_at_one_weight():
     assert caps != vertexalg._PLAN_MEMO[K3, a, b, 4].caps
 
 
+def _fresh_caps(monkeypatch, q, ring, imax):
+    """A plan's caps on ring, each atom class computed from an empty table."""
+    atoms, caps = {}, []
+    for mult, atom in charclass.ext_pairing_kexpr(q):
+        atoms[atom] = atoms.get(atom, 0) + mult
+    for atom, mult in atoms.items():
+        monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
+        terms = vertexalg._cap_terms(ring, charclass.chern_atom(atom, ring, imax).terms.items())
+        terms.pop(0, None)
+        if terms and mult:
+            caps.append((mult, terms))
+    return caps
+
+
+def test_plan_caps_from_the_shared_atom_table_equal_fresh_ones(monkeypatch):
+    # the plans of all these quivers read one table of atom classes, keyed
+    # by ranks, dualities and bound; at every imax their caps equal caps
+    # made on their own ring from an empty table, and the table is shared
+    framed_k3, _ = frame_quiver(K3, {"v": 1, "w": 2})
+    binarized_k2, _, _ = binarize_quiver(K2, DimVector({"v": 2, "w": 2}))
+    rng, pairs = random.Random(71), []
+    for q in (A2, K2, K3, framed_k3, binarized_k2):
+        while sum(p[0] is q for p in pairs) < 3:
+            a, b = (DimVector({v: rng.randint(0, 2) for v in q.vertices}) for _ in range(2))
+            if a and b:
+                pairs.append((q, a, b))
+    table, asked = charclass._ATOM_MEMO, set()
+    for imax in range(1, 7):
+        plans = [(q, vertexalg._bracket_plan(q, a, b, imax)) for q, a, b in pairs]
+        for q, plan in plans:
+            for _, atom in charclass.ext_pairing_kexpr(q):
+                if min(imax, charclass.atom_rank(atom, plan.ring)) > 0:
+                    asked.add((atom, plan.ring, imax))
+            assert plan.caps == _fresh_caps(monkeypatch, q, plan.ring, imax)
+        monkeypatch.setattr(charclass, "_ATOM_MEMO", table)
+    assert 0 < len(table) < len(asked) / 2
+
+
+def test_bracket_plan_reads_the_euler_form_once_each_way(monkeypatch):
+    calls, euler = [], vertexalg.euler_form
+    monkeypatch.setattr(vertexalg, "euler_form", lambda q, d, e: calls.append((d, e)) or euler(q, d, e))
+    rng = random.Random(5)
+    for q in (A2, K3, T4):
+        for _ in range(5):
+            a, b = (DimVector({v: rng.randint(0, 2) for v in q.vertices}) for _ in range(2))
+            calls.clear()
+            plan = vertexalg._BracketPlan(q, a, b, 2)
+            assert len(calls) == 2 and set(calls) == {(a, b), (b, a)}
+            assert (plan.chi, plan.eps) == (sym_euler_form(q, a, b), sign_epsilon(q, a, b))
+
+
 @pytest.mark.parametrize("q", [A2, K2, K3, A3], ids=["A2", "K2", "K3", "A3"])
 def test_factored_caps_match_expanded_chern_class(q):
     # entry imax - i of the atom-by-atom levels, on packed monomials, is uv
