@@ -10,8 +10,8 @@ carries a factor index: (factor, vertex, index).
 Poly is a sparse exact-rational polynomial in these generators: a dict
 mapping monomials to Fractions (ints in chern_atom's classes).  At the API
 a monomial is a sorted tuple of (generator, exponent) pairs; inside the
-kernels (whitney_transpose, vertexalg) it is a dense exponent tuple in the
-ring's generator order (ChernRing.pack).
+kernels (whitney_transpose, vertexalg) it is one int with a _FIELD_BITS-bit
+field per generator, in the ring's generator order (ChernRing.pack).
 
 K-theory classes entering the calculus are integer combinations of tensor
 products of tautological bundles and their duals:
@@ -50,13 +50,19 @@ Monomial = tuple[tuple[Generator, int], ...]
 Atom = tuple[tuple[int, str, bool], ...]
 KClass = tuple[tuple[int, Atom], ...]
 
+# bits per generator in a packed monomial; exponents stay below the top one,
+# the guard, so no carry or borrow crosses a field (vertexalg._cap_into)
+_FIELD_BITS = 8
+_FIELD = (1 << _FIELD_BITS) - 1
+_GUARD = 1 << (_FIELD_BITS - 1)
+
 
 class ChernRing:
     """Descriptor of a polynomial ring of tautological Chern classes.  The
     sorted generators fix the layout of packed monomials: factor 0's come
-    first, and each (factor, vertex) owns a contiguous run."""
+    first, and each (factor, vertex) owns a contiguous run of fields."""
 
-    __slots__ = ("dims", "_key", "_gens", "_ranks", "_pos", "_raising")
+    __slots__ = ("dims", "_key", "_gens", "_ranks", "_shift", "_raising")
 
     def __init__(self, dims: Iterable[DimVector]):
         dims = tuple(DimVector(d) for d in dims)
@@ -67,22 +73,29 @@ class ChernRing:
         self._key = tuple(d.items() for d in dims)
         self._ranks = {(f, v): n for f, d in enumerate(dims) for v, n in d.items()}
         self._gens = tuple(sorted((*fv, i + 1) for fv, n in self._ranks.items() for i in range(n)))
-        self._pos = {g: k for k, g in enumerate(self._gens)}
-        # per c[0, v, i]: its position, that of c[0, v, i - 1] (None for i = 1), d(v) - i + 1
+        self._shift = {g: _FIELD_BITS * k for k, g in enumerate(self._gens)}
+        # per c[0, v, i]: the delta from c[0, v, i - 1], that one's field (0 for i = 1), shift, d(v) - i + 1
         self._raising = tuple(
-            (k, k - 1 if i > 1 else None, self._ranks[(0, v)] - i + 1)
-            for k, (f, v, i) in enumerate(self._gens) if f == 0
+            ((1 << k) - (1 << k - _FIELD_BITS if i > 1 else 0),
+             _FIELD << k - _FIELD_BITS if i > 1 else 0, k, self._ranks[(0, v)] - i + 1)
+            for (f, v, i), k in self._shift.items() if f == 0
         )
 
-    def pack(self, m: Monomial) -> tuple[int, ...]:
-        """The dense exponent tuple of a monomial, in generator order."""
-        e = [0] * len(self._gens)
+    def pack(self, m: Monomial) -> int:
+        """One int, g's exponent at bit _shift[g]; one reaching the guard bit would alias, and is refused."""
+        s = 0
         for g, x in m:
-            e[self._pos[g]] += x
-        return tuple(e)
+            s += x << self._shift[g]
+            if not 0 <= x < _GUARD or s >> self._shift[g] & _GUARD:
+                raise ValueError(f"exponent of {g!r} does not fit in a {_FIELD_BITS}-bit field")
+        return s
 
-    def unpack(self, e: tuple[int, ...]) -> Monomial:
-        return tuple((self._gens[k], x) for k, x in enumerate(e) if x)
+    def unpack(self, s: int) -> Monomial:
+        return tuple((g, s >> k & _FIELD) for g, k in self._shift.items() if s >> k & _FIELD)
+
+    def guard(self) -> int:
+        """The guard bits of every field (vertexalg._cap_into)."""
+        return sum(_GUARD << k for k in self._shift.values())
 
     def key(self) -> tuple:
         return self._key
@@ -359,7 +372,7 @@ def atom_rank(atom: Atom, ring: ChernRing) -> int:
 _ATOM_MEMO: dict[tuple, dict] = {}  # ((rank, dual) per factor, bound) -> class in local generators
 
 
-def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
+def _atom_class(atom: Atom, ring: ChernRing, bound: int) -> dict:
     """Total Chern class of a tensor product of tautological bundles, up to
     the weight bound, with int coefficients (_tensor_chern).
 
@@ -368,16 +381,15 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
     vanish and are not computed.  The class reads the ring only through
     the ranks of the factors, so it is computed once per (ranks,
     dualities, bound) into _ATOM_MEMO, in local generators (j, i) for c_i
-    of the j-th factor, which are then renamed to the factors' generators
-    (a repeated factor adds its exponents).  Brackets keep the caps of
-    these classes in their plans (vertexalg._bracket_plan).
+    of the j-th factor.  chern_atom renames them to the factors'
+    generators; bracket plans shift them to their fields (vertexalg).
     """
     if not atom:
         raise ValueError("empty atom")
     factors = tuple((ring.rank(f, v), dual) for f, v, dual in atom)
     key = (factors, min(bound, prod(r for r, _ in factors)))
     if key[1] <= 0:
-        return Poly._trusted(ring, {(): 1})
+        return {(): 1}
     if key not in _ATOM_MEMO:
         parts, rank = None, 1
         for j, (r, dual) in enumerate(factors):
@@ -388,8 +400,13 @@ def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
             parts = single if parts is None else _tensor_chern(parts, rank, single, r)
             rank *= r
         _ATOM_MEMO[key] = {m: c for part in parts for m, c in part.items()}
+    return _ATOM_MEMO[key]
+
+
+def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
+    """_atom_class on the ring's generators (a repeated factor adds its exponents)."""
     terms: dict[Monomial, int] = {}
-    for m, c in _ATOM_MEMO[key].items():
+    for m, c in _atom_class(atom, ring, bound).items():
         m = mul_monomials((), [((atom[j][0], atom[j][1], i), e) for (j, i), e in m])
         terms[m] = terms.get(m, 0) + c
     return Poly._trusted(ring, terms)
@@ -464,12 +481,12 @@ def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> P
 _EXPANSION_MEMO: dict[tuple, dict] = {}  # (part, n) -> _expand(part, n)
 
 
-def _expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
+def _expand(part: tuple[int, ...], n: int) -> dict[int, int]:
     """whitney_transpose of one part onto a rank-n vertex; reads only (part, n)."""
-    used = [ex for ex in part if any(ex)]
+    used = [ex for ex in part if ex]
     if len(used) < 2:  # one multiset: prod_i c[0, w, i]^e_i, coefficient 1
-        ex = used[0] if used else ()
-        return {ex + (0,) * (n - len(ex)): 1}
+        return {used[0] if used else 0: 1}
+    used = [[ex >> k & _FIELD for k in range(0, ex.bit_length(), _FIELD_BITS)] for ex in used]
     flat = [(t, i) for t, ex in enumerate(used) for i, e in enumerate(ex, 1) if e]
     left = [used[t][i - 1] for t, i in flat]
     choices = ([0] + [i for s, i in flat if s == t] for t in range(len(used)))
@@ -485,7 +502,8 @@ def _expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], 
             for (_, i), e in zip(flat, left):
                 m[i] += e
             coeff = prod(map(factorial, m)) // (denom * prod(map(factorial, left)))
-            out[tuple(m[1:])] = out.get(tuple(m[1:]), 0) + coeff
+            s = sum(e << _FIELD_BITS * k for k, e in enumerate(m[1:]))
+            out[s] = out.get(s, 0) + coeff
             return
         positions, k = mixed[p]
         for count in range(min(left[u] for u in positions) + 1):
@@ -502,34 +520,36 @@ def _expand(part: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], 
 
 
 def whitney_transpose(
-    func: Mapping[tuple, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple],
-) -> dict[tuple, object]:
+    func: Mapping[int, object], source: ChernRing, target: ChernRing, slots: dict[str, tuple],
+) -> dict[int, object]:
     """Transpose of _whitney_pullback from the one-factor ring target to
     source, from and to functionals keyed by packed monomials.
 
-    A support monomial splits into one part per target vertex w, the slices
-    of its slots.  A multiset of index tuples tau (one index per slot, not
+    A support monomial splits into one part per target vertex w, its slots'
+    fields, an int each.  A multiset of index tuples tau (one index per slot, not
     all zero) that uses up a part exactly, with n_tau copies of tau and m_k
     tuples of sum k, adds prod_k m_k! / prod_tau n_tau! to prod_k
     c[0, w, k]^m_k.  Only the counts of tuples with two or more nonzero
     indices are enumerated, in place on the exponents left; a one-index
     tuple takes what is left.  The parts' expansions multiply, that is
-    concatenate.  Each distinct (part, rank of w) is expanded once per
+    add, shifted.  Each distinct (part, rank of w) is expanded once per
     process into _EXPANSION_MEMO, which every pushforward shares.
     """
-    pos, rank = source._pos, source.rank
-    blocks = [  # per target vertex: its rank, the (start, stop) of each slot in source
-        (n, [(pos[(f, v, 1)], pos[(f, v, 1)] + rank(f, v)) for f, v in slots[w] if rank(f, v)])
+    shift, rank = source._shift, source.rank
+    blocks = [  # per target vertex: its shift and rank, the (shift, mask) of each slot in source
+        (target._shift[(0, w, 1)], n, [(shift[(f, v, 1)], (1 << _FIELD_BITS * rank(f, v)) - 1)
+                                       for f, v in slots[w] if rank(f, v)])
         for w, n in target.dims[0].items()
     ]
     memo, result = _EXPANSION_MEMO, {}
     for s, x in func.items():
-        terms = [((), x)]
-        for n, cuts in blocks:
-            key = (tuple(s[a:b] for a, b in cuts), n)
-            if key not in memo:
-                memo[key] = _expand(*key)
-            terms = [(m + mw, c * y) for m, c in terms for mw, y in memo[key].items()]
+        terms = [(0, x)]
+        for at, n, cuts in blocks:
+            key = (tuple([s >> k & mask for k, mask in cuts]), n)
+            part = memo.get(key)
+            if part is None:
+                part = memo[key] = _expand(*key)
+            terms = [(m + (mw << at), c * y) for m, c in terms for mw, y in part.items()]
         for m, c in terms:
             result[m] = result.get(m, 0) + c
     return result

@@ -134,14 +134,15 @@ def _check_size(d: DimVector, max_size: int) -> None:
         )
 
 
-def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
+def _bracket_sum(q: Quiver, total: DimVector, words, leaf, degrees: dict) -> PlClass:
     """Sum of c [...[leaf(x_1), leaf(x_2)], ..., leaf(x_n)] over (letters,
     c) pairs whose letters sum to total; each leaf has its natural degree.
 
     By bilinearity each group of words with the same last letter e costs
     one bracket, of the sum of their prefixes with leaf(e); the prefixes
     all sum to total - e, so they share a ring and a degree.  The terms
-    add up as int numerators over one denominator.
+    add up as int numerators over one denominator.  degrees (callers pass
+    {}) keeps the natural degree of each total met in the word sum.
     """
     def terms() -> Iterator[tuple[HClass, Fraction]]:
         groups: dict[DimVector, list] = {}
@@ -151,9 +152,11 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
             else:
                 groups.setdefault(letters[-1], []).append((letters[:-1], c))
         for e, prefixes in groups.items():
-            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf), leaf(e)).rep, Fraction(1)
+            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf, degrees), leaf(e)).rep, Fraction(1)
 
-    degree, ring, num, den = natural_degree(q, total), None, {}, 1
+    if total not in degrees:
+        degrees[total] = natural_degree(q, total)
+    degree, ring, num, den = degrees[total], None, {}, 1
     for x, c in terms():  # each term is added, and dropped, before the next is made
         if x.ring.key() != (total.items(),) or x.degree != degree:
             raise ValueError("bracket sum terms live on different stacks or degrees")
@@ -362,7 +365,7 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
         if c:
             words[word] = c
     bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
-    return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__)
+    return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__, {})
 
 
 def wallcross_sides(
@@ -493,7 +496,7 @@ def pair_invariant_report(
         ((frame, *(subs[i] for i in parts)), Fraction((-1) ** len(parts), factorial(len(parts))))
         for parts in _live_words(lattice[1][-1], below)
     )
-    rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
+    rhs = _bracket_sum(framed, dtil, words, letters.__getitem__, {})
 
     equal = pl_equal(lhs, rhs)
     injective = not any(

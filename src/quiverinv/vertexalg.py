@@ -25,7 +25,7 @@ The operations:
   * lie_bracket(x, y): the coefficient at p = -1, which descends to the
     quotient below and makes it a graded Lie algebra.
 HClass stores a class packed and fraction free, so each runs on int
-numerators of dense exponent tuples; what a bracket needs of the two
+numerators of monomials packed in ints; what a bracket needs of the two
 dimension vectors at its weight is made once and never changed (_bracket_plan).
 
 Classes of the projective linear (rigidified) moduli stack in shifted
@@ -53,12 +53,15 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .charclass import (
+    _FIELD,
+    _FIELD_BITS,
+    _GUARD,
     ChernRing,
     Monomial,
     Poly,
+    _atom_class,
     _merge_slots,
     _sum_slots,
-    chern_atom,
     ext_pairing_kexpr,
     monomial_basis,
     monomial_weight,
@@ -76,9 +79,10 @@ class HClass:
     """Finitely supported functional on a monomial basis, with a degree.
 
     Stored packed and fraction free: num maps packed monomials (ChernRing.
-    pack) to int numerators over one int den > 0, in canonical form (no
-    zeros, gcd(den, values) = 1), so equal classes are equal structures.
-    functional is the {Monomial: Fraction} view, for JSON and tests."""
+    pack, ints) to int numerators over one int den > 0, in canonical form
+    (no zeros, gcd(den, values) = 1), so equal classes are equal structures.
+    functional is the {Monomial: Fraction} view, for JSON and tests.  A
+    weight of _GUARD or more is refused: an exponent could reach the guard."""
 
     __slots__ = ("quiver", "ring", "degree", "num", "den")
 
@@ -90,7 +94,7 @@ class HClass:
         functional: Mapping[Monomial, Fraction],
     ):
         degree = int(degree)
-        packed: dict[tuple, Fraction] = {}
+        packed: dict[int, Fraction] = {}
         if degree >= 0 and degree % 2 == 0:
             w = degree // 2
             for m, c in functional.items():
@@ -111,7 +115,7 @@ class HClass:
         self._set(quiver, ring, degree, {s: int(c * den) for s, c in packed.items()}, den)
 
     @classmethod
-    def _trusted(cls, quiver, ring, degree, num: Mapping[tuple, int], den: int = 1) -> "HClass":
+    def _trusted(cls, quiver, ring, degree, num: Mapping[int, int], den: int = 1) -> "HClass":
         """An internal result num / den (den > 0, int values), valid as it
         stands: only brought to canonical form."""
         self = object.__new__(cls)
@@ -119,6 +123,8 @@ class HClass:
         return self
 
     def _set(self, quiver, ring, degree, num, den) -> None:
+        if degree >= 2 * _GUARD:
+            raise ValueError(f"degree {degree}: an exponent could overflow its field")
         self.quiver, self.ring, self.degree, g = quiver, ring, degree, gcd(den, *num.values())
         self.num, self.den = {m: x // g for m, x in num.items() if x}, den // g
 
@@ -203,32 +209,19 @@ def kunneth(u: HClass, v: HClass) -> HClass:
     if u.ring.factors() != 1 or v.ring.factors() != 1:
         raise ValueError("kunneth needs one-factor classes")
     ring, pv = ChernRing((u.ring.dims[0], v.ring.dims[0])), v.num.items()
-    out = {s + t: x * y for s, x in u.num.items() for t, y in pv}
+    shift = _FIELD_BITS * len(u.ring.generators())
+    out = {s + (t << shift): x * y for s, x in u.num.items() for t, y in pv}
     return HClass._trusted(u.quiver, ring, u.degree + v.degree, out, u.den * v.den)
 
 
-def _cap_terms(ring: ChernRing, terms: Iterable[tuple[Monomial, object]]) -> dict[int, list]:
-    """Poly terms by weight, each as ((position, exponent) pairs of its
-    packed monomial, coefficient)."""
-    out: dict[int, list] = {}
-    for g, x in terms:
-        out.setdefault(monomial_weight(g), []).append((tuple((ring._pos[h], e) for h, e in g), x))
-    return out
-
-
 def _cap_into(acc: dict, func: Mapping, terms: list, sign: int = 1) -> None:
-    """acc += sign (func cap p) for p given by _cap_terms: each support
-    monomial is tested for divisibility at the term's positions only."""
+    """acc += sign (func cap p) for the terms (g, guard, x) of p, g packed and
+    guard the guard bits of g's fields or more.  Exponents stay below the
+    guards, so s | guard minus g keeps them all exactly when g divides s."""
     for s, y in func.items():
-        for pairs, x in terms:
-            for p, e in pairs:
-                if s[p] < e:
-                    break
-            else:
-                m = list(s)
-                for p, e in pairs:
-                    m[p] -= e
-                m = tuple(m)
+        for g, guard, x in terms:
+            if ((s | guard) - g) & guard == guard:
+                m = s - g
                 acc[m] = acc.get(m, 0) + sign * x * y
 
 
@@ -240,14 +233,13 @@ def cap(u: HClass, poly: Poly) -> HClass:
         return HClass(u.quiver, u.ring, u.degree, {})
     if not poly.is_homogeneous():
         raise ValueError("cap needs a homogeneous polynomial")
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    (w, terms), = _cap_terms(u.ring, ((m, int(c * den)) for m, c in poly.terms.items())).items()
-    out: dict[tuple, int] = {}
-    _cap_into(out, u.num, terms)
-    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * w, out, u.den * den)
+    den, guard = lcm(*(c.denominator for c in poly.terms.values())), u.ring.guard()
+    out: dict[int, int] = {}
+    _cap_into(out, u.num, [(u.ring.pack(m), guard, int(c * den)) for m, c in poly.terms.items()])
+    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * poly.weight(), out, u.den * den)
 
 
-def _raise(ring: ChernRing, func: Mapping[tuple, object], j: int) -> dict:
+def _raise(ring: ChernRing, func: Mapping[int, object], j: int) -> dict:
     """The transpose of D^j, undivided (ints stay ints), on packed monomials.
 
     D is the translation derivation of the Chern class ring, the package's
@@ -260,18 +252,14 @@ def _raise(ring: ChernRing, func: Mapping[tuple, object], j: int) -> dict:
     z acts as exp(zD), and the kernel of D is the weight-zero subring.  So
     each step raises one index of a support monomial, c[0, v, i - 1] ->
     c[0, v, i], with coefficient (d(v) - i + 1) times the new exponent of
-    c[0, v, i]."""
+    c[0, v, i], here one added delta and one field read (ChernRing._raising)."""
     for _ in range(j):
-        out: dict[tuple, object] = {}
+        out: dict[int, object] = {}
         for s, x in func.items():
-            for p, lower, k in ring._raising:
-                if lower is None or s[lower]:
-                    m = list(s)
-                    if lower is not None:
-                        m[lower] -= 1
-                    e = m[p] = m[p] + 1
-                    m = tuple(m)
-                    out[m] = out.get(m, 0) + x * (k * e)
+            for delta, lower, shift, k in ring._raising:
+                if not lower or s & lower:
+                    m = s + delta
+                    out[m] = out.get(m, 0) + x * (k * (m >> shift & _FIELD))
         func = out
     return func
 
@@ -326,11 +314,14 @@ class _BracketPlan:
     """What state_field needs of classes of dimension vectors a, b on q at
     weight imax, made once and never changed: the pair and target rings,
     chi, epsilon, the sum's Whitney slots (whitney_transpose), and the Ext
-    atoms, multiplicities summed, as cap terms to weight imax without 1."""
+    atoms, multiplicities summed, as _cap_into terms to weight imax without
+    1, by weight, shifted from _atom_class (imax, as a weight, stays below _GUARD)."""
 
     __slots__ = ("ring", "target", "chi", "eps", "slots", "caps")
 
     def __init__(self, q: Quiver, a: DimVector, b: DimVector, imax: int):
+        if imax >= _GUARD:
+            raise ValueError(f"weight {imax}: an exponent could overflow its field")
         self.ring, self.target = ChernRing((a, b)), ChernRing((a + b,))
         # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
         ab = euler_form(q, a, b)  # chi = sym_euler_form, eps = sign_epsilon
@@ -338,8 +329,12 @@ class _BracketPlan:
         self.slots, atoms, self.caps = _sum_slots(a + b), {}, []
         for mult, atom in ext_pairing_kexpr(q):  # parallel edges repeat an atom
             atoms[atom] = atoms.get(atom, 0) + mult
-        for atom, mult in atoms.items():
-            terms = _cap_terms(self.ring, chern_atom(atom, self.ring, imax).terms.items())
+        guard = self.ring.guard()
+        for atom, mult in atoms.items():  # its factors are the ring's two; c_i of factor j is at at[j] + _FIELD_BITS i
+            at, terms = [self.ring._shift.get((f, v, 1), 0) - _FIELD_BITS for f, v, _ in atom], {}
+            for m, c in _atom_class(atom, self.ring, imax).items():
+                g = sum(e << at[j] + _FIELD_BITS * i for (j, i), e in m)
+                terms.setdefault(sum(i * e for (_, i), e in m), []).append((g, guard, c))
             terms.pop(0, None)  # the constant term 1
             if terms and mult:
                 self.caps.append((mult, terms))
@@ -359,7 +354,7 @@ def _ext_cap_levels(caps: list, func: dict, imax: int) -> list[dict]:
     """The functional m -> func(c m) on packed monomials of weight up to
     imax (func's weight), c the total Chern class of ext_pairing_kexpr(q),
     split by weight: entry w, on weight-w monomials, is func cap c_(imax - w).
-    caps holds each atom class a = chern_atom and its multiplicity (_bracket_plan).
+    caps holds each atom class a and its multiplicity (_bracket_plan).
 
     Cap is a module action, so c is applied one atom at a time, all weights
     at once.  An atom of multiplicity m > 0 is capped m times.  For m < 0
@@ -374,7 +369,7 @@ def _ext_cap_levels(caps: list, func: dict, imax: int) -> list[dict]:
             # capping reads the input; solving reads the finished upper levels
             src, sign = (levels, 1) if mult > 0 else (out, -1)
             for w in range(imax, 0, -1):
-                for gw, gs in terms.items():
+                for gw, gs in terms.items() if src[w] else ():
                     if gw <= w:
                         _cap_into(out[w - gw], src[w], gs, sign)
             levels = out
@@ -413,7 +408,8 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     if u.is_zero() or v.is_zero():
         return out
 
-    uv = {s + t: x * y for s, x in u.num.items() for t, y in v.num.items()}
+    shift, pv = _FIELD_BITS * len(u.ring.generators()), v.num.items()
+    uv = {s + (t << shift): x * y for s, x in u.num.items() for t, y in pv}
     levels = _ext_cap_levels(plan.caps, uv, imax)
     for p in powers:
         k = p - chi
@@ -497,7 +493,7 @@ def is_translation_image(w: HClass) -> bool:
     if w.ring.factors() != 1:
         raise ValueError("translation image test works on one-factor classes")
     ring, top, n = w.ring, max(0, w.degree // 2), w.ring.dims[0].total()
-    linear = [(((p, 1),), 1) for p, lower, _ in ring._raising if lower is None]  # L
+    linear = [(delta, delta << _FIELD_BITS - 1, 1) for delta, lower, _, _ in ring._raising if not lower]  # L
     levels = [w.num]
     for _ in range(top):
         levels.append({})
@@ -522,7 +518,7 @@ def pl_equal(x: PlClass, y: PlClass) -> bool:
     return is_translation_image(x.rep - y.rep)
 
 
-def _translation_rows(ring: ChernRing, weight: int) -> tuple[dict[tuple, int], list[dict]]:
+def _translation_rows(ring: ChernRing, weight: int) -> tuple[dict[int, int], list[dict]]:
     """(index, rows): the column (position in monomial_basis) of each packed
     monomial of the weight basis, and the rows of the matrix of D from it
     to the weight - 1 basis, keyed by column.  The row of each monomial m'

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 import sympy
 
+from quiverinv import charclass
 from quiverinv.charclass import (
     ChernRing,
     Poly,
@@ -28,6 +30,7 @@ from quiverinv.quiver import (
     Quiver,
     binarize_quiver,
     edge_deletion_morphism,
+    subvectors,
     sym_euler_form,
 )
 from quiverinv.vertexalg import HClass, divided_translation
@@ -70,6 +73,32 @@ def test_monomial_basis_counts_and_order():
         assert list(basis) == sorted(basis)
     assert monomial_basis(ring1(v=1), 0) == ((),)
     assert monomial_basis(ring1(v=1), -1) == ()
+
+
+def test_packing_round_trips_and_is_injective():
+    # every pair ring of a bracket onto K3 (4,4), and a 3-vertex ring, to weight 8
+    top = DimVector({"v": 4, "w": 4})
+    rings = [ChernRing((a, top - a)) for a in subvectors(top) if a and top - a]
+    for ring in rings + [ring1(a=3, b=2, c=3)]:
+        basis = [m for w in range(9) for m in monomial_basis(ring, w)]
+        packed = [ring.pack(m) for m in basis]
+        assert [ring.unpack(s) for s in packed] == basis
+        assert len(set(packed)) == len(basis)
+    assert len(rings) == 23
+
+
+def test_pack_refuses_an_exponent_that_reaches_the_guard_bit():
+    ring = ring1(v=2, w=1)
+    top = (1 << (charclass._FIELD_BITS - 1)) - 1  # the largest exponent below the guard
+    m = (((0, "v", 1), top), ((0, "w", 1), top))
+    assert ring.unpack(ring.pack(m)) == m
+    for bad in [
+        (((0, "v", 2), top + 1),),
+        (((0, "v", 1), 1), ((0, "w", 1), -1)),  # would borrow from the field of c[0, v, 2]
+        (((0, "v", 2), top), ((0, "v", 2), 1)),  # a repeated generator adds up
+    ]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad[-1][0]))):
+            ring.pack(bad)
 
 
 def test_poly_arithmetic_exact():

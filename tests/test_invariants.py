@@ -733,6 +733,10 @@ def test_private_imports_are_declared():
     assert imported == {
         ("cli", "invariants", "_factorial_weight"),
         ("invariants", "wallcoeff", "_u_from_values"),
+        ("vertexalg", "charclass", "_FIELD"),
+        ("vertexalg", "charclass", "_FIELD_BITS"),
+        ("vertexalg", "charclass", "_GUARD"),
+        ("vertexalg", "charclass", "_atom_class"),
         ("vertexalg", "charclass", "_merge_slots"),
         ("vertexalg", "charclass", "_sum_slots"),
     }
@@ -801,6 +805,21 @@ def test_identity_checks_bracket_each_pair_at_one_weight(monkeypatch):
     assert len(built) == len(set(built)) == len(set(calls)) < len(calls)
 
 
+def test_a_word_sum_reads_each_natural_degree_once(monkeypatch):
+    # _bracket_sum runs once per bracket group, recursively, and reads the
+    # natural degree of its total, an Euler form, only the first time that
+    # total is met in its word sum
+    reads, sums, brackets = [], [], []
+    euler, word_sum, bracket_sum = invariants.euler_form, invariants._word_sum, invariants._bracket_sum
+    monkeypatch.setattr(invariants, "euler_form", lambda q, d, e: reads.append((len(sums), d, e)) or euler(q, d, e))
+    monkeypatch.setattr(invariants, "_word_sum", lambda *args: sums.append(args) or word_sum(*args))
+    monkeypatch.setattr(invariants, "_bracket_sum", lambda *args: brackets.append(args) or bracket_sum(*args))
+    assert check_wallcross(K3, slope_stability(K3, HI), slope_stability(K3, LO), DimVector({"v": 3, "w": 2}))
+    assert len(sums) == 13 and len(brackets) == 43
+    assert all(d == e for _, d, e in reads)
+    assert len(reads) == len(set(reads)) == 35
+
+
 def test_identity_checks_share_each_atom_class(monkeypatch):
     # the seed-1 job list of the identity-checks benchmark: the atom table
     # holds one entry per (ranks, dualities, bound) asked for, each asked for
@@ -809,7 +828,7 @@ def test_identity_checks_share_each_atom_class(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     worker = importlib.import_module("worker")
     calls, plan_quiver = [], []
-    atom, build = charclass.chern_atom, vertexalg._BracketPlan
+    atom, build = charclass._atom_class, vertexalg._BracketPlan
 
     def spy(where):
         def counted(a, ring, bound):
@@ -822,8 +841,8 @@ def test_identity_checks_share_each_atom_class(monkeypatch):
         return build(q, *rest)
 
     monkeypatch.setattr(vertexalg, "_BracketPlan", plan)
-    monkeypatch.setattr(vertexalg, "chern_atom", spy(lambda: plan_quiver[-1]))
-    monkeypatch.setattr(charclass, "chern_atom", spy(lambda: None))  # correction classes
+    monkeypatch.setattr(vertexalg, "_atom_class", spy(lambda: plan_quiver[-1]))
+    monkeypatch.setattr(charclass, "_atom_class", spy(lambda: None))  # correction classes, by chern_atom
     for label, job in worker.identity_check_jobs(quiverinv, 1):
         assert job() is True, label
 

@@ -652,7 +652,9 @@ def _fresh_caps(monkeypatch, q, ring, imax):
         atoms[atom] = atoms.get(atom, 0) + mult
     for atom, mult in atoms.items():
         monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
-        terms = vertexalg._cap_terms(ring, charclass.chern_atom(atom, ring, imax).terms.items())
+        terms = {}
+        for m, c in charclass.chern_atom(atom, ring, imax).terms.items():  # the Poly, packed term by term
+            terms.setdefault(charclass.monomial_weight(m), []).append((ring.pack(m), ring.guard(), c))
         terms.pop(0, None)
         if terms and mult:
             caps.append((mult, terms))
@@ -949,3 +951,61 @@ def test_state_field_zero_inputs():
     chi = sym_euler_form(K3, DimVector({"v": 1}), DimVector({"w": 1}))
     for p, cls in out.items():
         assert cls.degree == 2 + 0 + 2 * p - 2 * chi
+
+
+def test_classes_whose_weight_could_overflow_a_field_are_refused():
+    # every exponent of a class is at most its weight, so a weight below the
+    # guard keeps each field clear of it; a larger one is refused where it is
+    # set: a class's degree, or the weight of a bracket's Kunneth product
+    guard = 1 << (charclass._FIELD_BITS - 1)
+    v1 = DimVector({"v": 1})
+    top = mono_class(K3, v1, (((0, "v", 1), guard - 1),), 2 * (guard - 1))
+    assert divided_translation(top, 0) is top
+    half = mono_class(K3, v1, (((0, "v", 1), guard // 2),), guard)
+    for make in (lambda: zero_class(K3, (v1,), 2 * guard), lambda: divided_translation(top, 1),
+                 lambda: kunneth(half, half), lambda: lie_bracket(half, half)):
+        with pytest.raises(ValueError, match="overflow"):
+            make()
+
+
+def test_packed_kernels_match_the_oracles_at_high_field_offsets():
+    # rings of T4 with rank 2 or 3 at each vertex put their last fields at
+    # bits 120 (pair ring) and 88 (one factor); the supports use the last
+    # generators, so the kernels cut, raise and subtract far from bit 0
+    rng = random.Random(89)
+    two, three = (DimVector({v: n for v in T4.vertices}) for n in (2, 3))
+    pair, single = ChernRing((two, two)), ChernRing((three,))
+    assert pair._shift[pair.generators()[-1]] == 120 and single._shift[single.generators()[-1]] == 88
+
+    def on_last(q, ring, weight):
+        last = set(ring.generators()[-3:])
+        basis = [m for m in monomial_basis(ring, weight) if any(g in last for g, _ in m)]
+        return HClass(q, ring, 2 * weight, _random_functional(rng, rng.sample(basis, min(8, len(basis)))))
+
+    collapse = binarize_quiver(T4, three)[1]
+    ones = ChernRing((DimVector({v: 1 for v in collapse.source.vertices}),))
+    last = Poly.generator(pair, pair.generators()[-1])  # c[1, d, 2]
+    low = Poly.generator(pair, (0, "a", 1))
+    for weight in range(1, 4):
+        w = on_last(T4, pair, weight)
+        assert direct_sum_pushforward(w) == oracles.direct_sum_pushforward_oracle(w)
+        u = on_last(collapse.source, ones, weight)
+        assert merge_pushforward(collapse, u) == oracles.merge_pushforward_oracle(collapse, u)
+        # (w cap p)(m) = w(p m)
+        for p in [last * low + low.power(3), last] if weight >= 3 else [low.power(weight)]:
+            k = weight - p.weight()
+            want = {m: w.pair(p * Poly(pair, {m: 1})) for m in monomial_basis(pair, k)}
+            assert cap(w, p) == HClass(T4, pair, 2 * k, want)
+        # divided translation against the substitution definition
+        for x in (w, on_last(T4, single, weight)):
+            ranks = {(f, v): n for f, d in enumerate(x.dims) for v, n in d.items()}
+            for j in (1, 2):
+                want = {}
+                for m in monomial_basis(x.ring, weight + j):
+                    coaction = oracles.substitution_coaction_oracle(ranks, m).get(j, {})
+                    want[m] = sum((c * x.functional.get(s, 0) for s, c in coaction.items()), Fraction(0))
+                assert divided_translation(x, j) == HClass(T4, x.ring, x.degree + 2 * j, want)
+    x, y = on_last(T4, ChernRing((two,)), 2), on_last(T4, ChernRing((two,)), 1)
+    powers = range(5, 9)  # chi(two, two) = 8
+    got = state_field(x, y, powers)
+    assert got == oracles.state_field_oracle(x, y, powers) and not got[8].is_zero()
