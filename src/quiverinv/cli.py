@@ -39,10 +39,6 @@ from .vertexalg import pl_equal
 from .wallcoeff import LieElementError, lie_normalize, s_coeff, u_coeff
 
 
-def _echo(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
-
-
 def _load_json_file(path: str, what: str) -> object:
     try:
         with open(path, "r") as handle:
@@ -80,24 +76,21 @@ def _cache_from(path: str | None) -> CacheStore | None:
     return CacheStore(path) if path else None
 
 
-def euler(quiver_path: str, dimvec: str, dimvec2: str | None) -> int:
+def euler(quiver_path: str, dimvec: str, dimvec2: str | None) -> tuple[dict, int]:
     """Euler pairing, its symmetrization, and the sign twist."""
     from .quiver import euler_form, sign_epsilon, sym_euler_form
 
     q = _quiver_from(quiver_path)
     d = q.check_dimvec(_dimvec_from(dimvec))
     e = q.check_dimvec(_dimvec_from(dimvec2)) if dimvec2 else d
-    _echo(
-        {
-            "chi_Q": str(euler_form(q, d, e)),
-            "chi": str(sym_euler_form(q, d, e)),
-            "epsilon": str(sign_epsilon(q, d, e)),
-        }
-    )
-    return 0
+    return {
+        "chi_Q": str(euler_form(q, d, e)),
+        "chi": str(sym_euler_form(q, d, e)),
+        "epsilon": str(sign_epsilon(q, d, e)),
+    }, 0
 
 
-def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int) -> int:
+def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int) -> tuple[dict, int]:
     """Coefficient table over the ordered decompositions of a class.
 
     For each ordered decomposition of --dimvec, the sign coefficient and
@@ -132,25 +125,23 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
         {"letters": [p.to_json() for p in lw.letters], "coefficient": fraction_str(lw.coefficient)}
         for lw in lie_normalize(words)
     ]
-    _echo({"entries": entries, "lie_words": lie_words})
-    return 0
+    return {"entries": entries, "lie_words": lie_words}, 0
 
 
 def invariant_cmd(
     quiver_path: str, dimvec: str, slope: str, cache_path: str | None, max_size: int
-) -> int:
+) -> tuple[dict, int]:
     """Invariant class of the semistable moduli, as canonical coordinates."""
     q = _quiver_from(quiver_path)
     d = _dimvec_from(dimvec)
     tau = _slope_from(q, slope)
     cls = invariant(q, tau, d, cache=_cache_from(cache_path), max_size=max_size)
-    _echo(pl_class_json(cls))
-    return 0
+    return pl_class_json(cls), 0
 
 
 def wallcross_check_cmd(
     quiver_path: str, dimvec: str, slope: str, slope2: str, cache_path: str | None, max_size: int
-) -> int:
+) -> tuple[dict, int]:
     """Transform invariants from --slope to --slope2 and compare."""
     q = _quiver_from(quiver_path)
     d = _dimvec_from(dimvec)
@@ -159,42 +150,36 @@ def wallcross_check_cmd(
     cache = _cache_from(cache_path)
     lhs, rhs = wallcross_sides(q, from_stab, to_stab, d, cache=cache, max_size=max_size)
     equal = pl_equal(lhs, rhs)
-    _echo(
-        {
-            "equal": equal,
-            "dimvec": d.to_json(),
-            "from": from_stab.to_json(),
-            "to": to_stab.to_json(),
-            "class": pl_class_json(rhs),
-        }
-    )
-    return 0 if equal else 4
+    return {
+        "equal": equal,
+        "dimvec": d.to_json(),
+        "from": from_stab.to_json(),
+        "to": to_stab.to_json(),
+        "class": pl_class_json(rhs),
+    }, 0 if equal else 4
 
 
 def morphism_check_cmd(
     morphism_path: str, dimvec: str, slope: str, cache_path: str | None, max_size: int
-) -> int:
+) -> tuple[dict, int]:
     """Factorial identity for a quiver morphism; --slope lives on the target."""
     lam = QuiverMorphism.from_json(_load_json_file(morphism_path, "morphism"))
     d = lam.source.check_dimvec(_dimvec_from(dimvec))
     tau = _slope_from(lam.target, slope)
     equal = check_morphism_identity(lam, tau, d, cache=_cache_from(cache_path), max_size=max_size)
     dprime = lam.pushforward(d)
-    _echo(
-        {
-            "equal": equal,
-            "dimvec": d.to_json(),
-            "pushforward": dprime.to_json(),
-            "source_factor": str(_factorial_weight(d)),
-            "target_factor": str(_factorial_weight(dprime)),
-        }
-    )
-    return 0 if equal else 4
+    return {
+        "equal": equal,
+        "dimvec": d.to_json(),
+        "pushforward": dprime.to_json(),
+        "source_factor": str(_factorial_weight(d)),
+        "target_factor": str(_factorial_weight(dprime)),
+    }, 0 if equal else 4
 
 
 def pair_check_cmd(
     quiver_path: str, dimvec: str, slope: str, framing: str, cache_path: str | None, max_size: int
-) -> int:
+) -> tuple[dict, int]:
     """Framed-moduli identity and leading-term injectivity."""
     q = _quiver_from(quiver_path)
     d = _dimvec_from(dimvec)
@@ -205,25 +190,21 @@ def pair_check_cmd(
     report = pair_invariant_report(
         q, mu, d, framing_obj, cache=_cache_from(cache_path), max_size=max_size
     )
-    _echo(
-        {
-            "equal": report["equal"],
-            "injective": report["injective"],
-            "ok": report["ok"],
-            "dimvec": d.to_json(),
-            "framed_class": report["framed_class"].to_json(),
-            "epsilon": fraction_str(report["epsilon"]),
-            "framed_slope": report["framed_slope"].to_json(),
-        }
-    )
-    return 0 if report["ok"] else 4
+    return {
+        "equal": report["equal"],
+        "injective": report["injective"],
+        "ok": report["ok"],
+        "dimvec": d.to_json(),
+        "framed_class": report["framed_class"].to_json(),
+        "epsilon": fraction_str(report["epsilon"]),
+        "framed_slope": report["framed_slope"].to_json(),
+    }, 0 if report["ok"] else 4
 
 
-def selftest_cmd(cache_path: str | None, max_size: int) -> int:
+def selftest_cmd(cache_path: str | None, max_size: int) -> tuple[dict, int]:
     """Run the property battery at a size budget."""
     report = selftest(max_size=max_size, cache=_cache_from(cache_path))
-    _echo(report)
-    return 0 if report["ok"] else 4
+    return report, 0 if report["ok"] else 4
 
 
 _OPTIONS = {
@@ -309,7 +290,9 @@ def _parser(command: str | None) -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with error-to-exit-code mapping; returns the exit code."""
+    """Entry point with error-to-exit-code mapping: prints the command's
+    report, or the error, as one JSON line and returns the exit code,
+    which a reader that closed stdout early does not change."""
     try:
         try:
             argv = sys.argv[1:] if argv is None else list(argv)
@@ -319,16 +302,18 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit:  # --help has printed its text
             return 0
         args.pop("jobs", None)  # accepted for compatibility, no effect
-        return args.pop("run")(**args)
+        report, code = args.pop("run")(**args)
     except CycleError as exc:
-        _echo({"error": str(exc), "kind": "acyclicity"})
-        return 3
+        report, code = {"error": str(exc), "kind": "acyclicity"}, 3
     except (LieElementError, AssertionError, ArithmeticError) as exc:
-        _echo({"error": str(exc), "kind": "internal"})
-        return 4
+        report, code = {"error": str(exc), "kind": "internal"}, 4
     except (ValueError, KeyError) as exc:
-        _echo({"error": str(exc), "kind": "input"})
-        return 2
+        report, code = {"error": str(exc), "kind": "input"}, 2
+    try:
+        print(json.dumps(report, separators=(",", ":")), flush=True)
+    except BrokenPipeError:  # the Python docs' advice: then the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

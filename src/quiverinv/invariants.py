@@ -14,8 +14,8 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
 
 wallcross_transform expresses the classes at a new stability condition as
 bracket words of the classes at an old one: the free word sum over the
-ordered decompositions of d whose parts all have nonempty classes
-(_live_words), with u-coefficients for the pair of conditions, is written
+ordered decompositions of d into nonempty classes, with u-coefficients
+for the pair of conditions (_u_words: one walk of their trie), is written
 in closed form as left-nested bracket words (lie_normalize: in each letter
 multiset, the words that begin with its largest letter once, by the
 first-letter Dynkin identity), whose word expansion must give back the
@@ -106,7 +106,7 @@ from .vertexalg import (
     unit_pl,
     zero_pl,
 )
-from .wallcoeff import _u_from_values, lie_normalize
+from .wallcoeff import _u_words, lie_normalize
 
 DEFAULT_MAX_SIZE = 8
 SELFTEST_MAX_SIZE = 4  # selftest's budget
@@ -359,11 +359,7 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
     # wholly live or wholly dead, so the live words are still a Lie element
     live = {k for k in unders[top] if subs[k] in letters and not letters[subs[k]].rep.is_zero()}
     frm_at, to_at = ({codes[k]: r for k, r in zip(unders[top], ranks)} for ranks in (frm, to))
-    words: dict[tuple, Fraction] = {}
-    for word in _live_words(codes[top], _below(lattice, top, live)):
-        c = _u_from_values(tuple(codes[i] for i in word), frm_at.__getitem__, to_at.__getitem__)
-        if c:
-            words[word] = c
+    words = _u_words(codes[top], _below(lattice, top, live), frm_at, to_at)
     bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
     return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__, {})
 

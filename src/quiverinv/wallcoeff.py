@@ -12,10 +12,12 @@ contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
 superblock, or the head or tail at a cut.  So each call forms the
 n(n+1)/2 contiguous sums once and values them by one function per
 condition into two interval tables.  s_coeff reads its cuts off them;
-u_coeff sums its terms by dynamic programming over block boundaries, as
-one int numerator over n! lcm(1..n) (_u_from_values).  invariants passes
-int codes valued by rank lists to the same core.  u_coeff keeps no memo:
-invariants reuses classes.
+u_coeff sums its terms by dynamic programming over block boundaries, one
+column per letter, as one int numerator over n! lcm(1..n) (_u_words).
+Column t reads only the first t letters, so _u_words walks a trie of
+int-coded words and pushes the column of each prefix once: u_coeff passes
+the one path of its tuple, invariants the words of a word sum valued by
+ranks.  u_coeff keeps no memo: invariants reuses classes.
 
 The Lie version is produced here from the u-weighted free word sum.  Each
 length component splits by letter multiset, and each part is written in
@@ -43,7 +45,7 @@ words scaled by the lcm of their denominators; only results are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb, factorial, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -99,53 +101,70 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     from_stab is constant, then adjacent superblocks whose sums all share
     the to_stab value of the full sum.  Each superblock contributes its
     s_coeff, each block the reciprocal of its factorial, and a superblock
-    count l contributes (-1)^(l-1)/l (_u_from_values).
+    count l contributes (-1)^(l-1)/l (_u_words, on a one-path trie).
     """
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("empty tuple")
-    return _u_from_values(alphas, from_stab.value, to_stab.value)
-
-
-def _u_from_values(alphas: tuple, from_value: Callable, to_value: Callable) -> Fraction:
-    """u_coeff of a nonempty tuple, each condition given by a value function.
-
-    A term, a chain of superblocks of from-constant blocks, weighs sign /
-    (l prod |block|!), an int multiple of 1 / (n! lcm(1..n)), so the terms
-    sum to one int numerator; n! / prod |block|! is the product of
-    C(j, j - c) over the blocks [c, j).  The letters of a from-constant
-    block share its value, so a cut at c in the superblock [s, t) compares
-    the letters c - 1 and c under from_value, and [s, c) with [c, t) under
-    to_value.  ends[c]: the j with [c, j) from-constant; acc[j]: the
-    signed block chains from s to j; chains[t][l]: the chains of l
-    superblocks from 0 to t.
-    """
     n = len(alphas)
-    frm, to = _interval_values(alphas, from_value, to_value)
-    ends = []
-    for c in range(n):  # the letters c .. run - 1 share the value v
-        v = frm[c][c + 1]
-        run = next((j for j in range(c + 1, n) if frm[j][j + 1] != v), n)
-        ends.append([j for j in range(c + 1, run + 1) if frm[c][j] == v])
-    chains = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for s, t in combinations(range(n + 1), 2):  # the chains to s are complete
-        if to[s][t] != to[0][n] or not any(chains[s]):
-            continue
-        acc = [int(c == s) for c in range(t + 1)]
-        for c in range(s, t):
-            x = acc[c]
-            if x and c > s:  # the cut at c: ascending blocks need descending sums
-                up = frm[c - 1][c] <= frm[c][c + 1]
-                x = (-x if up else x) if up == (to[s][c] > to[c][t]) else 0
-            if x:
-                for j in ends[c]:
-                    if j <= t:
-                        acc[j] += x * comb(j, j - c)
-        for l in range(n):
-            chains[t][l + 1] += chains[s][l] * acc[t]
-    scale = lcm(*range(1, n + 1))
-    num = sum((scale // l) * (y if l % 2 else -y) for l, y in enumerate(chains[n]) if l)
-    return Fraction(num, factorial(n) * scale)
+    # the k-th letter has the code 2^k, so the sum of [s, t) has 2^t - 2^s
+    frm, to = ({(1 << t) - (1 << s): table[s][t] for s in range(n) for t in range(s + 1, n + 1)}
+               for table in _interval_values(alphas, from_stab.value, to_stab.value))
+    below = {(1 << n) - (1 << k): [(k, 1 << k)] for k in range(n)}
+    return _u_words((1 << n) - 1, below, frm, to).get(tuple(range(n)), Fraction(0))
+
+
+def _u_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, Fraction]:
+    """The nonzero u_coeff of each word of a trie, keyed by its labels, in
+    one depth-first walk: below maps what is left of top to the (label,
+    code) letters that fit in it, a word ending at a letter that is all
+    that is left; frm_at and to_at value each sum of contiguous letters.
+
+    A chain of superblocks of from-constant blocks weighs sign /
+    (l prod |block|!), an int over n! lcm(1..n): n! / prod |block|! is the
+    product of C(j, j - c) over the blocks [c, j).  A cut at j in [s, t)
+    compares the letters j - 1 and j under from, [s, j) with [j, t) under
+    to.  Column t holds the from and to values of [s, t), the c with
+    [c, t) from-constant (descending), and chains[l], the signed chains of
+    l superblocks from 0 to t; acc[j - s]: the chains of blocks s to j."""
+    path, words, whole = [((), (), (), [1])], {}, to_at[top]
+
+    def walk(word: tuple, rests: list) -> None:
+        for i, c in below[rests[-1]]:
+            t, rest = len(path), rests[-1] - c
+            frm, to = ([values[r - rest] for r in rests] for values in (frm_at, to_at))
+            b, v = t - 1, frm[-1]
+            while b and path[b][0][-1] == v:  # the letters b .. t - 1 share the value v
+                b -= 1
+            chains = [0] * (t + 1)
+            path.append((frm, to, [k for k in range(t - 1, b - 1, -1) if frm[k] == v], chains))
+            for s in range(t):
+                if to[s] != whole or not any(path[s][3]):
+                    continue
+                acc = [1] + [0] * (t - s)
+                for j in range(s + 1, t + 1):
+                    x = 0
+                    for k in path[j][2]:
+                        if k < s:
+                            break
+                        x += acc[k - s] * comb(j, j - k)
+                    if x and j < t:  # the cut at j: ascending blocks need descending sums
+                        up = path[j][0][-1] <= path[j + 1][0][-1]
+                        x = (-x if up else x) if up == (path[j][1][s] > to[j]) else 0
+                    acc[j - s] = x
+                for l, y in enumerate(path[s][3]):
+                    chains[l + 1] += y * acc[-1]
+            if c != rests[-1]:
+                walk(word + (i,), rests + [rest])
+            else:
+                scale = lcm(*range(1, t + 1))
+                num = sum((scale // l) * (y if l % 2 else -y) for l, y in enumerate(chains) if l)
+                if num:
+                    words[word + (i,)] = Fraction(num, factorial(t) * scale)
+            path.pop()
+
+    walk((), [top])
+    return words
 
 
 def _axpy(acc: dict, x, row: Iterable[tuple]) -> None:

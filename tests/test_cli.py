@@ -361,6 +361,39 @@ def test_jobs_flag_starts_no_process_pool(qfiles):
     assert proc.stdout == want
 
 
+FAILING_CHECK_MAIN = (
+    "import sys\n"
+    "from quiverinv import cli\n"
+    "cli.check_morphism_identity = lambda *a, **k: False\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("kind, code", [("invariant", 0), ("failed check", 4), ("input", 2)])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(qfiles, tmp_path, kind, code):
+    # the reader closes stdout before the command writes: the command still
+    # exits with its own code, with no traceback on stderr
+    src = str(Path(quiverinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    k2 = Quiver.from_json(oracles.kronecker_json(2))
+    mpath = tmp_path / "morphism.json"
+    mpath.write_text(json.dumps(edge_deletion_morphism(k2, ["a0"]).to_json()))
+    cli_main, invariant = ["-m", "quiverinv.cli"], ["invariant", "--quiver", qfiles["k3"]]
+    argv = {
+        "invariant": [*cli_main, *invariant, "--dimvec", '{"v":2,"w":2}'],
+        "failed check": ["-c", FAILING_CHECK_MAIN, "morphism-check", "--morphism", str(mpath), "--dimvec", '{"v":1,"w":1}'],
+        "input": [*cli_main, *invariant, "--dimvec", '{"v":-1}'],
+    }[kind]
+    proc = subprocess.Popen(
+        [sys.executable, *argv, "--slope", '{"v":"1","w":"0"}'], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
+
+
 def test_wallcross_check_command(qfiles):
     code, out = run(
         [

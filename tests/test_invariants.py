@@ -54,7 +54,7 @@ from quiverinv.vertexalg import (
     unit_pl,
     zero_pl,
 )
-from quiverinv.wallcoeff import _u_from_values, u_coeff
+from quiverinv.wallcoeff import u_coeff
 
 from . import oracles
 
@@ -113,26 +113,36 @@ def test_invariant_evaluates_few_prefixes(monkeypatch, d, brackets):
 )
 def test_wallcross_transform_brackets_only_live_letters(monkeypatch, d, forward, backward):
     # forward crosses from HI to LO, backward from LO (increasing on K3, so
-    # its table is units only) to HI; words with an empty letter are
-    # dropped before their u-coefficient is computed
+    # its table is units only) to HI; an empty letter is never a letter of
+    # the word trie, so no word with one gets a u-coefficient
     d = DimVector({"v": d[0], "w": d[1]})
+    walk = invariants._u_words
     for frm, to, want in ((HI, LO, forward), (LO, HI, backward)):
         table = build_invariant_table(K3, slope_stability(K3, frm), d)
         dead = {e for e, x in table.items() if x.rep.is_zero()}
         assert dead
-        seen, calls = [], []
+        seen, pushed, calls = [], set(), []
 
-        def spy(codes, *values):
-            seen.append(tuple(map(_decode(d), codes)))
-            return _u_from_values(codes, *values)
+        def spy(top, below, *ranks):
+            pushed.update(_decode(d)(c) for letters in below.values() for _, c in letters)
+            words = walk(top, below, *ranks)
+            seen.extend(tuple(map(_decode(d), _word_codes(below, w))) for w in words)
+            return words
 
         with monkeypatch.context() as m:
-            m.setattr(invariants, "_u_from_values", spy)
+            m.setattr(invariants, "_u_words", spy)
             m.setattr(invariants, "lie_bracket", _stub_bracket(K3, calls))
             wallcross_transform(K3, table, slope_stability(K3, to), d)
         assert len(calls) == want
         assert seen and not any(p in dead for parts in seen for p in parts)
         assert all(sum(parts, DimVector()) == d for parts in seen)
+        assert pushed and not pushed & dead
+
+
+def _word_codes(below, word):
+    """The codes of the letters of a word of the walk over below."""
+    codes = {i: c for letters in below.values() for i, c in letters}
+    return tuple(codes[i] for i in word)
 
 
 THREE = Quiver(["a", "b", "c"], [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
@@ -169,11 +179,12 @@ def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
     # every word of every transform in both directions: the coefficient
     # computed on codes and rank lists is u_coeff of the decoded vectors at
     # the rank conditions, and at the slopes themselves
-    seen, checked, tied = [], 0, False
+    seen, checked, tied, walk = [], 0, False, invariants._u_words
 
-    def spy(codes, *values):
-        seen.append((codes, _u_from_values(codes, *values)))
-        return seen[-1][1]
+    def spy(top, below, *ranks):
+        words = walk(top, below, *ranks)
+        seen.extend((_word_codes(below, w), u) for w, u in words.items())
+        return words
 
     for mu, nu in (slopes, slopes[::-1]):
         frm, to = slope_stability(q, mu), slope_stability(q, nu)
@@ -181,7 +192,7 @@ def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
         for d, _ in table.items():
             seen.clear()
             with monkeypatch.context() as m:
-                m.setattr(invariants, "_u_from_values", spy)
+                m.setattr(invariants, "_u_words", spy)
                 m.setattr(invariants, "lie_bracket", _stub_bracket(q, []))
                 wallcross_transform(q, table, to, d)
             ranks = invariants._order_condition(frm, d), invariants._order_condition(to, d)
@@ -232,10 +243,80 @@ def test_u_dp_matches_enumeration_on_every_decomposition(q, top, pairs):
         frm, to = conditions[i], conditions[j]
         for parts in decompositions:
             want = oracles.u_coeff_oracle(parts, frm, to)
-            assert _u_from_values(parts, frm.value, to.value) == want, (i, j, parts)
+            assert u_coeff(parts, frm, to) == want, (i, j, parts)
             nonzero.add((len(parts), want != 0))
     assert max(n for n, live in nonzero if live) == d.total()
     assert any(n > 1 and not live for n, live in nonzero)
+
+
+def _oracle_words(e, live, frm, to):
+    """The ordered decompositions of e into live vectors whose oracle
+    u-coefficient is nonzero, with that coefficient."""
+    out = {}
+    for parts in all_decompositions(e):
+        if set(parts) <= live:
+            c = oracles.u_coeff_oracle(parts, frm, to)
+            if c:
+                out[parts] = c
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, top, pairs",
+    [
+        (K3, {"v": 3, "w": 2}, None),
+        (K3, {"v": 2, "w": 3}, None),
+        (THREE, {"a": 2, "b": 2, "c": 2}, [(0, 2), (1, 0), (2, 3), (3, 1)]),
+    ],
+)
+def test_word_trie_walk_returns_exactly_the_nonzero_words(q, top, pairs):
+    # every word sum under d, all letters live, at the tied conditions of
+    # test_u_dp_matches_enumeration_on_every_decomposition: the walk returns
+    # the decompositions whose enumerated coefficient is nonzero, each with
+    # its value, and no other word
+    d = DimVector(top)
+    conditions = _tied_conditions(q, d, seed=d.total())
+    pairs = pairs or [(i, j) for i in range(4) for j in range(4) if i != j]
+    subs, codes, unders = lattice = invariants._lattice(d)
+    every, longest, dropped = set(range(len(subs))), 0, 0
+    for i, j in pairs:
+        frm, to = conditions[i], conditions[j]
+        for top, (e, orders) in enumerate(zip(subs, invariants._orders_below(lattice, frm, to))):
+            ranks = ({codes[k]: r for k, r in zip(unders[top], rs)} for rs in orders)
+            words = invariants._u_words(codes[top], invariants._below(lattice, top, every), *ranks)
+            got = {tuple(subs[k] for k in w): c for w, c in words.items()}
+            assert got == _oracle_words(e, set(subs), frm, to), (i, j, e)
+            longest = max([longest, *map(len, got)])
+            dropped += len(list(all_decompositions(e))) - len(got)
+    assert longest == d.total() and dropped
+
+
+def test_word_trie_walk_skips_dead_letters(monkeypatch):
+    # a K3 (4,3) table at HI has empty classes: each transform to LO walks
+    # the words of the live letters only, and returns those whose
+    # enumerated coefficient is nonzero, each with its value
+    d = DimVector({"v": 4, "w": 3})
+    hi, lo = slope_stability(K3, HI), slope_stability(K3, LO)
+    table = build_invariant_table(K3, hi, d)
+    live = {e for e, x in table.items() if not x.rep.is_zero()}
+    assert len(live) < len(subvectors(d))
+    walk, found = invariants._u_words, []
+
+    def spy(*args):
+        found.append(walk(*args))
+        return found[-1]
+
+    monkeypatch.setattr(invariants, "_u_words", spy)
+    monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
+    words = 0
+    for e, _ in table.items():
+        found.clear()
+        wallcross_transform(K3, table, lo, e)
+        subs = subvectors(e)
+        (got,) = found
+        assert {tuple(subs[i] for i in w): c for w, c in got.items()} == _oracle_words(e, live, hi, lo), e
+        words += len(got)
+    assert words > 100
 
 
 def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
@@ -246,22 +327,22 @@ def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
     d = DimVector({"v": 4, "w": 3})
     table = build_invariant_table(K3, slope_stability(K3, HI), d)
     reads, words, built = {}, [], []
-    value, reference = WeakStability.value, invariants.reference_increasing_slope
+    value, reference, walk = WeakStability.value, invariants.reference_increasing_slope, invariants._u_words
 
     def counting(self, e):
         reads[self] = reads.get(self, 0) + 1
         return value(self, e)
 
-    def spy(codes, *values):
-        words.append(codes)
-        return _u_from_values(codes, *values)
+    def spy(top, below, *ranks):  # the walk reads a coefficient at the end of each live word
+        words.extend(invariants._live_words(top, below))
+        return walk(top, below, *ranks)
 
     def counted_reference(q):
         built.append(q)
         return reference(q)
 
     monkeypatch.setattr(WeakStability, "value", counting)
-    monkeypatch.setattr(invariants, "_u_from_values", spy)
+    monkeypatch.setattr(invariants, "_u_words", spy)
     monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
     monkeypatch.setattr(invariants, "reference_increasing_slope", counted_reference)
     for run, conditions, references in (
@@ -567,7 +648,7 @@ def test_invariant_memo_ignores_caller_tokens():
 def test_invariant_reused_within_a_chamber(monkeypatch):
     d = DimVector({"v": 3, "w": 2})
     first = invariant(K3, slope_stability(K3, HI), d)
-    monkeypatch.setattr(invariants, "_u_from_values", _refuse)
+    monkeypatch.setattr(invariants, "_u_words", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     assert again.rep == first.rep and pl_equal(again, first)
@@ -578,7 +659,7 @@ def test_cache_serves_every_slope_in_a_chamber(monkeypatch, tmp_path):
     store = CacheStore(tmp_path)
     first = invariant(K3, slope_stability(K3, HI), d, cache=store)
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
-    monkeypatch.setattr(invariants, "_u_from_values", _refuse)
+    monkeypatch.setattr(invariants, "_u_words", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d, cache=store)
     assert again.rep == first.rep
@@ -632,7 +713,7 @@ def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
     d = DimVector({"v": 2, "w": 2})
     invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     with monkeypatch.context() as m:
-        m.setattr(invariants, "_u_from_values", _refuse)
+        m.setattr(invariants, "_u_words", _refuse)
         invariant(K3, tau, d, cache=CacheStore(tmp_path / "hit"))
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
     invariant(K3, tau, d, cache=CacheStore(tmp_path / "fresh"))
@@ -732,7 +813,7 @@ def test_private_imports_are_declared():
                 imported |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
     assert imported == {
         ("cli", "invariants", "_factorial_weight"),
-        ("invariants", "wallcoeff", "_u_from_values"),
+        ("invariants", "wallcoeff", "_u_words"),
         ("vertexalg", "charclass", "_FIELD"),
         ("vertexalg", "charclass", "_FIELD_BITS"),
         ("vertexalg", "charclass", "_GUARD"),
