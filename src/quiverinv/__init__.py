@@ -10,7 +10,6 @@ their consistency checks.  Everything is exact rational arithmetic.
 
 from .charclass import (
     ChernRing,
-    Poly,
     chern_atom,
     chern_kclass,
     correction_top_class,

@@ -7,11 +7,14 @@ stands for the i-th Chern class of the rank-d(v) tautological bundle at v.
 Two-point operations work on a product of two such stacks, so a generator
 carries a factor index: (factor, vertex, index).
 
-Poly is a sparse exact-rational polynomial in these generators: a dict
-mapping monomials to Fractions (ints in chern_atom's classes).  At the API
-a monomial is a sorted tuple of (generator, exponent) pairs; inside the
-kernels (whitney_transpose, vertexalg) it is one int with a _FIELD_BITS-bit
-field per generator, in the ring's generator order (ChernRing.pack).
+A polynomial in these generators is a plain dict mapping monomials to
+exact coefficients, ints (as in chern_atom's classes) or Fractions, with
+no zero values; weight_part, mul_trunc, power_trunc and series_inverse are
+its arithmetic.  A dict carries no ring: what takes one in a ring checks
+its generators there (ChernRing.check_poly).  At the API a monomial is a
+sorted tuple of (generator, exponent) pairs; inside the kernels
+(whitney_transpose, vertexalg) it is one int with a _FIELD_BITS-bit field
+per generator, in the ring's generator order (ChernRing.pack).
 
 K-theory classes entering the calculus are integer combinations of tensor
 products of tautological bundles and their duals:
@@ -38,7 +41,6 @@ homology, where vertexalg._raise states D and its transpose.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping
@@ -117,6 +119,12 @@ class ChernRing:
             raise ValueError(f"generator {g!r} out of range for this ring")
         return g
 
+    def check_poly(self, p: Mapping[Monomial, object]) -> None:
+        """Refuse a polynomial with a generator outside this ring."""
+        for m in p:
+            for g, _ in m:
+                self.check_gen(g)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ChernRing) and self._key == other._key
 
@@ -164,162 +172,47 @@ def monomial_basis(ring: ChernRing, weight: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-class Poly:
-    """Sparse polynomial over Q in tautological Chern class generators."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: ChernRing, terms: Mapping[Monomial, Fraction]):
-        self.ring = ring
-        self.terms: dict[Monomial, Fraction] = {m: Fraction(c) for m, c in terms.items() if c}
-
-    @classmethod
-    def _trusted(cls, ring: ChernRing, terms: Mapping[Monomial, int]) -> "Poly":
-        """An internal result, valid as it stands: ints stay ints, zeros go."""
-        self = object.__new__(cls)
-        self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
-        return self
-
-    @classmethod
-    def zero(cls, ring: ChernRing) -> "Poly":
-        return cls(ring, {})
-
-    @classmethod
-    def constant(cls, ring: ChernRing, c) -> "Poly":
-        return cls(ring, {(): Fraction(c)})
-
-    @classmethod
-    def one(cls, ring: ChernRing) -> "Poly":
-        return cls.constant(ring, 1)
-
-    @classmethod
-    def generator(cls, ring: ChernRing, g: Generator) -> "Poly":
-        ring.check_gen(g)
-        return cls(ring, {((g, 1),): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _same_ring(self, other: "Poly") -> None:
-        if self.ring.key() != other.ring.key():
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._same_ring(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly(self.ring, acc)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._same_ring(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Poly(self.ring, acc)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.ring, {m: c * x for m, x in self.terms.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._same_ring(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mul_monomials(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.ring, acc)
-
-    def power(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = Poly.one(self.ring)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def weight_part(self, w: int) -> "Poly":
-        return Poly(self.ring, {m: c for m, c in self.terms.items() if monomial_weight(m) == w})
-
-    def weights(self) -> set[int]:
-        return {monomial_weight(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
-    def weight(self) -> int:
-        ws = self.weights()
-        if len(ws) != 1:
-            raise ValueError("polynomial is zero or not homogeneous")
-        return ws.pop()
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ring.key() == other.ring.key()
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Poly(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"c[{f},{v},{i}]" + (f"^{e}" if e > 1 else "") for (f, v, i), e in m
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(bits) + ")"
+def weight_part(p: Mapping[Monomial, object], w: int) -> dict[Monomial, object]:
+    return {m: c for m, c in p.items() if monomial_weight(m) == w}
 
 
-def mul_trunc(a: Poly, b: Poly, bound: int) -> Poly:
-    """Product dropping all parts of weight above bound."""
-    a._same_ring(b)
-    acc: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        w1 = monomial_weight(m1)
-        for m2, c2 in b.terms.items():
-            if w1 + monomial_weight(m2) <= bound:
-                m = mul_monomials(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-    return Poly(a.ring, acc)
+def mul_trunc(a: Mapping[Monomial, object], b: Mapping[Monomial, object], bound: int | None = None) -> dict:
+    """Product, dropping all parts of weight above bound if one is given."""
+    acc: dict[Monomial, object] = {}
+    _add_product(acc, a, b, 1, bound)
+    return {m: c for m, c in acc.items() if c}
 
 
-def power_trunc(a: Poly, e: int, bound: int) -> Poly:
-    out = Poly.one(a.ring)
+def power_trunc(a: Mapping[Monomial, object], e: int, bound: int | None = None) -> dict:
+    if e < 0:
+        raise ValueError("negative power")
+    out = {(): 1}
     for _ in range(e):
         out = mul_trunc(out, a, bound)
     return out
 
 
-def series_inverse(p: Poly, bound: int) -> Poly:
+def series_inverse(p: Mapping[Monomial, object], bound: int) -> dict:
     """Inverse of a series with constant term 1, up to the weight bound."""
-    if p.constant_term() != 1:
+    if p.get((), 0) != 1:
         raise ValueError("series inverse needs constant term 1")
-    parts = [p.weight_part(w) for w in range(bound + 1)]
-    inv = [Poly.one(p.ring)]
+    parts = [weight_part(p, w) for w in range(bound + 1)]
+    inv = [{(): 1}]
     for k in range(1, bound + 1):
-        acc = Poly.zero(p.ring)
+        acc: dict[Monomial, object] = {}
         for j in range(1, k + 1):
-            acc = acc + parts[j] * inv[k - j]
-        inv.append(-acc)
-    return sum(inv[1:], inv[0])
+            _add_product(acc, parts[j], inv[k - j], -1)
+        inv.append(acc)
+    return {m: c for part in inv for m, c in part.items() if c}
 
 
-def _add_product(acc: dict[Monomial, int], a: dict, b: dict, c: int) -> None:
-    """acc += c a b for polynomials stored as {monomial: int}."""
+def _add_product(acc: dict, a: Mapping, b: Mapping, c, bound: int | None = None) -> None:
+    """acc += c a b, dropping the parts of weight above bound if one is given."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = mul_monomials(m1, m2)
-            acc[m] = acc.get(m, 0) + c * c1 * c2
+            if bound is None or monomial_weight(m) <= bound:
+                acc[m] = acc.get(m, 0) + c * c1 * c2
 
 
 def _power_sums(elem: list[dict], rank: int) -> list[dict]:
@@ -403,18 +296,18 @@ def _atom_class(atom: Atom, ring: ChernRing, bound: int) -> dict:
     return _ATOM_MEMO[key]
 
 
-def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> Poly:
+def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> dict[Monomial, int]:
     """_atom_class on the ring's generators (a repeated factor adds its exponents)."""
     terms: dict[Monomial, int] = {}
     for m, c in _atom_class(atom, ring, bound).items():
         m = mul_monomials((), [((atom[j][0], atom[j][1], i), e) for (j, i), e in m])
         terms[m] = terms.get(m, 0) + c
-    return Poly._trusted(ring, terms)
+    return {m: c for m, c in terms.items() if c}
 
 
-def chern_kclass(kclass: KClass, ring: ChernRing, bound: int) -> Poly:
+def chern_kclass(kclass: KClass, ring: ChernRing, bound: int) -> dict[Monomial, int]:
     """Total Chern class of an integer combination of atoms, truncated."""
-    result = Poly.one(ring)
+    result = {(): 1}
     for mult, atom in kclass:
         if mult == 0:
             continue
@@ -444,17 +337,16 @@ def ext_pairing_kexpr(q: Quiver) -> KClass:
     return tuple(out)
 
 
-def apply_ring_map(
-    poly: Poly, target_ring: ChernRing, gen_image: Callable[[Generator], Poly]
-) -> Poly:
+def apply_ring_map(poly: Mapping[Monomial, object], gen_image: Callable[[Generator], Mapping]) -> dict:
     """Push a polynomial through a ring homomorphism given on generators."""
-    out = Poly.zero(target_ring)
-    for m, c in poly.terms.items():
-        term = Poly.constant(target_ring, c)
+    out: dict[Monomial, object] = {}
+    for m, c in poly.items():
+        term = {(): c}
         for g, e in m:
-            term = term * gen_image(g).power(e)
-        out = out + term
-    return out
+            term = mul_trunc(term, power_trunc(gen_image(g), e))
+        for t, x in term.items():
+            out[t] = out.get(t, 0) + x
+    return {m: c for m, c in out.items() if c}
 
 
 def _sum_slots(d: DimVector) -> dict[str, tuple]:
@@ -467,15 +359,16 @@ def _merge_slots(m: QuiverMorphism, d: DimVector) -> dict[str, tuple]:
     return {w: tuple((0, v) for v in m.preimages(w)) for w in d.support()}
 
 
-def _whitney_pullback(poly: Poly, ring: ChernRing, slots: dict[str, tuple]) -> Poly:
-    """c[0, w, k] goes to the weight-k part of the product of the total
-    classes of the slots of w in ring."""
-    totals = {w: Poly.one(ring) for w in slots}
+def _whitney_pullback(poly: Mapping, source: ChernRing, ring: ChernRing, slots: dict[str, tuple]) -> dict:
+    """c[0, w, k] of source goes to the weight-k part of the product of the
+    total classes of the slots of w in ring."""
+    source.check_poly(poly)
+    totals = {w: {(): 1} for w in slots}
     for w, group in slots.items():
         for f, v in group:
             gens = range(1, ring.rank(f, v) + 1)
-            totals[w] = totals[w] * Poly(ring, {(): 1, **{(((f, v, i), 1),): 1 for i in gens}})
-    return apply_ring_map(poly, ring, lambda g: totals[g[1]].weight_part(g[2]))
+            totals[w] = mul_trunc(totals[w], {(): 1, **{(((f, v, i), 1),): 1 for i in gens}})
+    return apply_ring_map(poly, lambda g: weight_part(totals[g[1]], g[2]))
 
 
 _EXPANSION_MEMO: dict[tuple, dict] = {}  # (part, n) -> _expand(part, n)
@@ -555,39 +448,35 @@ def whitney_transpose(
     return result
 
 
-def direct_sum_pullback(poly: Poly, pair_ring: ChernRing) -> Poly:
+def direct_sum_pullback(poly: Mapping[Monomial, object], pair_ring: ChernRing) -> dict:
     """Pull back along the direct-sum map: classes on the (d + e)-stack to
-    classes on the product of the d-stack and the e-stack.
+    classes on the product of the d-stack and the e-stack.  A generator
+    outside the ring of d + e is refused.
 
     Whitney formula on generators: c_i of the rank d(v) + e(v) bundle goes
     to the weight-i part of the product of the two factors' total classes.
     """
     if pair_ring.factors() != 2:
         raise ValueError("pullback target must be a two-factor ring")
-    if poly.ring.factors() != 1:
-        raise ValueError("pullback source must be a one-factor ring")
     d, e = pair_ring.dims
-    if poly.ring.dims[0] != d + e:
-        raise ValueError("ring dimensions do not match a direct sum")
-    return _whitney_pullback(poly, pair_ring, _sum_slots(d + e))
+    return _whitney_pullback(poly, ChernRing((d + e,)), pair_ring, _sum_slots(d + e))
 
 
-def merge_pullback(m: QuiverMorphism, poly: Poly, source_ring: ChernRing) -> Poly:
+def merge_pullback(m: QuiverMorphism, poly: Mapping[Monomial, object], source_ring: ChernRing) -> dict:
     """Pull back along the induced map of moduli for a quiver morphism.
+    A generator outside the ring of the pushforward class is refused.
 
     The tautological bundle at a target vertex pulls back to the direct sum
     of the tautological bundles at its preimages, so generators map to
     weight parts of the product of preimage total classes.
     """
-    if source_ring.factors() != 1 or poly.ring.factors() != 1:
+    if source_ring.factors() != 1:
         raise ValueError("merge pullback works on one-factor rings")
-    d = source_ring.dims[0]
-    if poly.ring.dims[0] != m.pushforward(d):
-        raise ValueError("target ring does not match the pushforward class")
-    return _whitney_pullback(poly, source_ring, _merge_slots(m, poly.ring.dims[0]))
+    target = ChernRing((m.pushforward(source_ring.dims[0]),))
+    return _whitney_pullback(poly, target, source_ring, _merge_slots(m, target.dims[0]))
 
 
-def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
+def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> dict[Monomial, int]:
     """Euler class of the correction bundle of a quiver morphism.
 
     Product of top Chern classes of Hom bundles between tautological
@@ -599,7 +488,7 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
     if source_ring.factors() != 1:
         raise ValueError("correction class lives on a one-factor ring")
     d = source_ring.dims[0]
-    result = Poly.one(source_ring)
+    result = {(): 1}
     edges = [m.source.edge(eid) for eid in m.unmatched_edge_ids]
     blocks = list(m.merged_pairs()) + [(a.source, a.target) for a in edges]
     for v, w in blocks:
@@ -607,7 +496,7 @@ def correction_top_class(m: QuiverMorphism, source_ring: ChernRing) -> Poly:
         if r == 0:
             continue
         c = chern_atom(((0, v, True), (0, w, False)), source_ring, r)
-        result = result * c.weight_part(r)
+        result = mul_trunc(result, weight_part(c, r))
     return result
 
 

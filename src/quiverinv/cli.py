@@ -39,20 +39,25 @@ from .vertexalg import pl_equal
 from .wallcoeff import LieElementError, lie_normalize, s_coeff, u_coeff
 
 
+# what json raises on a malformed text: bad syntax, bytes that are not
+# UTF-8, and nesting deeper than the interpreter's recursion limit
+_JSON_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+
+
 def _load_json_file(path: str, what: str) -> object:
     try:
         with open(path, "r") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {what} file {shown(path)}: {clipped(str(exc))}") from exc
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ValueError(f"{what} file {shown(path)} is not valid JSON: {exc}") from exc
 
 
 def _parse_inline(text: str, what: str) -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 

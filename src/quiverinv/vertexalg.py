@@ -58,7 +58,6 @@ from .charclass import (
     _GUARD,
     ChernRing,
     Monomial,
-    Poly,
     _atom_class,
     _merge_slots,
     _sum_slots,
@@ -164,12 +163,13 @@ class HClass:
             {m: c.numerator * x for m, x in self.num.items()}, self.den * c.denominator,
         )
 
-    def pair(self, poly: Poly) -> Fraction:
-        """Evaluate the functional on a polynomial (off-degree parts give 0)."""
-        if poly.ring.key() != self.ring.key():
-            raise ValueError("polynomial lives in a different ring")
+    def pair(self, poly: Mapping[Monomial, object]) -> Fraction:
+        """Evaluate the functional on a polynomial, a {Monomial: int or
+        Fraction} dict in the class's ring (off-degree parts give 0); a
+        generator outside the ring is refused."""
+        self.ring.check_poly(poly)
         pack, num = self.ring.pack, self.num
-        return sum((c * num.get(pack(m), 0) for m, c in poly.terms.items()), Fraction(0)) / self.den
+        return sum((c * num.get(pack(m), 0) for m, c in poly.items()), Fraction(0)) / self.den
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -225,18 +225,21 @@ def _cap_into(acc: dict, func: Mapping, terms: list, sign: int = 1) -> None:
                 acc[m] = acc.get(m, 0) + sign * x * y
 
 
-def cap(u: HClass, poly: Poly) -> HClass:
-    """Cap with a homogeneous polynomial: (u cap p)(m) = u(p * m), on ints."""
-    if poly.ring.key() != u.ring.key():
-        raise ValueError("polynomial lives in a different ring")
-    if poly.is_zero():
-        return HClass(u.quiver, u.ring, u.degree, {})
-    if not poly.is_homogeneous():
+def cap(u: HClass, poly: Mapping[Monomial, object]) -> HClass:
+    """Cap with a homogeneous polynomial, a {Monomial: int or Fraction} dict
+    in u's ring: (u cap p)(m) = u(p * m), on ints.  A generator outside the
+    ring, or terms of two weights, are refused."""
+    u.ring.check_poly(poly)
+    terms = {m: c for m, c in poly.items() if c}
+    weights = {monomial_weight(m) for m in terms}
+    if len(weights) > 1:
         raise ValueError("cap needs a homogeneous polynomial")
-    den, guard = lcm(*(c.denominator for c in poly.terms.values())), u.ring.guard()
+    if not terms:
+        return HClass(u.quiver, u.ring, u.degree, {})
+    den, guard = lcm(*(c.denominator for c in terms.values())), u.ring.guard()
     out: dict[int, int] = {}
-    _cap_into(out, u.num, [(u.ring.pack(m), guard, int(c * den)) for m, c in poly.terms.items()])
-    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * poly.weight(), out, u.den * den)
+    _cap_into(out, u.num, [(u.ring.pack(m), guard, int(c * den)) for m, c in terms.items()])
+    return HClass._trusted(u.quiver, u.ring, u.degree - 2 * weights.pop(), out, u.den * den)
 
 
 def _raise(ring: ChernRing, func: Mapping[int, object], j: int) -> dict:
@@ -568,8 +571,9 @@ def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     return index, sorted(pivots.items(), reverse=True), free
 
 
-def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
-    """Canonical basis of the weight-zero subspace in the given weight.
+def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[dict[Monomial, Fraction], ...]:
+    """Canonical basis of the weight-zero subspace in the given weight, each
+    vector a {Monomial: Fraction} dict.
 
     Kernel of the translation derivation D on cohomology, presented in row
     reduced echelon form over the graded monomial order ('weight0-rref-
@@ -617,7 +621,7 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[Poly, ...]:
         for c, x in prow.items():
             if c != p and x:
                 kernel[c][basis[p]] = -x
-    return tuple(Poly(ring, kernel[c]) for c in sorted(kernel))
+    return tuple(kernel[c] for c in sorted(kernel))
 
 
 def canonical_coordinates(x: PlClass) -> list[Fraction]:

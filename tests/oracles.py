@@ -8,30 +8,30 @@ nullspace and rref on the matrix of the translation derivation, and
 Atiyah-Bott localization for integrals over the Grassmannians that are
 Kronecker moduli spaces (grassmannian_integral; the invariant pairs with
 them through slice_projection, the twisting formula for Chern classes on
-the package's Poly). Five exceptions build on the package's own
-primitives: the pushforward oracles pair with the Whitney pullback of
-every monomial of the target basis, the state-field oracle sums the
-defining series term by term (pushing forward by pairing), the u- and
-s-coefficient oracles enumerate the regroupings of a tuple calling
-value() on freshly summed dimension vectors, without the package's
-interval tables, the per-word bracket sums evaluate the invariant,
-wall-crossing and framed-pair sums one bracket word at a time, where the
-package groups the words by last letter and drops words with an empty
-letter, and lie_normalize_oracle solves for bracket words by elimination
-on Fractions in a basis of left-nested brackets (left_nested_basis,
-walking distinct_orderings), where the package writes them in closed
-form by the first-letter Dynkin identity; the two share only the
-package's word expansions, and their bracket words differ, so tests
-compare the expansions. The vertex algebra probes field_window and
+{monomial: coefficient} dicts, with the package's mul_trunc). Five
+exceptions build on the package's own primitives: the pushforward oracles
+pair with the Whitney pullback of every monomial of the target basis, the
+state-field oracle sums the defining series term by term (pushing forward
+by pairing), the u- and s-coefficient oracles enumerate the regroupings of
+a tuple calling value() on freshly summed dimension vectors, without the
+package's interval tables, the per-word bracket sums evaluate the
+invariant, wall-crossing and framed-pair sums one bracket word at a time,
+where the package groups the words by last letter and drops words with an
+empty letter, and lie_normalize_oracle solves for bracket words by
+elimination on Fractions in a basis of left-nested brackets
+(left_nested_basis, walking distinct_orderings), where the package writes
+them in closed form by the first-letter Dynkin identity; the two share
+only the package's word expansions, and their bracket words differ, so
+tests compare the expansions. The vertex algebra probes field_window and
 weak_commutativity_order are test helpers rather than oracles: they
 iterate the package's state_field over a window of powers; so is
 pair_lex_stability, a lexicographic framed condition on the package's
-WeakStability. correction_form, slope_value, order_ranks, leq,
-same_value, is_generic_pair, dominates and theta are definitions that the
-package does not carry, since nothing in it calls them; they live here as
-the references the tests compare against. The frozen literal tables were worked out by hand
-from the defining formulas and are committed as data; the tests compare
-the package against them, never the reverse.
+WeakStability. correction_form, slope_value, order_ranks, leq, same_value,
+is_generic_pair, dominates and theta are definitions that the package does
+not carry, since nothing in it calls them; they live here as the
+references the tests compare against. The frozen literal tables were
+worked out by hand from the defining formulas and are committed as data;
+the tests compare the package against them, never the reverse.
 """
 
 from fractions import Fraction
@@ -67,6 +67,22 @@ def cyclic3_json():
             "edges": [{"id": "e1", "from": "x", "to": "y"},
                       {"id": "e2", "from": "y", "to": "z"},
                       {"id": "e3", "from": "z", "to": "x"}]}
+
+
+# ---------------------------------------------------------------------------
+# polynomials: {monomial: coefficient} dicts, as the package takes them
+
+def gen(g):
+    return {((g, 1),): 1}
+
+
+def lincomb(terms):
+    """sum of c * p over the (c, p) pairs, zeros dropped."""
+    acc = {}
+    for c, p in terms:
+        for m, x in p.items():
+            acc[m] = acc.get(m, 0) + c * x
+    return {m: x for m, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +207,21 @@ def chern_character_atom_oracle(atom, ring, bound):
     identities, ch_k = p_k / k!, the characters multiplied degreewise and
     truncated, then back through k! and Newton's identities over Q.  It was
     the package's chern_atom before the integer power sums, and shares only
-    Poly and mul_trunc with it."""
-    from quiverinv.charclass import Poly, mul_trunc
+    mul_trunc and weight_part with it."""
+    from quiverinv.charclass import mul_trunc, weight_part
 
     def power_sums(elem):
-        p = [Poly.zero(ring)]
+        p = [{}]
         for k in range(1, bound + 1):
-            acc = elem[k].scale((-1) ** (k - 1) * k)
-            for j in range(1, k):
-                acc = acc + (elem[j] * p[k - j]).scale((-1) ** (j - 1))
-            p.append(acc)
+            p.append(lincomb([((-1) ** (k - 1) * k, elem[k])] + [
+                ((-1) ** (j - 1), mul_trunc(elem[j], p[k - j])) for j in range(1, k)
+            ]))
         return p
 
     def character(c, rank):
-        p = power_sums([c.weight_part(w) for w in range(bound + 1)])
-        return [Poly.constant(ring, rank)] + [
-            p[k].scale(Fraction(1, factorial(k))) for k in range(1, bound + 1)
+        p = power_sums([weight_part(c, w) for w in range(bound + 1)])
+        return [{(): rank}] + [
+            lincomb([(Fraction(1, factorial(k)), p[k])]) for k in range(1, bound + 1)
         ]
 
     def single(f, v, dual):
@@ -214,26 +229,22 @@ def chern_character_atom_oracle(atom, ring, bound):
         terms = {(): Fraction(1)}
         for i in range(1, min(r, bound) + 1):
             terms[(((f, v, i), 1),)] = Fraction(-1 if dual and i % 2 else 1)
-        return Poly(ring, terms)
+        return terms
 
     if any(ring.rank(f, v) == 0 for f, v, _ in atom):
-        return Poly.one(ring)
+        return {(): 1}
     total, rank = single(*atom[0]), ring.rank(*atom[0][:2])
     for f, v, dual in atom[1:]:
         chA, chB = character(total, rank), character(single(f, v, dual), ring.rank(f, v))
-        p = [Poly.zero(ring)]
+        p = [{}]
         for k in range(1, bound + 1):
-            ch = Poly.zero(ring)
-            for i in range(k + 1):
-                ch = ch + mul_trunc(chA[i], chB[k - i], bound)
-            p.append(ch.scale(factorial(k)))
-        elem = [Poly.one(ring)]
+            ch = lincomb((1, mul_trunc(chA[i], chB[k - i], bound)) for i in range(k + 1))
+            p.append(lincomb([(factorial(k), ch)]))
+        elem = [{(): 1}]
         for k in range(1, bound + 1):
-            acc = Poly.zero(ring)
-            for j in range(1, k + 1):
-                acc = acc + (elem[k - j] * p[j]).scale((-1) ** (j - 1))
-            elem.append(acc.scale(Fraction(1, k)))
-        total, rank = sum(elem[1:], elem[0]), rank * ring.rank(f, v)
+            acc = lincomb(((-1) ** (j - 1), mul_trunc(elem[k - j], p[j])) for j in range(1, k + 1))
+            elem.append(lincomb([(Fraction(1, k), acc)]))
+        total, rank = lincomb((1, e) for e in elem), rank * ring.rank(f, v)
     return total
 
 
@@ -412,13 +423,13 @@ def weight_zero_rref_oracle(ranks, basis, lower_basis):
 def _pushforward_by_pairing(u, quiver, ring, pullback):
     """The class on ring whose value at each basis monomial m is u paired
     with pullback(m)."""
-    from quiverinv.charclass import Poly, monomial_basis
+    from quiverinv.charclass import monomial_basis
     from quiverinv.vertexalg import HClass
 
     out = {}
     if u.degree >= 0 and u.degree % 2 == 0:
         for m in monomial_basis(ring, u.degree // 2):
-            val = u.pair(pullback(Poly(ring, {m: Fraction(1)})))
+            val = u.pair(pullback({m: 1}))
             if val:
                 out[m] = val
     return HClass(quiver, ring, u.degree, out)
@@ -448,7 +459,7 @@ def state_field_oracle(u, v, powers):
     own direct-sum pushforward, taken by pairing.  Built from the package's
     primitives, but independent of the package's Horner summation over i
     and of its transposed pushforward."""
-    from quiverinv.charclass import ChernRing, chern_kclass, ext_pairing_kexpr
+    from quiverinv.charclass import ChernRing, chern_kclass, ext_pairing_kexpr, weight_part
     from quiverinv.quiver import sign_epsilon, sym_euler_form
     from quiverinv.vertexalg import cap, divided_translation, kunneth, zero_class
 
@@ -464,8 +475,8 @@ def state_field_oracle(u, v, powers):
     total_chern = chern_kclass(ext_pairing_kexpr(q), ChernRing((a, b)), imax)
     uv = kunneth(u, v)
     for i in range(imax + 1):
-        ci = total_chern.weight_part(i)
-        if ci.is_zero():
+        ci = weight_part(total_chern, i)
+        if not ci:
             continue
         w_i = cap(uv, ci)
         for p in powers:
@@ -608,7 +619,7 @@ def grassmannian_integral(m, n, monomial, t):
     return total
 
 
-def slice_projection(poly, vertex):
+def slice_projection(poly, ring, vertex):
     """P'(poly) = sum_j (-s)^j D^j(poly) / j! on a one-factor ring, with
     s = c[0, vertex, 1] / d(vertex) and D the translation derivation: the
     ring map that replaces each c_k(V_x) by c_k(V_x (x) M), c_1(M) = -s,
@@ -616,24 +627,23 @@ def slice_projection(poly, vertex):
     c_{k-j}(E) c_1(M)^j for E of rank r.  Its image lies in ker D, so a
     rigidified class pairs with it independently of the representative,
     and on a family with V_vertex trivial P'(f) takes the value of f."""
-    from quiverinv.charclass import Poly
+    from quiverinv.charclass import mul_trunc, power_trunc
 
-    ring = poly.ring
-    mu = Poly.generator(ring, (0, vertex, 1)).scale(Fraction(-1, ring.rank(0, vertex)))
+    mu = {(((0, vertex, 1), 1),): Fraction(-1, ring.rank(0, vertex))}
     image = {}
     for f, x, k in ring.generators():
-        lower = [Poly.one(ring)] + [Poly.generator(ring, (f, x, i)) for i in range(1, k + 1)]
-        image[(f, x, k)] = sum(
-            ((lower[k - j] * mu.power(j)).scale(comb(ring.rank(f, x) - k + j, j)) for j in range(k + 1)),
-            Poly.zero(ring),
+        lower = [{(): 1}] + [gen((f, x, i)) for i in range(1, k + 1)]
+        image[(f, x, k)] = lincomb(
+            (comb(ring.rank(f, x) - k + j, j), mul_trunc(lower[k - j], power_trunc(mu, j)))
+            for j in range(k + 1)
         )
-    out = Poly.zero(ring)
-    for monomial, c in poly.terms.items():
-        term = Poly.constant(ring, c)
+    out = []
+    for monomial, c in poly.items():
+        term = {(): c}
         for g, e in monomial:
-            term = term * image[g].power(e)
-        out = out + term
-    return out
+            term = mul_trunc(term, power_trunc(image[g], e))
+        out.append((1, term))
+    return lincomb(out)
 
 
 # ---------------------------------------------------------------------------

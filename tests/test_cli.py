@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import quiverinv
 from quiverinv import charclass, cli, invariants, vertexalg
 from quiverinv.cli import main
-from quiverinv.quiver import Quiver, edge_deletion_morphism
+from quiverinv.quiver import Quiver, edge_deletion_morphism, shown
 
 from . import oracles
 
@@ -258,6 +258,42 @@ def test_cache_entry_of_another_class_exits_2(qfiles, tmp_path):
     code, out = run(lo)
     assert code == 2
     assert json.loads(out) == {"error": f"cache entry {entry_lo.name} is for another class", "kind": "input"}
+
+
+def test_hostile_json_input_exits_2_naming_its_source(qfiles, tmp_path):
+    # nesting past the recursion limit and bytes that are not UTF-8 are
+    # input errors naming the file or option, not a traceback or a bare
+    # codec message
+    deep, latin = tmp_path / "deep.json", tmp_path / "latin.json"
+    deep.write_text("[" * 100_000)
+    latin.write_bytes(b'{"vertices": ["v\xff"], "edges": []}')
+    pair = ["pair-check", "--quiver", qfiles["a2"], "--dimvec", '{"v":1,"w":1}', "--slope", '{"v":1,"w":0}']
+    for argv, named in [
+        (["euler", "--quiver", str(deep), "--dimvec", '{"v":1}'], f"quiver file {shown(str(deep))}"),
+        (["euler", "--quiver", str(latin), "--dimvec", '{"v":1}'], f"quiver file {shown(str(latin))}"),
+        (["morphism-check", "--morphism", str(deep), "--dimvec", '{"v":1}', "--slope", '{"v":0}'],
+         f"morphism file {shown(str(deep))}"),
+        (["euler", "--quiver", qfiles["a2"], "--dimvec", "[" * 20_000], "dimension vector"),
+        (pair + ["--framing", '{"a":' * 20_000], "framing"),
+    ]:
+        code, out = run(argv)
+        assert code == 2, named
+        assert json.loads(out)["kind"] == "input"
+        assert json.loads(out)["error"].startswith(f"{named} is not valid JSON: "), out[:200]
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"format": "\xff"}'], ids=["deep", "not-utf-8"])
+def test_hostile_cache_entry_names_the_entry(qfiles, tmp_path, content):
+    argv = [
+        "invariant", "--quiver", qfiles["k3"], "--dimvec", '{"v":1,"w":1}',
+        "--slope", '{"v":1,"w":0}', "--cache", str(tmp_path / "cache"),
+    ]
+    assert run(argv)[0] == 0
+    (path,) = (tmp_path / "cache").glob("*.json")
+    path.write_bytes(content)
+    code, out = run(argv)
+    assert code == 2 and json.loads(out)["kind"] == "input"
+    assert json.loads(out)["error"].startswith(f"unreadable cache entry {path.name}: "), out[:200]
 
 
 FROZEN_OUTPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"

@@ -19,7 +19,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC_NAMES = [
     "CacheStore", "ChernRing", "CycleError", "DimVector", "Edge", "HClass",
-    "InvariantTable", "LieElementError", "LieWord", "PlClass", "Poly", "Quiver",
+    "InvariantTable", "LieElementError", "LieWord", "PlClass", "Quiver",
     "QuiverMorphism", "SlopeStability", "StructureError", "WeakStability",
     "all_decompositions", "binarize_quiver", "build_invariant_table",
     "canonical_coordinates", "cap", "check_morphism_identity", "check_wallcross",
