@@ -365,6 +365,17 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
     return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__, {})
 
 
+def u_coefficients(d: DimVector, from_stab: WeakStability, to_stab: WeakStability) -> dict[tuple, Fraction]:
+    """The nonzero u_coeff(parts, from_stab, to_stab) of the ordered
+    decompositions of d, keyed by parts, from one walk of their trie on
+    the lattice of d (_u_words); an absent decomposition has u_coeff 0."""
+    lattice = _lattice(d)
+    subs, codes, _ = lattice
+    frm, to = (dict(zip(codes, _ranks(tau, subs))) for tau in (from_stab, to_stab))
+    words = _u_words(codes[-1], _below(lattice, -1, set(range(len(subs)))), frm, to)
+    return {tuple(subs[i] for i in w): c for w, c in words.items()}
+
+
 def wallcross_sides(
     q: Quiver,
     from_stab: WeakStability,

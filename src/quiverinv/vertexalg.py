@@ -27,6 +27,12 @@ The operations:
 HClass stores a class packed and fraction free, so each runs on int
 numerators of monomials packed in ints; what a bracket needs of the two
 dimension vectors at its weight is made once and never changed (_bracket_plan).
+A right factor of degree 0 is x 1_b, and then the expansion runs on the
+ring of a alone: pairing with 1_b sets every c[1, w, i] to 0, so the total
+class of the complex becomes prod_v c(V_v)^n_v with n_v = chi(e_v, b) +
+chi(b, e_v), and the pushforward keeps each monomial, now one of the ring
+of a + b, with coefficient 1 (_UnitPlan).  Every bracket of an invariant
+is of that kind: its right factor is a unit class.
 
 Classes of the projective linear (rigidified) moduli stack in shifted
 degree are represented by classes of the full stack modulo translations:
@@ -165,11 +171,12 @@ class HClass:
 
     def pair(self, poly: Mapping[Monomial, object]) -> Fraction:
         """Evaluate the functional on a polynomial, a {Monomial: int or
-        Fraction} dict in the class's ring (off-degree parts give 0); a
-        generator outside the ring is refused."""
+        Fraction} dict in the class's ring (off-degree parts give 0, and
+        are not packed); a generator outside the ring is refused."""
         self.ring.check_poly(poly)
-        pack, num = self.ring.pack, self.num
-        return sum((c * num.get(pack(m), 0) for m, c in poly.items()), Fraction(0)) / self.den
+        pack, num, deg = self.ring.pack, self.num, self.degree
+        on = (c * num.get(pack(m), 0) for m, c in poly.items() if 2 * monomial_weight(m) == deg)
+        return sum(on, Fraction(0)) / self.den
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -316,20 +323,18 @@ def merge_pushforward(mor: QuiverMorphism, u: HClass) -> HClass:
 class _BracketPlan:
     """What state_field needs of classes of dimension vectors a, b on q at
     weight imax, made once and never changed: the pair and target rings,
-    chi, epsilon, the sum's Whitney slots (whitney_transpose), and the Ext
-    atoms, multiplicities summed, as _cap_into terms to weight imax without
-    1, by weight, shifted from _atom_class (imax, as a weight, stays below _GUARD)."""
+    chi, epsilon, the direct-sum pushforward (push, by the sum's Whitney
+    slots), and the Ext atoms, multiplicities summed, as _cap_into terms to
+    weight imax without 1, by weight, shifted from _atom_class (imax, as a
+    weight, stays below _GUARD)."""
 
     __slots__ = ("ring", "target", "chi", "eps", "slots", "caps")
 
     def __init__(self, q: Quiver, a: DimVector, b: DimVector, imax: int):
         if imax >= _GUARD:
             raise ValueError(f"weight {imax}: an exponent could overflow its field")
-        self.ring, self.target = ChernRing((a, b)), ChernRing((a + b,))
-        # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
-        ab = euler_form(q, a, b)  # chi = sym_euler_form, eps = sign_epsilon
-        self.chi, self.eps = ab + euler_form(q, b, a), -1 if ab % 2 else 1
-        self.slots, atoms, self.caps = _sum_slots(a + b), {}, []
+        self._common(q, a, b, ChernRing((a, b)))
+        self.slots, atoms = _sum_slots(a + b), {}
         for mult, atom in ext_pairing_kexpr(q):  # parallel edges repeat an atom
             atoms[atom] = atoms.get(atom, 0) + mult
         guard = self.ring.guard()
@@ -342,14 +347,52 @@ class _BracketPlan:
             if terms and mult:
                 self.caps.append((mult, terms))
 
+    def _common(self, q: Quiver, a: DimVector, b: DimVector, ring: ChernRing) -> None:
+        """ring, target, chi, eps and an empty caps: what both plan kinds set alike."""
+        self.ring, self.target, self.caps = ring, ChernRing((a + b,)), []
+        # the sign (-1)^(deg u * chi(b, b)) of the general formula is 1: chi(b, b) is even
+        ab = euler_form(q, a, b)  # chi = sym_euler_form, eps = sign_epsilon
+        self.chi, self.eps = ab + euler_form(q, b, a), -1 if ab % 2 else 1
 
-_PLAN_MEMO: dict[tuple, _BracketPlan] = {}  # (q, a, b, imax) -> plan
+    def push(self, func: dict) -> dict:
+        """The direct-sum pushforward of a functional on ring to target."""
+        return whitney_transpose(func, self.ring, self.target, self.slots)
 
 
-def _bracket_plan(q: Quiver, a: DimVector, b: DimVector, imax: int) -> _BracketPlan:
-    plan = _PLAN_MEMO.get((q, a, b, imax))
+class _UnitPlan(_BracketPlan):
+    """The plan of a right factor x 1_b, for every weight, on ring = ring(a):
+    an atom V_x (x) dual(V_y) of ext_pairing_kexpr meets 1_b as c(V_x)^b(y),
+    so the caps are c(V_v) = sum_(i <= a(v)) c[0, v, i] with multiplicity
+    n_v = chi(e_v, b) + chi(b, e_v), and push moves the fields of each
+    vertex from ring(a) to target (moves: from shift, mask, to shift)."""
+
+    __slots__ = ("moves",)
+
+    def __init__(self, q: Quiver, a: DimVector, b: DimVector):
+        self._common(q, a, b, ChernRing((a,)))
+        n, at, guard = {}, self.ring._shift, self.ring.guard()
+        for mult, ((_, x, _), (_, y, _)) in ext_pairing_kexpr(q):
+            n[x] = n.get(x, 0) + mult * b[y]
+        for v, r in a.items():
+            if n[v]:
+                self.caps.append((n[v], {i: [(1 << at[0, v, i], guard, 1)] for i in range(1, r + 1)}))
+        to = self.target._shift
+        self.moves = [(at[0, v, 1], (1 << _FIELD_BITS * r) - 1, to[0, v, 1]) for v, r in a.items()]
+
+    def push(self, func: dict) -> dict:
+        moves = self.moves
+        return {sum((s >> k & mask) << t for k, mask, t in moves): x for s, x in func.items()}
+
+
+_PLAN_MEMO: dict[tuple, _BracketPlan] = {}  # (q, a, b, imax), or (q, a, b) for a unit plan -> plan
+
+
+def _bracket_plan(q: Quiver, a: DimVector, b: DimVector, imax: int | None) -> _BracketPlan:
+    """The plan of (q, a, b) at weight imax; for imax None, its unit plan."""
+    key = (q, a, b) if imax is None else (q, a, b, imax)
+    plan = _PLAN_MEMO.get(key)
     if plan is None:
-        plan = _PLAN_MEMO[q, a, b, imax] = _BracketPlan(q, a, b, imax)
+        plan = _PLAN_MEMO[key] = _UnitPlan(q, a, b) if imax is None else _BracketPlan(q, a, b, imax)
     return plan
 
 
@@ -357,7 +400,8 @@ def _ext_cap_levels(caps: list, func: dict, imax: int) -> list[dict]:
     """The functional m -> func(c m) on packed monomials of weight up to
     imax (func's weight), c the total Chern class of ext_pairing_kexpr(q),
     split by weight: entry w, on weight-w monomials, is func cap c_(imax - w).
-    caps holds each atom class a and its multiplicity (_bracket_plan).
+    caps holds each atom class a and its multiplicity (_bracket_plan; a
+    unit plan's a are the c(V_v), whose product is that class against 1_b).
 
     Cap is a module action, so c is applied one atom at a time, all weights
     at once.  An atom of multiplicity m > 0 is capped m times.  For m < 0
@@ -398,6 +442,11 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     runs on int numerators, epsilon in the Horner coefficients, over the
     denominator den(u) den(v) (k + imax)!; what depends on the dimension
     vectors and imax alone comes from the plan of (q, a, b, imax).
+
+    When v = x 1_b has degree 0 the same sum runs on the ring of a alone,
+    from the unit plan of (q, a, b), one for every weight: u x v is x u, c
+    is prod_v c(V_v)^n_v with n_v = chi(e_v, b) + chi(b, e_v), and the
+    pushforward keeps each monomial, read in the ring of a + b.
     """
     if u.quiver != v.quiver:
         raise ValueError("classes on different quivers")
@@ -405,7 +454,7 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
         raise ValueError("state_field needs one-factor classes")
     powers = sorted(set(int(p) for p in powers))
     q, imax = u.quiver, (u.degree + v.degree) // 2
-    plan = _bracket_plan(q, u.ring.dims[0], v.ring.dims[0], imax)
+    plan = _bracket_plan(q, u.ring.dims[0], v.ring.dims[0], None if v.degree == 0 else imax)
     ring, target, chi = plan.ring, plan.target, plan.chi
     out = {p: HClass._trusted(q, target, u.degree + v.degree + 2 * p - 2 * chi, {}) for p in powers}
     if u.is_zero() or v.is_zero():
@@ -422,8 +471,7 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
         top, eps = factorial(k + imax), plan.eps
         terms = [(eps * top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
         raised = _raise(ring, _horner(ring, terms), k + i0)
-        pushed = whitney_transpose(raised, ring, target, plan.slots)
-        out[p] = HClass._trusted(q, target, out[p].degree, pushed, u.den * v.den * top)
+        out[p] = HClass._trusted(q, target, out[p].degree, plan.push(raised), u.den * v.den * top)
     return out
 
 

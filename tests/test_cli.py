@@ -822,12 +822,15 @@ def test_inexact_newton_division_exits_4(qfiles, monkeypatch):
     # input, so force a remainder: the guard must surface as an internal error
     monkeypatch.setattr(vertexalg, "_PLAN_MEMO", {})
     monkeypatch.setattr(charclass, "divmod", lambda a, b: (a // b, 1), raising=False)
+    # (a bracket with a unit right factor caps with no atom class, so the
+    # command is one whose transform brackets classes of positive degree)
     code, out = run(
         [
-            "invariant",
+            "wallcross-check",
             "--quiver", qfiles["k3"],
-            "--dimvec", '{"v":2,"w":2}',
+            "--dimvec", '{"v":3,"w":2}',
             "--slope", '{"v":"1","w":"0"}',
+            "--slope2", '{"v":"0","w":"1"}',
         ]
     )
     assert code == 4

@@ -866,19 +866,25 @@ def test_cache_rejects_corruption(tmp_path):
 
 def test_identity_checks_bracket_each_pair_at_one_weight(monkeypatch):
     # every bracket of a pair (q, a, b) in these checks has one imax, so the
-    # plans, fixed at one weight, are each built once and then reused
+    # plans, fixed at one weight, are each built once and then reused; so
+    # is the unit plan of a pair whose right factor has degree 0, asked for
+    # with imax None
     calls, built = [], []
-    plan, build = vertexalg._bracket_plan, vertexalg._BracketPlan
+    plan = vertexalg._bracket_plan
     monkeypatch.setattr(vertexalg, "_bracket_plan", lambda *key: calls.append(key) or plan(*key))
-    monkeypatch.setattr(vertexalg, "_BracketPlan", lambda *key: built.append(key) or build(*key))
+    for name in ("_BracketPlan", "_UnitPlan"):
+        build = getattr(vertexalg, name)
+        monkeypatch.setattr(vertexalg, name, lambda *key, build=build: built.append(key) or build(*key))
     tau_hi, tau_lo = slope_stability(K3, HI), slope_stability(K3, LO)
     assert check_wallcross(K3, tau_hi, tau_lo, DimVector({"v": 3, "w": 2}))
     assert pair_invariant_report(K2, HI, DimVector({"v": 2, "w": 2}), {"v": 1, "w": 1})["ok"]
     weights = {}
     for q, a, b, imax in calls:
-        weights.setdefault((q, a, b), set()).add(imax)
+        weights.setdefault((q, a, b, imax is None), set()).add(imax)
     assert {len(w) for w in weights.values()} == {1}
-    assert len(built) == len(set(built)) == len(set(calls)) < len(calls)
+    assert len(built) == len(set(built)) == len(set(calls))
+    units = [key for key in calls if key[-1] is None]
+    assert len(set(units)) < len(units) < len(calls)  # both kinds ran
 
 
 def test_a_word_sum_reads_each_natural_degree_once(monkeypatch):

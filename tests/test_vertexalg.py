@@ -127,6 +127,8 @@ def test_cap_and_pair_take_dicts_in_the_class_ring():
     assert cap(uv, {a: Fraction(1, 3), b: 2}) == cap(uv, {a: 1}).scale(Fraction(1, 3)) + cap(uv, {b: 2})
     assert cap(uv, {a: 1, (): 0}) == cap(uv, {a: 1})  # a zero value is no term
     assert cap(uv, {a: 0}).is_zero() and cap(uv, {a: 0}).degree == uv.degree
+    # off-degree parts pair to 0 however large their exponents: they are never packed
+    assert unit_class(A2, DimVector({"v": 1})).pair({(): 1, (((0, "v", 1), 200),): 1}) == 1
 
 
 def test_divided_translation_frozen_pairings():
@@ -595,6 +597,28 @@ def test_state_field_matches_termwise_oracle(q):
         assert state_field(u, v, powers) == oracles.state_field_oracle(u, v, powers)
 
 
+@pytest.mark.parametrize("q", [A2, K2, K3, A3, T4], ids=["A2", "K2", "K3", "A3", "T4"])
+def test_unit_right_factor_matches_the_oracle(q):
+    # a degree-0 right factor x 1_b runs on the ring of a alone (the unit
+    # plan): its caps, its pushforward and its factor x against the
+    # termwise oracle at every power that gets a term, and one beyond
+    rng = random.Random(61)
+    first, second = q.vertices[:2]  # T4's and A3's second vertex has edges in and out
+    bs = [unit_vector(second), DimVector({first: 1, second: 1}), DimVector({first: 2, second: 1})]
+    rights = [vacuum(q)] + [unit_class(q, b).scale(x) for b in bs for x in (1, Fraction(3, 2))]
+    nonzero = 0
+    for weight, n in itertools.product(range(3), (len(q.vertices), 1)):
+        a = DimVector({x: rng.randint(1, 2) for x in q.vertices[:n]})  # n = 1 misses a vertex of every b
+        u = _random_class(rng, q, (a,), weight, size=6)
+        for v in rights:
+            chi = sym_euler_form(q, a, v.dims[0])
+            powers = range(-weight - abs(chi) - 1, 3)
+            got = state_field(u, v, powers)
+            assert got == oracles.state_field_oracle(u, v, powers), (a, v.dims[0], v.den)
+            nonzero += sum(not x.is_zero() for x in got.values())
+    assert nonzero and all(len(key) == 3 for key in vertexalg._PLAN_MEMO)
+
+
 _RING21 = ChernRing((DimVector({"v": 2, "w": 1}),))
 _BASIS21 = monomial_basis(_RING21, 2)
 _VALUES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 5]))
@@ -758,19 +782,21 @@ def test_factored_caps_match_expanded_chern_class(q):
 
 
 def test_state_field_expands_no_total_chern_class(monkeypatch):
+    # a unit right factor (the unit plan) and one of positive degree
     rng = random.Random(31)
     u = _random_class(rng, K3, ({"v": 2, "w": 1},), 2)
-    v = unit_class(K3, unit_vector("w"))
-    want = oracles.state_field_oracle(u, v, range(-3, 2))
+    vs = [unit_class(K3, unit_vector("w")), _random_class(rng, K3, ({"v": 1, "w": 1},), 1)]
+    wants = [oracles.state_field_oracle(u, v, range(-3, 2)) for v in vs]
 
     def refuse(*args):
         raise AssertionError("state_field expanded the total Chern class")
 
     for module in (charclass, vertexalg):  # also a name imported from charclass
         monkeypatch.setattr(module, "chern_kclass", refuse, raising=False)
-    got = state_field(u, v, range(-3, 2))
-    assert got == want
-    assert not got[-1].is_zero()
+    for v, want in zip(vs, wants):
+        got = state_field(u, v, range(-3, 2))
+        assert got == want
+        assert not got[-1].is_zero()
 
 
 def _random_class(rng, q, dims, weight, size=12):
