@@ -59,18 +59,30 @@ _FIELD = (1 << _FIELD_BITS) - 1
 _GUARD = 1 << (_FIELD_BITS - 1)
 
 
+_RING_MEMO: dict[tuple, "ChernRing"] = {}  # tuple of DimVectors -> its ring
+
+
 class ChernRing:
     """Descriptor of a polynomial ring of tautological Chern classes.  The
     sorted generators fix the layout of packed monomials: factor 0's come
-    first, and each (factor, vertex) owns a contiguous run of fields."""
+    first, and each (factor, vertex) owns a contiguous run of fields.
+
+    A ring is never changed after it is made, so ChernRing(dims) returns
+    the one ring of its tuple of vectors in _RING_MEMO, made on the first
+    request.  Rings are equal by their vectors: the shared object is only
+    a fast path, and a ring made outside the table compares equal."""
 
     __slots__ = ("dims", "_key", "_gens", "_ranks", "_shift", "_raising")
 
-    def __init__(self, dims: Iterable[DimVector]):
+    def __new__(cls, dims: Iterable[DimVector]):
         dims = tuple(DimVector(d) for d in dims)
+        self = _RING_MEMO.get(dims)
+        if self is not None:
+            return self
         for d in dims:
             if not (d.is_zero() or d.is_effective()):
                 raise ValueError(f"ring needs effective dimension vectors, got {d!r}")
+        self = object.__new__(cls)
         self.dims = dims
         self._key = tuple(d.items() for d in dims)
         self._ranks = {(f, v): n for f, d in enumerate(dims) for v, n in d.items()}
@@ -82,6 +94,12 @@ class ChernRing:
              _FIELD << k - _FIELD_BITS if i > 1 else 0, k, self._ranks[(0, v)] - i + 1)
             for (f, v, i), k in self._shift.items() if f == 0
         )
+        _RING_MEMO[dims] = self
+        return self
+
+    def __reduce__(self):
+        # copies and unpickled classes share the ring of their vectors
+        return ChernRing, (self.dims,)
 
     def pack(self, m: Monomial) -> int:
         """One int, g's exponent at bit _shift[g]; one reaching the guard bit would alias, and is refused."""
@@ -98,9 +116,6 @@ class ChernRing:
     def guard(self) -> int:
         """The guard bits of every field (vertexalg._cap_into)."""
         return sum(_GUARD << k for k in self._shift.values())
-
-    def key(self) -> tuple:
-        return self._key
 
     def factors(self) -> int:
         return len(self.dims)
@@ -126,7 +141,7 @@ class ChernRing:
                 self.check_gen(g)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChernRing) and self._key == other._key
+        return self is other or isinstance(other, ChernRing) and self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -26,18 +26,18 @@ from .invariants import (
     CacheStore,
     _factorial_weight,
     check_morphism_identity,
+    decomposition_coefficients,
     invariant,
     pair_invariant_report,
     pl_class_json,
     selftest,
-    u_coefficients,
     wallcross_sides,
 )
 from .quiver import CycleError, DimVector, Quiver, QuiverMorphism, all_decompositions
 from .quiver import clipped, shown
 from .stability import fraction_str, slope_stability
 from .vertexalg import pl_equal
-from .wallcoeff import LieElementError, lie_normalize, s_coeff
+from .wallcoeff import LieElementError, lie_normalize
 
 
 # what json raises on a malformed text: bad syntax, bytes that are not
@@ -115,14 +115,13 @@ def ucoeff(quiver_path: str, dimvec: str, slope: str, slope2: str, max_size: int
 
     entries = []
     words = {}
-    us = u_coefficients(d, from_stab, to_stab)
+    ss, us = decomposition_coefficients(d, from_stab, to_stab)
     for parts in all_decompositions(d):
-        s = s_coeff(parts, from_stab, to_stab)
         u = us.get(parts, 0)
         entries.append(
             {
                 "tuple": [p.to_json() for p in parts],
-                "S": str(s),
+                "S": str(ss.get(parts, 0)),
                 "U": fraction_str(u),
             }
         )

@@ -107,7 +107,7 @@ from .vertexalg import (
     unit_pl,
     zero_pl,
 )
-from .wallcoeff import _u_words, lie_normalize
+from .wallcoeff import _s_words, _u_words, lie_normalize
 
 DEFAULT_MAX_SIZE = 8
 SELFTEST_MAX_SIZE = 4  # selftest's budget
@@ -135,15 +135,16 @@ def _check_size(d: DimVector, max_size: int) -> None:
         )
 
 
-def _bracket_sum(q: Quiver, total: DimVector, words, leaf, degrees: dict) -> PlClass:
+def _bracket_sum(q: Quiver, total: DimVector, words, leaf, stacks: dict) -> PlClass:
     """Sum of c [...[leaf(x_1), leaf(x_2)], ..., leaf(x_n)] over (letters,
     c) pairs whose letters sum to total; each leaf has its natural degree.
 
     By bilinearity each group of words with the same last letter e costs
     one bracket, of the sum of their prefixes with leaf(e); the prefixes
     all sum to total - e, so they share a ring and a degree.  The terms
-    add up as int numerators over one denominator.  degrees (callers pass
-    {}) keeps the natural degree of each total met in the word sum.
+    add up as int numerators over one denominator.  stacks (callers pass
+    {}) keeps the natural degree and the ring of each total met in the
+    word sum; every term must live on that ring in that degree.
     """
     def terms() -> Iterator[tuple[HClass, Fraction]]:
         groups: dict[DimVector, list] = {}
@@ -153,21 +154,21 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf, degrees: dict) -> PlC
             else:
                 groups.setdefault(letters[-1], []).append((letters[:-1], c))
         for e, prefixes in groups.items():
-            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf, degrees), leaf(e)).rep, Fraction(1)
+            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf, stacks), leaf(e)).rep, Fraction(1)
 
-    if total not in degrees:
-        degrees[total] = natural_degree(q, total)
-    degree, ring, num, den = degrees[total], None, {}, 1
+    if total not in stacks:
+        stacks[total] = natural_degree(q, total), ChernRing((total,))
+    (degree, ring), num, den = stacks[total], {}, 1
     for x, c in terms():  # each term is added, and dropped, before the next is made
-        if x.ring.key() != (total.items(),) or x.degree != degree:
+        if x.ring != ring or x.degree != degree:
             raise ValueError("bracket sum terms live on different stacks or degrees")
-        ring, common = x.ring, lcm(den, x.den * c.denominator)
+        common = lcm(den, x.den * c.denominator)
         if common != den:
             num, den = {m: y * (common // den) for m, y in num.items()}, common
         k = c.numerator * (den // (x.den * c.denominator))
         for m, y in x.num.items():
             num[m] = num.get(m, 0) + k * y
-    return PlClass(HClass._trusted(q, ring or ChernRing((total,)), degree, num, den))
+    return PlClass(HClass._trusted(q, ring, degree, num, den))
 
 
 def _lattice(d: DimVector) -> tuple[list, list, list]:
@@ -365,15 +366,19 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
     return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__, {})
 
 
-def u_coefficients(d: DimVector, from_stab: WeakStability, to_stab: WeakStability) -> dict[tuple, Fraction]:
-    """The nonzero u_coeff(parts, from_stab, to_stab) of the ordered
-    decompositions of d, keyed by parts, from one walk of their trie on
-    the lattice of d (_u_words); an absent decomposition has u_coeff 0."""
+def decomposition_coefficients(d: DimVector, from_stab: WeakStability, to_stab: WeakStability) -> tuple[dict, dict]:
+    """The nonzero s_coeff and u_coeff(parts, from_stab, to_stab) of the
+    ordered decompositions of d, keyed by parts, each from one walk of
+    their trie (_s_words, _u_words) on the lattice of d, both conditions
+    ranked there once; an absent decomposition has coefficient 0."""
     lattice = _lattice(d)
     subs, codes, _ = lattice
     frm, to = (dict(zip(codes, _ranks(tau, subs))) for tau in (from_stab, to_stab))
-    words = _u_words(codes[-1], _below(lattice, -1, set(range(len(subs)))), frm, to)
-    return {tuple(subs[i] for i in w): c for w, c in words.items()}
+    below = _below(lattice, -1, set(range(len(subs))))
+    return tuple(
+        {tuple(subs[i] for i in w): c for w, c in walk(codes[-1], below, frm, to).items()}
+        for walk in (_s_words, _u_words)
+    )
 
 
 def wallcross_sides(

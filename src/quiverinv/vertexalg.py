@@ -145,7 +145,7 @@ class HClass:
         return not self.num
 
     def _compatible(self, other: "HClass") -> None:
-        if self.quiver != other.quiver or self.ring.key() != other.ring.key():
+        if self.quiver != other.quiver or self.ring != other.ring:
             raise ValueError("classes live on different stacks")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -182,7 +182,7 @@ class HClass:
         return (
             isinstance(other, HClass)
             and self.quiver == other.quiver
-            and self.ring.key() == other.ring.key()
+            and self.ring == other.ring
             and self.degree == other.degree
             and self.den == other.den
             and self.num == other.num
@@ -198,11 +198,12 @@ def zero_class(quiver: Quiver, dims: Iterable[DimVector], degree: int) -> HClass
 
 
 def unit_class(quiver: Quiver, d: DimVector) -> HClass:
-    """The class of the whole stack for d, i.e. the functional 1 at degree 0."""
+    """The class of the whole stack for d, i.e. the functional 1 at degree 0,
+    made trusted: the empty monomial packs to 0, so it is {0: 1} over 1."""
     quiver.check_dimvec(d)
     if not (d.is_zero() or d.is_effective()):
         raise ValueError(f"unit class needs an effective vector, got {d!r}")
-    return HClass(quiver, ChernRing((d,)), 0, {(): Fraction(1)})
+    return HClass._trusted(quiver, ChernRing((d,)), 0, {0: 1})
 
 
 def vacuum(quiver: Quiver) -> HClass:
@@ -431,8 +432,10 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
 
         deg u + deg v + 2 p - 2 chi(a, b)
 
-    on the stack of the sum; classes for powers that receive no
-    contribution are zero classes of that degree.
+    on the stack of the sum.  A power p receives a contribution only when
+    u and v are nonzero and i0 = max(0, chi - p) (below) is at most imax;
+    every other power gets a zero class of that degree, made as the one
+    class returned for it, and the caps run only if some power is live.
     With caps[i] = (u x v) cap c_i, k = p - chi, i0 = max(0, -k) and
     n = k + i0, the coefficient at p is epsilon times the pushforward of the
     n-th divided translation of sum_{i >= i0} Dt^(i - i0) caps[i] n!/(k + i)!
@@ -455,23 +458,24 @@ def state_field(u: HClass, v: HClass, powers: Iterable[int]) -> dict[int, HClass
     powers = sorted(set(int(p) for p in powers))
     q, imax = u.quiver, (u.degree + v.degree) // 2
     plan = _bracket_plan(q, u.ring.dims[0], v.ring.dims[0], None if v.degree == 0 else imax)
-    ring, target, chi = plan.ring, plan.target, plan.chi
-    out = {p: HClass._trusted(q, target, u.degree + v.degree + 2 * p - 2 * chi, {}) for p in powers}
-    if u.is_zero() or v.is_zero():
-        return out
-
-    shift, pv = _FIELD_BITS * len(u.ring.generators()), v.num.items()
-    uv = {s + (t << shift): x * y for s, x in u.num.items() for t, y in pv}
-    levels = _ext_cap_levels(plan.caps, uv, imax)
+    ring, target, chi, eps = plan.ring, plan.target, plan.chi, plan.eps
+    live = [] if u.is_zero() or v.is_zero() else [p for p in powers if chi - p <= imax]
+    if live:
+        shift, pv = _FIELD_BITS * len(u.ring.generators()), v.num.items()
+        uv = {s + (t << shift): x * y for s, x in u.num.items() for t, y in pv}
+        levels = _ext_cap_levels(plan.caps, uv, imax)
+    out = {}
     for p in powers:
+        degree = u.degree + v.degree + 2 * p - 2 * chi
+        if p not in live:
+            out[p] = HClass._trusted(q, target, degree, {})
+            continue
         k = p - chi
         i0 = max(0, -k)
-        if i0 > imax:
-            continue
-        top, eps = factorial(k + imax), plan.eps
+        top = factorial(k + imax)
         terms = [(eps * top // factorial(k + i), levels[imax - i]) for i in range(i0, imax + 1)]
         raised = _raise(ring, _horner(ring, terms), k + i0)
-        out[p] = HClass._trusted(q, target, out[p].degree, plan.push(raised), u.den * v.den * top)
+        out[p] = HClass._trusted(q, target, degree, plan.push(raised), u.den * v.den * top)
     return out
 
 

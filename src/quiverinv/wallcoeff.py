@@ -10,14 +10,16 @@ version) or iterated brackets (for the Lie version) of the input classes.
 Every stability value either coefficient compares is the value of a
 contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
 superblock, or the head or tail at a cut.  So each call forms the
-n(n+1)/2 contiguous sums once and values them by one function per
-condition into two interval tables.  s_coeff reads its cuts off them;
-u_coeff sums its terms by dynamic programming over block boundaries, one
-column per letter, as one int numerator over n! lcm(1..n) (_u_words).
-Column t reads only the first t letters, so _u_words walks a trie of
-int-coded words and pushes the column of each prefix once: u_coeff passes
-the one path of its tuple, invariants the words of a word sum valued by
-ranks.  u_coeff keeps no memo: invariants reuses classes.
+n(n+1)/2 contiguous sums once and values them by each condition into a
+table keyed by int codes (_one_path).  Both coefficients are read off one
+walk of a trie of int-coded words: s_coeff checks each cut on the two
+letters and the two partial sums beside it (_s_words), and u_coeff sums
+its terms by dynamic programming over block boundaries, one column per
+letter, as one int numerator over n! lcm(1..n) (_u_words).  Column t and
+the cuts before letter t read only the first t letters, so each walk
+handles a prefix once: s_coeff and u_coeff pass the one path of their
+tuple, invariants the words of a lattice valued by ranks.  u_coeff keeps
+no memo: invariants reuses classes.
 
 The Lie version is produced here from the u-weighted free word sum.  Each
 length component splits by letter multiset, and each part is written in
@@ -47,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .quiver import DimVector
 from .stability import WeakStability
@@ -64,11 +66,18 @@ class LieWord(NamedTuple):
     coefficient: Fraction
 
 
-def _interval_values(alphas: tuple, *values: Callable) -> list[list[list]]:
-    """One table per value function: entry [i][j], for i < j, is its value
-    at alphas[i] + ... + alphas[j-1].  Each sum is formed once."""
-    sums = [list(accumulate(alphas[i:])) for i in range(len(alphas))]
-    return [[[None] * (i + 1) + list(map(value, row)) for i, row in enumerate(sums)] for value in values]
+def _one_path(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> tuple:
+    """The one-path trie of a tuple, for _s_words and _u_words: the k-th
+    letter has the code 2^k, so the sum of [s, t) has 2^t - 2^s.  Each of
+    the n(n+1)/2 sums is formed once and valued once per condition."""
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("empty tuple")
+    n = len(alphas)
+    sums = {(1 << t) - (1 << s): e for s in range(n) for t, e in enumerate(accumulate(alphas[s:]), s + 1)}
+    frm, to = ({c: tau.value(e) for c, e in sums.items()} for tau in (from_stab, to_stab))
+    below = {(1 << n) - (1 << k): [(k, 1 << k)] for k in range(n)}
+    return (1 << n) - 1, below, frm, to
 
 
 def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> int:
@@ -77,21 +86,36 @@ def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     At each cut position the tuple must either ascend under from_stab while
     the to_stab values of the two partial sums strictly descend, or strictly
     descend under from_stab while the partial sums weakly ascend; otherwise
-    the coefficient is zero.  The sign counts cuts of the first kind.  Each
-    value is read off one interval table per condition.
+    the coefficient is zero.  The sign counts cuts of the first kind
+    (_s_words, on a one-path trie).
     """
-    alphas = tuple(alphas)
-    if not alphas:
-        raise ValueError("empty tuple")
-    n = len(alphas)
-    frm, to = _interval_values(alphas, from_stab.value, to_stab.value)
-    r = 0
-    for cut in range(1, n):
-        ascending = frm[cut - 1][cut] <= frm[cut][cut + 1]
-        if ascending != (to[0][cut] > to[cut][n]):
-            return 0
-        r += ascending
-    return -1 if r % 2 else 1
+    top, below, frm, to = _one_path(alphas, from_stab, to_stab)
+    return _s_words(top, below, frm, to).get(tuple(range(top.bit_length())), 0)
+
+
+def _s_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, int]:
+    """The nonzero s_coeff of each word of a trie, keyed by its labels, in
+    one depth-first walk of the trie and values that _u_words takes.  The
+    cut before a letter compares it with the letter before under from, and
+    the sum of the letters before it with what is left under to; a failing
+    cut zeroes every word through it, so the walk leaves that subtree."""
+    words = {}
+
+    def walk(word: tuple, rest: int, last: int, sign: int) -> None:
+        for i, c in below[rest]:
+            s = sign
+            if word:
+                up = frm_at[last] <= frm_at[c]
+                if up != (to_at[top - rest] > to_at[rest]):
+                    continue
+                s = -sign if up else sign
+            if c == rest:
+                words[word + (i,)] = s
+            else:
+                walk(word + (i,), rest - c, c, s)
+
+    walk((), top, 0, 1)
+    return words
 
 
 def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> Fraction:
@@ -103,15 +127,8 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     s_coeff, each block the reciprocal of its factorial, and a superblock
     count l contributes (-1)^(l-1)/l (_u_words, on a one-path trie).
     """
-    alphas = tuple(alphas)
-    if not alphas:
-        raise ValueError("empty tuple")
-    n = len(alphas)
-    # the k-th letter has the code 2^k, so the sum of [s, t) has 2^t - 2^s
-    frm, to = ({(1 << t) - (1 << s): table[s][t] for s in range(n) for t in range(s + 1, n + 1)}
-               for table in _interval_values(alphas, from_stab.value, to_stab.value))
-    below = {(1 << n) - (1 << k): [(k, 1 << k)] for k in range(n)}
-    return _u_words((1 << n) - 1, below, frm, to).get(tuple(range(n)), Fraction(0))
+    top, below, frm, to = _one_path(alphas, from_stab, to_stab)
+    return _u_words(top, below, frm, to).get(tuple(range(top.bit_length())), Fraction(0))
 
 
 def _u_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, Fraction]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from fractions import Fraction
 from math import comb
@@ -87,6 +89,49 @@ def test_packing_round_trips_and_is_injective():
         assert [ring.unpack(s) for s in packed] == basis
         assert len(set(packed)) == len(basis)
     assert len(rings) == 23
+
+
+def test_equal_dims_give_the_one_ring():
+    ring = ChernRing((DimVector({"v": 2, "w": 1}), DimVector({"w": 3})))
+    assert ChernRing(({"v": 2, "w": 1}, {"w": 3})) is ring
+    assert ChernRing([DimVector({"w": 1, "v": 2}), {"w": 3}]) is ring
+    assert ChernRing(iter([{"v": 2, "w": 1}, DimVector({"w": 3})])) is ring
+    # the factor order is part of the ring
+    assert ChernRing(({"w": 3}, {"v": 2, "w": 1})) != ring
+    assert ring1(v=2, w=1) is ring1(w=1, v=2) is not ring
+
+
+@pytest.mark.parametrize("dims", [({"v": -1},), ({"v": 1}, {"v": 2, "w": -1}), ({"v": 0, "w": -2},)])
+def test_ring_refuses_non_effective_dims_every_time(dims):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="effective"):
+            ChernRing(dims)
+    assert tuple(map(DimVector, dims)) not in charclass._RING_MEMO
+
+
+def _class_with_denominators(ring):
+    return HClass(K3, ring, 4, {
+        (((0, "v", 2), 1),): Fraction(1, 3), (((0, "v", 1), 1), ((0, "w", 1), 1)): Fraction(-5, 2),
+    })
+
+
+def test_hclass_survives_deepcopy_and_pickle():
+    x = _class_with_denominators(ring1(v=2, w=1))
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and y.ring is x.ring
+        assert (y.degree, y.den, y.num) == (x.degree, x.den, x.num)
+    assert copy.deepcopy(x.ring) is x.ring
+
+
+def test_rings_made_before_and_after_clearing_the_table_are_equal(monkeypatch):
+    before = ring1(v=2, w=1)
+    x, data = _class_with_denominators(before), pickle.dumps(before)
+    monkeypatch.setattr(charclass, "_RING_MEMO", {})
+    after = ring1(v=2, w=1)
+    assert after is not before and after == before and hash(after) == hash(before)
+    assert pickle.loads(data) is after
+    y = _class_with_denominators(after)
+    assert y == x and (y - x).is_zero()
 
 
 def test_pack_refuses_an_exponent_that_reaches_the_guard_bit():

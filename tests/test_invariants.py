@@ -55,7 +55,7 @@ from quiverinv.vertexalg import (
     unit_pl,
     zero_pl,
 )
-from quiverinv.wallcoeff import u_coeff
+from quiverinv.wallcoeff import s_coeff, u_coeff
 
 from . import oracles
 
@@ -783,6 +783,36 @@ def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     assert n_rows and raised == [(1, 1)] * (2 * n_rows)
 
 
+@pytest.mark.parametrize("q, d, slopes", [
+    (K3, {"v": 3, "w": 3}, (HI, LO)),
+    (K3, {"v": 3, "w": 2}, (LO, HI)),
+    (K2, {"v": 2, "w": 2}, ({"v": 1, "w": 1}, LO)),  # every value tied under from
+    (THREE, {"a": 2, "b": 1, "c": 1}, ({"a": 2, "b": 1, "c": 0}, {"a": 0, "b": 1, "c": 1})),
+])
+def test_decomposition_coefficients_are_the_public_ones(q, d, slopes):
+    d, (frm, to) = DimVector(d), (slope_stability(q, mu) for mu in slopes)
+    ss, us = invariants.decomposition_coefficients(d, frm, to)
+    want_s, want_u = {}, {}
+    for parts in all_decompositions(d):
+        want_s[parts], want_u[parts] = s_coeff(parts, frm, to), u_coeff(parts, frm, to)
+    assert ss == {k: c for k, c in want_s.items() if c}
+    assert us == {k: c for k, c in want_u.items() if c}
+    assert set(ss.values()) == {-1, 1} or slopes[0] == {"v": 1, "w": 1}
+
+
+def test_bracket_sum_refuses_terms_of_another_stack_or_degree(monkeypatch):
+    e = unit_vector("v")
+    words = [((e,), 1)]
+    unit = unit_pl(K3, e)
+    for leaf in (unit_pl(K3, unit_vector("w")), zero_pl(K3, e, 2)):
+        with pytest.raises(ValueError, match="different stacks or degrees"):
+            invariants._bracket_sum(K3, e, words, lambda _: leaf, {})
+    # a ring made before the ring memo was cleared is still the ring of e
+    monkeypatch.setattr(charclass, "_RING_MEMO", {})
+    got = invariants._bracket_sum(K3, e, words * 2, lambda _: unit, {})
+    assert got.rep == unit.rep.scale(2) and got.rep.ring is not unit.rep.ring
+
+
 def test_module_memos_are_declared():
     # every module-level memo must pay for itself; a new one is declared here
     memos = set()
@@ -790,7 +820,8 @@ def test_module_memos_are_declared():
         module = importlib.import_module(f"quiverinv.{info.name}")
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
     assert memos == {
-        "vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._EXPANSION_MEMO", "charclass._ATOM_MEMO",
+        "vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._RING_MEMO", "charclass._EXPANSION_MEMO",
+        "charclass._ATOM_MEMO",
     }
 
 
@@ -808,6 +839,7 @@ def test_private_imports_are_declared():
                 imported |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
     assert imported == {
         ("cli", "invariants", "_factorial_weight"),
+        ("invariants", "wallcoeff", "_s_words"),
         ("invariants", "wallcoeff", "_u_words"),
         ("vertexalg", "charclass", "_FIELD"),
         ("vertexalg", "charclass", "_FIELD_BITS"),

@@ -997,6 +997,42 @@ def test_lie_bracket_accepts_mixed_inputs():
     assert a.dimvec == e + f
 
 
+@pytest.mark.parametrize("q, d", [
+    (A2, {}), (A2, {"v": 1}), (A2, {"v": 2, "w": 1}), (K3, {"v": 3, "w": 4}), (A3, {"a": 2, "b": 1, "c": 3}),
+])
+def test_unit_class_is_the_validated_class(q, d):
+    d = DimVector(d)
+    x = unit_class(q, d)
+    assert x == HClass(q, ChernRing((d,)), 0, {(): 1})
+    assert (x.num, x.den, x.functional) == ({0: 1}, 1, {(): Fraction(1)})
+
+
+def test_unit_class_keeps_its_checks():
+    for q, d in [(A2, {"v": -1}), (A2, {"v": 1, "w": -1}), (A2, {"x": 1}), (A3, {"a": 1, "v": 1})]:
+        with pytest.raises(ValueError):
+            unit_class(q, DimVector(d))
+
+
+@pytest.mark.parametrize("q, u, v", [
+    (K3, mono_class(K3, {"v": 1}, c1("v"), 2), unit_class(K3, DimVector({"w": 1}))),
+    (K3, mono_class(K3, {"v": 2}, c1("v"), 2), mono_class(K3, {"w": 1}, c1("w"), 2, 3)),
+    (A3, mono_class(A3, {"a": 1, "b": 1}, c1("b"), 2), unit_class(A3, DimVector({"c": 2}))),
+])
+def test_multi_power_state_field_is_its_single_power_calls(q, u, v):
+    a, b = u.dims[0], v.dims[0]
+    chi, imax = sym_euler_form(q, a, b), (u.degree + v.degree) // 2
+    powers = range(chi - imax - 3, chi + 3)  # the first three get no contribution
+    out = state_field(u, v, reversed(powers))
+    assert list(out) == list(powers)
+    for p in powers:
+        assert out[p] == state_field(u, v, (p,))[p]
+        assert out[p].degree == u.degree + v.degree + 2 * p - 2 * chi
+        assert out[p].ring == ChernRing((a + b,))
+        if p < chi - imax:
+            assert out[p].is_zero()
+    assert not all(x.is_zero() for x in out.values())
+
+
 def test_state_field_zero_inputs():
     z = zero_class(K3, (DimVector({"v": 1}),), 2)
     v = unit_class(K3, DimVector({"w": 1}))
