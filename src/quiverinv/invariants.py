@@ -135,16 +135,15 @@ def _check_size(d: DimVector, max_size: int) -> None:
         )
 
 
-def _bracket_sum(q: Quiver, total: DimVector, words, leaf, stacks: dict) -> PlClass:
+def _bracket_sum(q: Quiver, total: DimVector, words, leaf) -> PlClass:
     """Sum of c [...[leaf(x_1), leaf(x_2)], ..., leaf(x_n)] over (letters,
     c) pairs whose letters sum to total; each leaf has its natural degree.
 
     By bilinearity each group of words with the same last letter e costs
     one bracket, of the sum of their prefixes with leaf(e); the prefixes
     all sum to total - e, so they share a ring and a degree.  The terms
-    add up as int numerators over one denominator.  stacks (callers pass
-    {}) keeps the natural degree and the ring of each total met in the
-    word sum; every term must live on that ring in that degree.
+    add up as int numerators over one denominator.  Every term must live
+    on q, on the ring of total, in its natural degree.
     """
     def terms() -> Iterator[tuple[HClass, Fraction]]:
         groups: dict[DimVector, list] = {}
@@ -154,13 +153,11 @@ def _bracket_sum(q: Quiver, total: DimVector, words, leaf, stacks: dict) -> PlCl
             else:
                 groups.setdefault(letters[-1], []).append((letters[:-1], c))
         for e, prefixes in groups.items():
-            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf, stacks), leaf(e)).rep, Fraction(1)
+            yield lie_bracket(_bracket_sum(q, total - e, prefixes, leaf), leaf(e)).rep, Fraction(1)
 
-    if total not in stacks:
-        stacks[total] = natural_degree(q, total), ChernRing((total,))
-    (degree, ring), num, den = stacks[total], {}, 1
+    degree, ring, num, den = natural_degree(q, total), ChernRing((total,)), {}, 1
     for x, c in terms():  # each term is added, and dropped, before the next is made
-        if x.ring != ring or x.degree != degree:
+        if x.quiver != q or x.ring != ring or x.degree != degree:
             raise ValueError("bracket sum terms live on different stacks or degrees")
         common = lcm(den, x.den * c.denominator)
         if common != den:
@@ -363,7 +360,7 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
     frm_at, to_at = ({codes[k]: r for k, r in zip(unders[top], ranks)} for ranks in (frm, to))
     words = _u_words(codes[top], _below(lattice, top, live), frm_at, to_at)
     bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
-    return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__, {})
+    return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__)
 
 
 def decomposition_coefficients(d: DimVector, from_stab: WeakStability, to_stab: WeakStability) -> tuple[dict, dict]:
@@ -509,7 +506,7 @@ def pair_invariant_report(
         ((frame, *(subs[i] for i in parts)), Fraction((-1) ** len(parts), factorial(len(parts))))
         for parts in _live_words(lattice[1][-1], below)
     )
-    rhs = _bracket_sum(framed, dtil, words, letters.__getitem__, {})
+    rhs = _bracket_sum(framed, dtil, words, letters.__getitem__)
 
     equal = pl_equal(lhs, rhs)
     injective = not any(

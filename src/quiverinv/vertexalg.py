@@ -42,14 +42,15 @@ when it vanishes on the kernel of D, and with cbar = sum_v c[0, v, 1] / |d|
 that kernel; pl_equal therefore tests whether the transpose of P kills the
 difference.  cbar is linear, so the caps with its powers are repeated caps
 with L = sum_v c[0, v, 1], one lowered index each: the zero test runs by
-linear caps on ints and needs no linear algebra.  canonical_coordinates
-gives the pairings with the row reduced basis of the kernel of D
-(weight_zero_basis) without building it: the translation images pair to
-zero with that kernel, so reducing the representative by an echelon form
-of them, the images of single packed monomials under _raise, leaves its
-coordinates at the free columns.  The two zero tests agree by duality
-and are cross-checked in the tests, and weight_zero_basis stays as the
-reference the reduction is tested against.
+linear caps on ints and needs no linear algebra.  One fraction-free
+elimination (_translation_echelon) brings the translation images, the
+images of single packed monomials under _raise, to echelon form.
+canonical_coordinates reduces the representative by it: the images pair
+to zero with the kernel of D, so what is left at the free columns are the
+pairings with the row reduced basis of that kernel.  weight_zero_basis
+builds that basis from the same echelon by back-substitution.  The two
+zero tests agree by duality and are cross-checked in the tests, which
+compare both against a sympy kernel of D that shares no code with these.
 """
 
 from __future__ import annotations
@@ -573,34 +574,24 @@ def pl_equal(x: PlClass, y: PlClass) -> bool:
     return is_translation_image(x.rep - y.rep)
 
 
-def _translation_rows(ring: ChernRing, weight: int) -> tuple[dict[int, int], list[dict]]:
-    """(index, rows): the column (position in monomial_basis) of each packed
-    monomial of the weight basis, and the rows of the matrix of D from it
-    to the weight - 1 basis, keyed by column.  The row of each monomial m'
-    of weight - 1 is its translation image _raise(ring, {m': 1}, 1); D has
-    integer entries, so the rows hold ints, all of them positive."""
-    index = {ring.pack(m): c for c, m in enumerate(monomial_basis(ring, weight))}
-    return index, [
-        {index[s]: x for s, x in _raise(ring, {ring.pack(m): 1}, 1).items()}
-        for m in monomial_basis(ring, weight - 1)
-    ]
-
-
 def _translation_echelon(ring: ChernRing, weight: int) -> tuple:
     """Echelon form of the translation images at the given weight.
 
-    Returns (index, steps, free): the column of each packed monomial of the
-    weight basis, the pivot rows as (pivot column, {column: value}) in descending
-    pivot order, each a primitive integer row supported at and below its
-    pivot, and the free columns in ascending order.  The rows come from
-    _translation_rows, and elimination is fraction free: a row meeting a
-    pivot row is cross-multiplied with it.  The pivot of a row is its last
-    column, the rule of weight_zero_basis, so the pivot set is the same;
-    there is no back-substitution and no kernel basis.
+    Returns (index, steps, free): the column (position in monomial_basis) of
+    each packed monomial of the weight basis, the pivot rows as (pivot
+    column, {column: value}) in descending pivot order, each a primitive
+    integer row supported at and below its pivot, and the free columns in
+    ascending order.  The rows are those of the matrix of D from the weight
+    basis to the weight - 1 basis: the row of each monomial m' of weight - 1
+    is its translation image _raise(ring, {m': 1}, 1), with int entries.
+    Elimination is fraction free: a row meeting a pivot row is
+    cross-multiplied with it, and the pivot of a row is its last column.
+    This is the package's one elimination on the matrix of D.
     """
-    index, rows = _translation_rows(ring, weight)
+    index = {ring.pack(m): c for c, m in enumerate(monomial_basis(ring, weight))}
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for m in monomial_basis(ring, weight - 1):
+        row = {index[s]: x for s, x in _raise(ring, {ring.pack(m): 1}, 1).items()}
         while row:
             p = max(row)
             prow = pivots.get(p)
@@ -632,48 +623,31 @@ def weight_zero_basis(ring: ChernRing, weight: int) -> tuple[dict[Monomial, Frac
     gradedlex-v1').  Pairing with it gives the canonical coordinates on the
     rigidified homology: translation images pair to zero, and the pairing
     is perfect on the quotient.  canonical_coordinates reaches the same
-    pairings by reduction, without this dense basis; the basis is kept as
-    the reference the reduction is tested against, and nothing in the
+    pairings by reduction, without this dense basis, and nothing in the
     package calls it.
 
-    One exact Gauss-Jordan elimination on the matrix of D (_translation_rows,
-    shared with canonical_coordinates) taken with the columns in
-    reverse graded order gives the basis directly: the kernel vector at a
-    free column c is 1 at c and nonzero only at later pivot columns, so
-    these vectors, sorted by c, are the graded-order rref of the kernel.
+    Back-substitution on the echelon of _translation_echelon: the vector K
+    at a free column f is 1 at f and 0 at the other free columns.  A pivot
+    row is supported at and below its pivot p, so in ascending pivot order
+    its equation gives K(p) = -sum_(c < p) row[c] K(c) / row[p]; K vanishes
+    below f, so only the pivots p > f are taken.  K is nonzero only at f
+    and later pivot columns, so these vectors, sorted by f, are the
+    graded-order rref of the kernel.
     """
     if ring.factors() != 1:
         raise ValueError("weight-zero basis is for one-factor rings")
     basis = monomial_basis(ring, weight)
-    # Gauss-Jordan with the last column of each row as its pivot
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in _translation_rows(ring, weight)[1]:
-        for p, prow in pivots.items():
-            x = row.get(p)
-            if x:
-                for c, y in prow.items():
-                    row[c] = row.get(c, 0) - x * y
-        row = {c: x for c, x in row.items() if x}
-        if not row:
-            continue
-        p = max(row)
-        lead = row[p]
-        row = {c: Fraction(x, lead) for c, x in row.items()}
-        for prow in pivots.values():
-            x = prow.get(p)
-            if x:
-                for c, y in row.items():
-                    prow[c] = prow.get(c, 0) - x * y
-                del prow[p]
-        pivots[p] = row
-    kernel: dict[int, dict[Monomial, Fraction]] = {
-        c: {m: Fraction(1)} for c, m in enumerate(basis) if c not in pivots
-    }
-    for p, prow in pivots.items():
-        for c, x in prow.items():
-            if c != p and x:
-                kernel[c][basis[p]] = -x
-    return tuple(kernel[c] for c in sorted(kernel))
+    _, steps, free = _translation_echelon(ring, weight)
+    out = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        for p, prow in reversed(steps):
+            if p > f:
+                y = sum(r * vec[c] for c, r in prow.items() if c in vec)
+                if y:
+                    vec[p] = -y / prow[p]
+        out.append({basis[c]: x for c, x in vec.items()})
+    return tuple(out)
 
 
 def canonical_coordinates(x: PlClass) -> list[Fraction]:

@@ -599,7 +599,7 @@ def u_coeff_oracle(alphas, from_stab, to_stab):
     return result
 
 
-def grassmannian_integral(m, n, monomial, t):
+def grassmannian_integral(m, n, monomial, t, sub=False):
     """The integral over the Grassmannian of n-dimensional quotients of C^m
     of a monomial in c[0, v, i] and c[0, w, i], the Chern classes of the
     family V_v = O and V_w = Q, the universal quotient, by Atiyah-Bott
@@ -607,14 +607,18 @@ def grassmannian_integral(m, n, monomial, t):
     with the distinct integer weights t; at the fixed point of an n-subset
     S, Q has the roots t_s for s in S, and the tangent space Hom(K, Q),
     with K the kernel, has Euler class prod (t_s - t_j) over s in S and j
-    not in S."""
+    not in S.  With sub, the Grassmannian of n-dimensional subspaces and
+    the family V_v = S, the universal subbundle, and V_w = O: S has the
+    roots t_s, and the tangent space Hom(S, C^m / S) has Euler class
+    prod (t_j - t_s)."""
+    trivial, sign = ("w", -1) if sub else ("v", 1)
     total = Fraction(0)
     for subset in combinations(range(m), n):
         roots = [t[s] for s in subset]
         value = 1
         for (_, vertex, i), e in monomial:
-            value *= 0 if vertex == "v" else sum(map(prod, combinations(roots, i))) ** e
-        euler = prod(t[s] - t[j] for s in subset for j in range(m) if j not in subset)
+            value *= 0 if vertex == trivial else sum(map(prod, combinations(roots, i))) ** e
+        euler = prod(sign * (t[s] - t[j]) for s in subset for j in range(m) if j not in subset)
         total += Fraction(value, euler)
     return total
 

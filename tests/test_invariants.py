@@ -804,12 +804,12 @@ def test_bracket_sum_refuses_terms_of_another_stack_or_degree(monkeypatch):
     e = unit_vector("v")
     words = [((e,), 1)]
     unit = unit_pl(K3, e)
-    for leaf in (unit_pl(K3, unit_vector("w")), zero_pl(K3, e, 2)):
+    for leaf in (unit_pl(K3, unit_vector("w")), zero_pl(K3, e, 2), unit_pl(K2, e)):
         with pytest.raises(ValueError, match="different stacks or degrees"):
-            invariants._bracket_sum(K3, e, words, lambda _: leaf, {})
+            invariants._bracket_sum(K3, e, words, lambda _: leaf)
     # a ring made before the ring memo was cleared is still the ring of e
     monkeypatch.setattr(charclass, "_RING_MEMO", {})
-    got = invariants._bracket_sum(K3, e, words * 2, lambda _: unit, {})
+    got = invariants._bracket_sum(K3, e, words * 2, lambda _: unit)
     assert got.rep == unit.rep.scale(2) and got.rep.ring is not unit.rep.ring
 
 
@@ -919,19 +919,14 @@ def test_identity_checks_bracket_each_pair_at_one_weight(monkeypatch):
     assert len(set(units)) < len(units) < len(calls)  # both kinds ran
 
 
-def test_a_word_sum_reads_each_natural_degree_once(monkeypatch):
-    # _bracket_sum runs once per bracket group, recursively, and reads the
-    # natural degree of its total, an Euler form, only the first time that
-    # total is met in its word sum
-    reads, sums, brackets = [], [], []
-    euler, word_sum, bracket_sum = invariants.euler_form, invariants._word_sum, invariants._bracket_sum
-    monkeypatch.setattr(invariants, "euler_form", lambda q, d, e: reads.append((len(sums), d, e)) or euler(q, d, e))
+def test_a_word_sum_brackets_once_per_group(monkeypatch):
+    # _bracket_sum runs once per bracket group, recursively
+    sums, brackets = [], []
+    word_sum, bracket_sum = invariants._word_sum, invariants._bracket_sum
     monkeypatch.setattr(invariants, "_word_sum", lambda *args: sums.append(args) or word_sum(*args))
     monkeypatch.setattr(invariants, "_bracket_sum", lambda *args: brackets.append(args) or bracket_sum(*args))
     assert check_wallcross(K3, slope_stability(K3, HI), slope_stability(K3, LO), DimVector({"v": 3, "w": 2}))
     assert len(sums) == 13 and len(brackets) == 43
-    assert all(d == e for _, d, e in reads)
-    assert len(reads) == len(set(reads)) == 35
 
 
 def test_identity_checks_share_each_atom_class(monkeypatch):
@@ -1085,21 +1080,28 @@ def test_invariant_pairs_with_tangent_class_to_euler_characteristic():
         assert rep.pair(weight_part(chern_kclass(tangent, ChernRing((d,)), w), w)) == want, (m, d)
 
 
-@pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 6) for n in range(1, min(m - 1, 3) + 1)])
-def test_invariant_pairs_as_the_grassmannian(m, n):
+@pytest.mark.parametrize("m, n, sub", [
+    pytest.param(m, n, sub, id=f"{m}-{n}-sub" if sub else f"{m}-{n}")
+    for sub in (False, True) for m in range(2, 6) for n in range(1, min(m - 1, 3) + 1)
+])
+def test_invariant_pairs_as_the_grassmannian(m, n, sub):
     # On K_m at d = (1, n) in the v-heavy chamber the moduli space is the
     # Grassmannian of n-dimensional quotients of C^m, with universal family
-    # V_v = O and V_w = Q.  The invariant pairs with P'(f), which lies in
-    # ker D and takes the value of f where V_v is trivial, as the integral
-    # of f(O, Q); localization gives that at two choices of torus weights.
+    # V_v = O and V_w = Q; at d = (n, 1) (sub) it is the Grassmannian of
+    # n-dimensional subspaces, with V_v = S, the universal subbundle, and
+    # V_w = O.  The invariant pairs with P'(f), which lies in ker D and
+    # takes the value of f where its vertex's bundle is trivial, as the
+    # integral of f over the family; localization gives that at two choices
+    # of torus weights.
     q = Quiver.from_json(oracles.kronecker_json(m))
-    rep = invariant(q, slope_stability(q, HI), DimVector({"v": 1, "w": n})).rep
+    d, trivial = ({"v": n, "w": 1}, "w") if sub else ({"v": 1, "w": n}, "v")
+    rep = invariant(q, slope_stability(q, HI), DimVector(d)).rep
     weight = n * (m - n)
     assert rep.degree == 2 * weight
     nonzero = 0
     for f in monomial_basis(rep.ring, weight):
-        want = oracles.grassmannian_integral(m, n, f, range(1, m + 1))
-        assert want == oracles.grassmannian_integral(m, n, f, [3 * k * k - 5 for k in range(m)])
-        assert rep.pair(oracles.slice_projection({f: 1}, rep.ring, "v")) == want, f
+        want = oracles.grassmannian_integral(m, n, f, range(1, m + 1), sub)
+        assert want == oracles.grassmannian_integral(m, n, f, [3 * k * k - 5 for k in range(m)], sub)
+        assert rep.pair(oracles.slice_projection({f: 1}, rep.ring, trivial)) == want, f
         nonzero += want != 0
     assert nonzero

@@ -390,9 +390,15 @@ def _oracle_args(d, weight):
     return ring, ranks, monomial_basis(ring, weight), monomial_basis(ring, weight - 1)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+ZERO_TEST_RINGS = {
+    **{name: ORACLE_RINGS[name] for name in ("K3-2-2", "K3-3-2", "T4-1-2-1")},
+    "A3-2-1-1": (A3, {"a": 2, "b": 1, "c": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS.keys() | ZERO_TEST_RINGS.keys()))
 def test_weight_zero_basis_matches_sympy_oracle(name):
-    _, d = ORACLE_RINGS[name]
+    _, d = {**ORACLE_RINGS, **ZERO_TEST_RINGS}[name]
     for weight in range(11):
         ring, ranks, basis, lower = _oracle_args(d, weight)
         want = oracles.weight_zero_rref_oracle(ranks, basis, lower)
@@ -401,12 +407,6 @@ def test_weight_zero_basis_matches_sympy_oracle(name):
 
 def _random_functional(rng, basis):
     return {m: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for m in basis}
-
-
-ZERO_TEST_RINGS = {
-    **{name: ORACLE_RINGS[name] for name in ("K3-2-2", "K3-3-2", "T4-1-2-1")},
-    "A3-2-1-1": (A3, {"a": 2, "b": 1, "c": 1}),
-}
 
 
 @pytest.mark.parametrize("name", list(ZERO_TEST_RINGS))
@@ -542,13 +542,13 @@ def test_canonical_coordinates_are_reduced_once_per_class(monkeypatch):
     ring = ChernRing((DimVector({"v": 3, "w": 3}),))
     rep = HClass(K3, ring, 20, _random_functional(random.Random(43), monomial_basis(ring, 10)))
     calls = []
-    rows = vertexalg._translation_rows
+    echelon = vertexalg._translation_echelon
 
     def counted(ring, weight):
         calls.append((ring, weight))
-        return rows(ring, weight)
+        return echelon(ring, weight)
 
-    monkeypatch.setattr(vertexalg, "_translation_rows", counted)
+    monkeypatch.setattr(vertexalg, "_translation_echelon", counted)
     x = PlClass(rep)
     first = canonical_coordinates(x)
     second = canonical_coordinates(x)
