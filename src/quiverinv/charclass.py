@@ -22,7 +22,7 @@ products of tautological bundles and their duals:
     kclass = ((mult, atom), ...),   atom = ((factor, vertex, dual), ...).
 
 chern_atom computes the total Chern class of one atom up to a weight
-bound, once per (ranks of its factors, dualities, bound) per process.
+bound from the ranks and dualities of its factors alone.
 Tensor products are handled through the power sums of the Chern roots
 (Newton's identities), which multiply as the Chern character does but in
 integers (_tensor_chern), so no splitting-principle variables and no
@@ -277,9 +277,6 @@ def atom_rank(atom: Atom, ring: ChernRing) -> int:
     return r
 
 
-_ATOM_MEMO: dict[tuple, dict] = {}  # ((rank, dual) per factor, bound) -> class in local generators
-
-
 def _atom_class(atom: Atom, ring: ChernRing, bound: int) -> dict:
     """Total Chern class of a tensor product of tautological bundles, up to
     the weight bound, with int coefficients (_tensor_chern).
@@ -287,28 +284,26 @@ def _atom_class(atom: Atom, ring: ChernRing, bound: int) -> dict:
     Every step is graded, so the class to a smaller bound is the weight
     truncation of the class to a larger one; parts above the atom's rank
     vanish and are not computed.  The class reads the ring only through
-    the ranks of the factors, so it is computed once per (ranks,
-    dualities, bound) into _ATOM_MEMO, in local generators (j, i) for c_i
-    of the j-th factor.  chern_atom renames them to the factors'
-    generators; bracket plans shift them to their fields (vertexalg).
+    the ranks and dualities of the factors, in local generators (j, i) for
+    c_i of the j-th factor.  chern_atom renames them to the factors'
+    generators; bracket plans, made once per quiver, pair and weight,
+    shift them to their fields (vertexalg).
     """
     if not atom:
         raise ValueError("empty atom")
     factors = tuple((ring.rank(f, v), dual) for f, v, dual in atom)
-    key = (factors, min(bound, prod(r for r, _ in factors)))
-    if key[1] <= 0:
+    bound = min(bound, prod(r for r, _ in factors))
+    if bound <= 0:
         return {(): 1}
-    if key not in _ATOM_MEMO:
-        parts, rank = None, 1
-        for j, (r, dual) in enumerate(factors):
-            single = [{(): 1}] + [
-                {(((j, i), 1),): -1 if dual and i % 2 else 1} if i <= r else {}
-                for i in range(1, key[1] + 1)
-            ]
-            parts = single if parts is None else _tensor_chern(parts, rank, single, r)
-            rank *= r
-        _ATOM_MEMO[key] = {m: c for part in parts for m, c in part.items()}
-    return _ATOM_MEMO[key]
+    parts, rank = None, 1
+    for j, (r, dual) in enumerate(factors):
+        single = [{(): 1}] + [
+            {(((j, i), 1),): -1 if dual and i % 2 else 1} if i <= r else {}
+            for i in range(1, bound + 1)
+        ]
+        parts = single if parts is None else _tensor_chern(parts, rank, single, r)
+        rank *= r
+    return {m: c for part in parts for m, c in part.items()}
 
 
 def chern_atom(atom: Atom, ring: ChernRing, bound: int) -> dict[Monomial, int]:
@@ -390,11 +385,10 @@ _EXPANSION_MEMO: dict[tuple, dict] = {}  # (part, n) -> _expand(part, n)
 
 
 def _expand(part: tuple[int, ...], n: int) -> dict[int, int]:
-    """whitney_transpose of one part onto a rank-n vertex; reads only (part, n)."""
-    used = [ex for ex in part if ex]
-    if len(used) < 2:  # one multiset: prod_i c[0, w, i]^e_i, coefficient 1
-        return {used[0] if used else 0: 1}
-    used = [[ex >> k & _FIELD for k in range(0, ex.bit_length(), _FIELD_BITS)] for ex in used]
+    """whitney_transpose of one part onto a rank-n vertex; reads only (part,
+    n).  A part with at most one nonzero slot has no tuple to enumerate
+    and comes out as itself, with coefficient 1."""
+    used = [[ex >> k & _FIELD for k in range(0, ex.bit_length(), _FIELD_BITS)] for ex in part if ex]
     flat = [(t, i) for t, ex in enumerate(used) for i, e in enumerate(ex, 1) if e]
     left = [used[t][i - 1] for t, i in flat]
     choices = ([0] + [i for s, i in flat if s == t] for t in range(len(used)))
@@ -439,9 +433,10 @@ def whitney_transpose(
     tuples of sum k, adds prod_k m_k! / prod_tau n_tau! to prod_k
     c[0, w, k]^m_k.  Only the counts of tuples with two or more nonzero
     indices are enumerated, in place on the exponents left; a one-index
-    tuple takes what is left.  The parts' expansions multiply, that is
-    add, shifted.  Each distinct (part, rank of w) is expanded once per
-    process into _EXPANSION_MEMO, which every pushforward shares.
+    tuple takes what is left, so a part with one nonzero slot is its own
+    expansion.  The parts' expansions multiply, that is add, shifted.
+    Each distinct (part, rank of w) is expanded once per process into
+    _EXPANSION_MEMO, which every pushforward shares.
     """
     shift, rank = source._shift, source.rank
     blocks = [  # per target vertex: its shift and rank, the (shift, mask) of each slot in source

@@ -15,18 +15,18 @@ rigidified moduli stack in homological degree 2 - 2 euler_form(q, d, d)
 wallcross_transform expresses the classes at a new stability condition as
 bracket words of the classes at an old one: the free word sum over the
 ordered decompositions of d into nonempty classes, with u-coefficients
-for the pair of conditions (_u_words: one walk of their trie), is written
-in closed form as left-nested bracket words (lie_normalize: in each letter
-multiset, the words that begin with its largest letter once, by the
-first-letter Dynkin identity), whose word expansion must give back the
-sum exactly (which certifies that it is a Lie element), and evaluated
-with one lie_bracket per group of words sharing a last letter
-(_bracket_sum).  invariant and wallcross_transform share that word sum
-(_word_sum), run on integer-coded subvectors of d and the ranks of the
-conditions there; the transform of a table must agree with invariant.
-Each check builds the subvectors of its d and their codes once
-(_lattice), ranks each condition on them once, and restricts the ranks to
-each e <= d (_orders_below).
+for the pair of conditions (the U table of _coefficient_words, one walk
+of their trie), is written in closed form as left-nested bracket words
+(lie_normalize: in each letter multiset, the words that begin with its
+largest letter once, by the first-letter Dynkin identity), whose word
+expansion must give back the sum exactly (which certifies that it is a
+Lie element), and evaluated with one lie_bracket per group of words
+sharing a last letter (_bracket_sum).  invariant and wallcross_transform
+share that word sum (_word_sum), run on integer-coded subvectors of d and
+the ranks of the conditions there; the transform of a table must agree
+with invariant.  Each check builds the subvectors of its d and their
+codes once (_lattice), ranks each condition on them once, and restricts
+the ranks to each e <= d (_orders_below).
 
 induced_pl_map is the map of rigidified homology attached to a quiver
 morphism: cap with the Euler class of the correction bundle, then push
@@ -107,7 +107,7 @@ from .vertexalg import (
     unit_pl,
     zero_pl,
 )
-from .wallcoeff import _s_words, _u_words, lie_normalize
+from .wallcoeff import _coefficient_words, lie_normalize
 
 DEFAULT_MAX_SIZE = 8
 SELFTEST_MAX_SIZE = 4  # selftest's budget
@@ -358,23 +358,25 @@ def _word_sum(q: Quiver, lattice: tuple, top: int, letters: Mapping[DimVector, P
     # wholly live or wholly dead, so the live words are still a Lie element
     live = {k for k in unders[top] if subs[k] in letters and not letters[subs[k]].rep.is_zero()}
     frm_at, to_at = ({codes[k]: r for k, r in zip(unders[top], ranks)} for ranks in (frm, to))
-    words = _u_words(codes[top], _below(lattice, top, live), frm_at, to_at)
+    _, words = _coefficient_words(codes[top], _below(lattice, top, live), frm_at, to_at)
     bracket_words = [(tuple(subs[i] for i in w), c) for w, c in lie_normalize(words)]
     return _bracket_sum(q, subs[top], bracket_words, letters.__getitem__)
 
 
 def decomposition_coefficients(d: DimVector, from_stab: WeakStability, to_stab: WeakStability) -> tuple[dict, dict]:
     """The nonzero s_coeff and u_coeff(parts, from_stab, to_stab) of the
-    ordered decompositions of d, keyed by parts, each from one walk of
-    their trie (_s_words, _u_words) on the lattice of d, both conditions
+    ordered decompositions of d, keyed by parts, both from one walk of
+    their trie (_coefficient_words) on the lattice of d, both conditions
     ranked there once; an absent decomposition has coefficient 0."""
+    if d.is_zero():
+        raise ValueError("coefficients are defined for nonzero classes only")
     lattice = _lattice(d)
     subs, codes, _ = lattice
     frm, to = (dict(zip(codes, _ranks(tau, subs))) for tau in (from_stab, to_stab))
     below = _below(lattice, -1, set(range(len(subs))))
     return tuple(
-        {tuple(subs[i] for i in w): c for w, c in walk(codes[-1], below, frm, to).items()}
-        for walk in (_s_words, _u_words)
+        {tuple(subs[i] for i in w): c for w, c in table.items()}
+        for table in _coefficient_words(codes[-1], below, frm, to)
     )
 
 

@@ -12,14 +12,15 @@ contiguous sum alpha_i + ... + alpha_{j-1} of the tuple: a block, a
 superblock, or the head or tail at a cut.  So each call forms the
 n(n+1)/2 contiguous sums once and values them by each condition into a
 table keyed by int codes (_one_path).  Both coefficients are read off one
-walk of a trie of int-coded words: s_coeff checks each cut on the two
-letters and the two partial sums beside it (_s_words), and u_coeff sums
-its terms by dynamic programming over block boundaries, one column per
-letter, as one int numerator over n! lcm(1..n) (_u_words).  Column t and
-the cuts before letter t read only the first t letters, so each walk
-handles a prefix once: s_coeff and u_coeff pass the one path of their
-tuple, invariants the words of a lattice valued by ranks.  u_coeff keeps
-no memo: invariants reuses classes.
+depth-first walk of a trie of int-coded words (_coefficient_words): the
+sign of s_coeff is carried down the path, each cut checked on the two
+letters and the two partial sums beside it, and u_coeff sums its terms by
+dynamic programming over block boundaries, one column per letter, as one
+int numerator over n! lcm(1..n); each superblock applies the same cut
+rule.  Column t and the cut before letter t read only the first t
+letters, so the walk handles a prefix once: s_coeff and u_coeff pass the
+one path of their tuple, invariants the words of a lattice valued by
+ranks.  u_coeff keeps no memo: invariants reuses classes.
 
 The Lie version is produced here from the u-weighted free word sum.  Each
 length component splits by letter multiset, and each part is written in
@@ -67,7 +68,7 @@ class LieWord(NamedTuple):
 
 
 def _one_path(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> tuple:
-    """The one-path trie of a tuple, for _s_words and _u_words: the k-th
+    """The one-path trie of a tuple, for _coefficient_words: the k-th
     letter has the code 2^k, so the sum of [s, t) has 2^t - 2^s.  Each of
     the n(n+1)/2 sums is formed once and valued once per condition."""
     alphas = tuple(alphas)
@@ -87,35 +88,10 @@ def s_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     the to_stab values of the two partial sums strictly descend, or strictly
     descend under from_stab while the partial sums weakly ascend; otherwise
     the coefficient is zero.  The sign counts cuts of the first kind
-    (_s_words, on a one-path trie).
+    (_coefficient_words, on a one-path trie).
     """
     top, below, frm, to = _one_path(alphas, from_stab, to_stab)
-    return _s_words(top, below, frm, to).get(tuple(range(top.bit_length())), 0)
-
-
-def _s_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, int]:
-    """The nonzero s_coeff of each word of a trie, keyed by its labels, in
-    one depth-first walk of the trie and values that _u_words takes.  The
-    cut before a letter compares it with the letter before under from, and
-    the sum of the letters before it with what is left under to; a failing
-    cut zeroes every word through it, so the walk leaves that subtree."""
-    words = {}
-
-    def walk(word: tuple, rest: int, last: int, sign: int) -> None:
-        for i, c in below[rest]:
-            s = sign
-            if word:
-                up = frm_at[last] <= frm_at[c]
-                if up != (to_at[top - rest] > to_at[rest]):
-                    continue
-                s = -sign if up else sign
-            if c == rest:
-                words[word + (i,)] = s
-            else:
-                walk(word + (i,), rest - c, c, s)
-
-    walk((), top, 0, 1)
-    return words
+    return _coefficient_words(top, below, frm, to)[0].get(tuple(range(top.bit_length())), 0)
 
 
 def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) -> Fraction:
@@ -125,32 +101,39 @@ def u_coeff(alphas: Sequence, from_stab: WeakStability, to_stab: WeakStability) 
     from_stab is constant, then adjacent superblocks whose sums all share
     the to_stab value of the full sum.  Each superblock contributes its
     s_coeff, each block the reciprocal of its factorial, and a superblock
-    count l contributes (-1)^(l-1)/l (_u_words, on a one-path trie).
+    count l contributes (-1)^(l-1)/l (_coefficient_words, on a one-path trie).
     """
     top, below, frm, to = _one_path(alphas, from_stab, to_stab)
-    return _u_words(top, below, frm, to).get(tuple(range(top.bit_length())), Fraction(0))
+    return _coefficient_words(top, below, frm, to)[1].get(tuple(range(top.bit_length())), Fraction(0))
 
 
-def _u_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, Fraction]:
-    """The nonzero u_coeff of each word of a trie, keyed by its labels, in
-    one depth-first walk: below maps what is left of top to the (label,
-    code) letters that fit in it, a word ending at a letter that is all
-    that is left; frm_at and to_at value each sum of contiguous letters.
+def _coefficient_words(top: int, below: dict, frm_at: dict, to_at: dict) -> tuple[dict, dict]:
+    """The nonzero s_coeff and u_coeff of each word of a trie, two tables
+    keyed by its labels, from one depth-first walk: below maps what is
+    left of top to the (label, code) letters that fit in it, a word
+    ending at a letter that is all that is left; frm_at and to_at value
+    each sum of contiguous letters.
 
-    A chain of superblocks of from-constant blocks weighs sign /
-    (l prod |block|!), an int over n! lcm(1..n): n! / prod |block|! is the
-    product of C(j, j - c) over the blocks [c, j).  A cut at j in [s, t)
-    compares the letters j - 1 and j under from, [s, j) with [j, t) under
-    to.  Column t holds the from and to values of [s, t), the c with
-    [c, t) from-constant (descending), and chains[l], the signed chains of
-    l superblocks from 0 to t; acc[j - s]: the chains of blocks s to j."""
-    path, words, whole = [((), (), (), [1])], {}, to_at[top]
+    The cut at j in [s, t) compares the letters j - 1 and j under from,
+    [s, j) with [j, t) under to: ascending letters need descending sums
+    and flip the sign, descending ones weakly ascending sums.  The path
+    carries the sign of s_coeff, the rule on [0, t) (0 below a failing
+    cut).  A chain of superblocks of from-constant blocks weighs its
+    superblocks' signs / (l prod |block|!), an int over n! lcm(1..n):
+    n! / prod |block|! is the product of C(j, j - c) over the blocks
+    [c, j).  Column t holds the from and to values of [s, t), the c with
+    [c, t) from-constant (descending), and chains[l], the signed chains
+    of l superblocks from 0 to t; acc[j - s], the chains of blocks s to j."""
+    path, signs, words, whole = [((), (), (), [1])], {}, {}, to_at[top]
 
-    def walk(word: tuple, rests: list) -> None:
+    def walk(word: tuple, rests: list, sign: int) -> None:
         for i, c in below[rests[-1]]:
             t, rest = len(path), rests[-1] - c
             frm, to = ([values[r - rest] for r in rests] for values in (frm_at, to_at))
-            b, v = t - 1, frm[-1]
+            b, v, here = t - 1, frm[-1], sign
+            if sign and b:  # the cut before this letter: [0, b) against what is left
+                up = path[b][0][-1] <= v
+                here = (-sign if up else sign) if up == (path[b][1][0] > to_at[rests[-1]]) else 0
             while b and path[b][0][-1] == v:  # the letters b .. t - 1 share the value v
                 b -= 1
             chains = [0] * (t + 1)
@@ -172,16 +155,18 @@ def _u_words(top: int, below: dict, frm_at: dict, to_at: dict) -> dict[tuple, Fr
                 for l, y in enumerate(path[s][3]):
                     chains[l + 1] += y * acc[-1]
             if c != rests[-1]:
-                walk(word + (i,), rests + [rest])
+                walk(word + (i,), rests + [rest], here)
             else:
+                if here:
+                    signs[word + (i,)] = here
                 scale = lcm(*range(1, t + 1))
                 num = sum((scale // l) * (y if l % 2 else -y) for l, y in enumerate(chains) if l)
                 if num:
                     words[word + (i,)] = Fraction(num, factorial(t) * scale)
             path.pop()
 
-    walk((), [top])
-    return words
+    walk((), [top], 1)
+    return signs, words
 
 
 def _axpy(acc: dict, x, row: Iterable[tuple]) -> None:

@@ -4,7 +4,6 @@ import itertools
 import json
 import pkgutil
 import random
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -48,6 +47,8 @@ from quiverinv.invariants import (
     wallcross_transform,
 )
 from quiverinv.vertexalg import (
+    HClass,
+    PlClass,
     canonical_coordinates,
     lie_bracket,
     pl_equal,
@@ -117,7 +118,7 @@ def test_wallcross_transform_brackets_only_live_letters(monkeypatch, d, forward,
     # its table is units only) to HI; an empty letter is never a letter of
     # the word trie, so no word with one gets a u-coefficient
     d = DimVector({"v": d[0], "w": d[1]})
-    walk = invariants._u_words
+    walk = invariants._coefficient_words
     for frm, to, want in ((HI, LO, forward), (LO, HI, backward)):
         table = build_invariant_table(K3, slope_stability(K3, frm), d)
         dead = {e for e, x in table.items() if x.rep.is_zero()}
@@ -126,12 +127,12 @@ def test_wallcross_transform_brackets_only_live_letters(monkeypatch, d, forward,
 
         def spy(top, below, *ranks):
             pushed.update(_decode(d)(c) for letters in below.values() for _, c in letters)
-            words = walk(top, below, *ranks)
-            seen.extend(tuple(map(_decode(d), _word_codes(below, w))) for w in words)
-            return words
+            tables = walk(top, below, *ranks)
+            seen.extend(tuple(map(_decode(d), _word_codes(below, w))) for w in tables[1])
+            return tables
 
         with monkeypatch.context() as m:
-            m.setattr(invariants, "_u_words", spy)
+            m.setattr(invariants, "_coefficient_words", spy)
             m.setattr(invariants, "lie_bracket", _stub_bracket(K3, calls))
             wallcross_transform(K3, table, slope_stability(K3, to), d)
         assert len(calls) == want
@@ -180,12 +181,12 @@ def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
     # every word of every transform in both directions: the coefficient
     # computed on codes and rank lists is u_coeff of the decoded vectors at
     # the rank conditions, and at the slopes themselves
-    seen, checked, tied, walk = [], 0, False, invariants._u_words
+    seen, checked, tied, walk = [], 0, False, invariants._coefficient_words
 
     def spy(top, below, *ranks):
-        words = walk(top, below, *ranks)
-        seen.extend((_word_codes(below, w), u) for w, u in words.items())
-        return words
+        tables = walk(top, below, *ranks)
+        seen.extend((_word_codes(below, w), u) for w, u in tables[1].items())
+        return tables
 
     for mu, nu in (slopes, slopes[::-1]):
         frm, to = slope_stability(q, mu), slope_stability(q, nu)
@@ -193,7 +194,7 @@ def test_coded_coefficients_are_the_public_u_coeff(monkeypatch, q, top, slopes):
         for d, _ in table.items():
             seen.clear()
             with monkeypatch.context() as m:
-                m.setattr(invariants, "_u_words", spy)
+                m.setattr(invariants, "_coefficient_words", spy)
                 m.setattr(invariants, "lie_bracket", _stub_bracket(q, []))
                 wallcross_transform(q, table, to, d)
             ranks = invariants._order_condition(frm, d), invariants._order_condition(to, d)
@@ -273,8 +274,8 @@ def _oracle_words(e, live, frm, to):
 def test_word_trie_walk_returns_exactly_the_nonzero_words(q, top, pairs):
     # every word sum under d, all letters live, at the tied conditions of
     # test_u_dp_matches_enumeration_on_every_decomposition: the walk returns
-    # the decompositions whose enumerated coefficient is nonzero, each with
-    # its value, and no other word
+    # the decompositions whose enumerated u-coefficient is nonzero, each with
+    # its value, and no other word, and likewise for the s-coefficient
     d = DimVector(top)
     conditions = _tied_conditions(q, d, seed=d.total())
     pairs = pairs or [(i, j) for i in range(4) for j in range(4) if i != j]
@@ -284,9 +285,11 @@ def test_word_trie_walk_returns_exactly_the_nonzero_words(q, top, pairs):
         frm, to = conditions[i], conditions[j]
         for top, (e, orders) in enumerate(zip(subs, invariants._orders_below(lattice, frm, to))):
             ranks = ({codes[k]: r for k, r in zip(unders[top], rs)} for rs in orders)
-            words = invariants._u_words(codes[top], invariants._below(lattice, top, every), *ranks)
+            signs, words = invariants._coefficient_words(codes[top], invariants._below(lattice, top, every), *ranks)
             got = {tuple(subs[k] for k in w): c for w, c in words.items()}
             assert got == _oracle_words(e, set(subs), frm, to), (i, j, e)
+            want = {parts: oracles.s_coeff_oracle(parts, frm, to) for parts in all_decompositions(e)}
+            assert {tuple(subs[k] for k in w): c for w, c in signs.items()} == {p: c for p, c in want.items() if c}
             longest = max([longest, *map(len, got)])
             dropped += len(list(all_decompositions(e))) - len(got)
     assert longest == d.total() and dropped
@@ -301,20 +304,20 @@ def test_word_trie_walk_skips_dead_letters(monkeypatch):
     table = build_invariant_table(K3, hi, d)
     live = {e for e, x in table.items() if not x.rep.is_zero()}
     assert len(live) < len(subvectors(d))
-    walk, found = invariants._u_words, []
+    walk, found = invariants._coefficient_words, []
 
     def spy(*args):
         found.append(walk(*args))
         return found[-1]
 
-    monkeypatch.setattr(invariants, "_u_words", spy)
+    monkeypatch.setattr(invariants, "_coefficient_words", spy)
     monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
     words = 0
     for e, _ in table.items():
         found.clear()
         wallcross_transform(K3, table, lo, e)
         subs = subvectors(e)
-        (got,) = found
+        ((_, got),) = found
         assert {tuple(subs[i] for i in w): c for w, c in got.items()} == _oracle_words(e, live, hi, lo), e
         words += len(got)
     assert words > 100
@@ -328,7 +331,7 @@ def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
     d = DimVector({"v": 4, "w": 3})
     table = build_invariant_table(K3, slope_stability(K3, HI), d)
     reads, words, built = {}, [], []
-    value, reference, walk = WeakStability.value, invariants.reference_increasing_slope, invariants._u_words
+    value, reference, walk = WeakStability.value, invariants.reference_increasing_slope, invariants._coefficient_words
 
     def counting(self, e):
         reads[self] = reads.get(self, 0) + 1
@@ -343,7 +346,7 @@ def test_word_sum_reads_each_condition_at_most_once_per_subvector(monkeypatch):
         return reference(q)
 
     monkeypatch.setattr(WeakStability, "value", counting)
-    monkeypatch.setattr(invariants, "_u_words", spy)
+    monkeypatch.setattr(invariants, "_coefficient_words", spy)
     monkeypatch.setattr(invariants, "lie_bracket", _stub_bracket(K3, []))
     monkeypatch.setattr(invariants, "reference_increasing_slope", counted_reference)
     for run, conditions, references in (
@@ -645,7 +648,7 @@ def test_invariant_memo_ignores_caller_tokens():
 def test_invariant_reused_within_a_chamber(monkeypatch):
     d = DimVector({"v": 3, "w": 2})
     first = invariant(K3, slope_stability(K3, HI), d)
-    monkeypatch.setattr(invariants, "_u_words", _refuse)
+    monkeypatch.setattr(invariants, "_coefficient_words", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     assert again.rep == first.rep and pl_equal(again, first)
@@ -656,7 +659,7 @@ def test_cache_serves_every_slope_in_a_chamber(monkeypatch, tmp_path):
     store = CacheStore(tmp_path)
     first = invariant(K3, slope_stability(K3, HI), d, cache=store)
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
-    monkeypatch.setattr(invariants, "_u_words", _refuse)
+    monkeypatch.setattr(invariants, "_coefficient_words", _refuse)
     monkeypatch.setattr(invariants, "lie_bracket", _refuse)
     again = invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d, cache=store)
     assert again.rep == first.rep
@@ -710,7 +713,7 @@ def test_memo_hit_still_fills_the_cache(monkeypatch, tmp_path):
     d = DimVector({"v": 2, "w": 2})
     invariant(K3, slope_stability(K3, {"v": 5, "w": -2}), d)
     with monkeypatch.context() as m:
-        m.setattr(invariants, "_u_words", _refuse)
+        m.setattr(invariants, "_coefficient_words", _refuse)
         invariant(K3, tau, d, cache=CacheStore(tmp_path / "hit"))
     monkeypatch.setattr(invariants, "_INVARIANT_MEMO", {})
     invariant(K3, tau, d, cache=CacheStore(tmp_path / "fresh"))
@@ -788,6 +791,7 @@ def test_coordinates_and_cache_need_no_kernel_basis(monkeypatch, tmp_path):
     (K3, {"v": 3, "w": 2}, (LO, HI)),
     (K2, {"v": 2, "w": 2}, ({"v": 1, "w": 1}, LO)),  # every value tied under from
     (THREE, {"a": 2, "b": 1, "c": 1}, ({"a": 2, "b": 1, "c": 0}, {"a": 0, "b": 1, "c": 1})),
+    (THREE, {"a": 1, "b": 2, "c": 2}, ({"a": 3, "b": 1, "c": 0}, {"a": 0, "b": 2, "c": 1})),
 ])
 def test_decomposition_coefficients_are_the_public_ones(q, d, slopes):
     d, (frm, to) = DimVector(d), (slope_stability(q, mu) for mu in slopes)
@@ -798,6 +802,49 @@ def test_decomposition_coefficients_are_the_public_ones(q, d, slopes):
     assert ss == {k: c for k, c in want_s.items() if c}
     assert us == {k: c for k, c in want_u.items() if c}
     assert set(ss.values()) == {-1, 1} or slopes[0] == {"v": 1, "w": 1}
+
+
+def test_decomposition_coefficients_refuse_the_zero_vector():
+    with pytest.raises(ValueError, match="coefficients are defined for nonzero classes only"):
+        invariants.decomposition_coefficients(DimVector(), slope_stability(K3, HI), slope_stability(K3, LO))
+
+
+K4 = Quiver.from_json(oracles.kronecker_json(4))
+SWAP = {"v": "w", "w": "v"}
+
+
+def _dual(x, op, swap):
+    """The image of x under E -> E*, on the opposite quiver op with each
+    vertex v renamed swap.get(v, v): c_i(V*) = (-1)^i c_i(V), so on a class
+    of weight w it renames the generators and multiplies by (-1)^w."""
+    d = DimVector({swap.get(v, v): n for v, n in x.dimvec.items()})
+    functional = {
+        tuple(sorted(((f, swap.get(v, v), i), e) for (f, v, i), e in m)): c for m, c in x.rep.functional.items()
+    }
+    return PlClass(HClass(op, ChernRing((d,)), x.degree, functional).scale((-1) ** (x.degree // 2)))
+
+
+@pytest.mark.parametrize("q, swap, mu, d", [
+    pytest.param(q, SWAP, HI, {"v": a, "w": b}, id=f"{name}-{a},{b}")
+    for name, q, a, b in (("K2", K2, 2, 2), ("K3", K3, 2, 3), ("K3", K3, 3, 3), ("K3", K3, 4, 3), ("K3", K3, 4, 4),
+                          ("K4", K4, 3, 3))
+] + [
+    pytest.param(THREE, {}, {"a": 3, "b": 1, "c": 0}, dict(zip("abc", d)), id="THREE-{},{},{}".format(*d))
+    for d in ((1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2))
+])
+def test_duality_takes_each_class_to_the_opposite_quiver_at_minus_mu(q, swap, mu, d):
+    # E -> E* takes representations of q to those of its opposite, swapping
+    # subobjects and quotients, so mu-semistable to (-mu)-semistable of the
+    # same vector.  For K_m the opposite with v and w swapped is K_m, and
+    # -HI swapped is {v: 0, w: -1}, HI's order; (2,2), (3,3), (4,4) and
+    # (2,2,2) are not coprime.  The two sides come from different word
+    # sums, on q^op from a different reference slope.
+    op = Quiver(q.vertices, [(a.id, swap.get(a.target, a.target), swap.get(a.source, a.source)) for a in q.edges])
+    x = invariant(q, slope_stability(q, mu), DimVector(d))
+    dual = _dual(x, op, swap)
+    y = invariant(op, slope_stability(op, {swap.get(v, v): -k for v, k in mu.items()}), dual.dimvec)
+    assert not pl_is_zero(x)
+    assert pl_equal(y, dual)
 
 
 def test_bracket_sum_refuses_terms_of_another_stack_or_degree(monkeypatch):
@@ -821,7 +868,6 @@ def test_module_memos_are_declared():
         memos |= {f"{info.name}.{name}" for name in vars(module) if name.endswith("_MEMO")}
     assert memos == {
         "vertexalg._PLAN_MEMO", "invariants._INVARIANT_MEMO", "charclass._RING_MEMO", "charclass._EXPANSION_MEMO",
-        "charclass._ATOM_MEMO",
     }
 
 
@@ -839,8 +885,7 @@ def test_private_imports_are_declared():
                 imported |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
     assert imported == {
         ("cli", "invariants", "_factorial_weight"),
-        ("invariants", "wallcoeff", "_s_words"),
-        ("invariants", "wallcoeff", "_u_words"),
+        ("invariants", "wallcoeff", "_coefficient_words"),
         ("vertexalg", "charclass", "_FIELD"),
         ("vertexalg", "charclass", "_FIELD_BITS"),
         ("vertexalg", "charclass", "_GUARD"),
@@ -927,45 +972,6 @@ def test_a_word_sum_brackets_once_per_group(monkeypatch):
     monkeypatch.setattr(invariants, "_bracket_sum", lambda *args: brackets.append(args) or bracket_sum(*args))
     assert check_wallcross(K3, slope_stability(K3, HI), slope_stability(K3, LO), DimVector({"v": 3, "w": 2}))
     assert len(sums) == 13 and len(brackets) == 43
-
-
-def test_identity_checks_share_each_atom_class(monkeypatch):
-    # the seed-1 job list of the identity-checks benchmark: the atom table
-    # holds one entry per (ranks, dualities, bound) asked for, each asked for
-    # from several rings and several quivers, so a table keyed by ring or by
-    # quiver would hold more
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    worker = importlib.import_module("worker")
-    calls, plan_quiver = [], []
-    atom, build = charclass._atom_class, vertexalg._BracketPlan
-
-    def spy(where):
-        def counted(a, ring, bound):
-            calls.append((where(), a, ring, bound))
-            return atom(a, ring, bound)
-        return counted
-
-    def plan(q, *rest):
-        plan_quiver.append(q)
-        return build(q, *rest)
-
-    monkeypatch.setattr(vertexalg, "_BracketPlan", plan)
-    monkeypatch.setattr(vertexalg, "_atom_class", spy(lambda: plan_quiver[-1]))
-    monkeypatch.setattr(charclass, "_atom_class", spy(lambda: None))  # correction classes, by chern_atom
-    for label, job in worker.identity_check_jobs(quiverinv, 1):
-        assert job() is True, label
-
-    def key(a, ring, bound):
-        ranks = [ring.rank(f, v) for f, v, _ in a]
-        return tuple(zip(ranks, (dual for *_, dual in a))), min(bound, prod(ranks))
-
-    asked = [(q, ring, key(a, ring, bound)) for q, a, ring, bound in calls if key(a, ring, bound)[1] > 0]
-    keys = {k for *_, k in asked}
-    assert set(charclass._ATOM_MEMO) == keys
-    assert len(keys) < len({(ring, k) for _, ring, k in asked})
-    from_plans = {(q, k) for q, _, k in asked if q is not None}
-    assert len({k for _, k in from_plans}) < len(from_plans)
-    assert any(q is None for q, *_ in asked)  # correction classes read the table too
 
 
 def test_induced_pl_map_preserves_shifted_degree():

@@ -698,13 +698,12 @@ def test_bracket_plans_are_fixed_at_one_weight():
     assert caps != vertexalg._PLAN_MEMO[K3, a, b, 4].caps
 
 
-def _fresh_caps(monkeypatch, q, ring, imax):
-    """A plan's caps on ring, each atom class computed from an empty table."""
+def _fresh_caps(q, ring, imax):
+    """A plan's caps on ring, from chern_atom on that ring."""
     atoms, caps = {}, []
     for mult, atom in charclass.ext_pairing_kexpr(q):
         atoms[atom] = atoms.get(atom, 0) + mult
     for atom, mult in atoms.items():
-        monkeypatch.setattr(charclass, "_ATOM_MEMO", {})
         terms = {}
         for m, c in charclass.chern_atom(atom, ring, imax).items():  # the dict, packed term by term
             terms.setdefault(charclass.monomial_weight(m), []).append((ring.pack(m), ring.guard(), c))
@@ -714,10 +713,10 @@ def _fresh_caps(monkeypatch, q, ring, imax):
     return caps
 
 
-def test_plan_caps_from_the_shared_atom_table_equal_fresh_ones(monkeypatch):
-    # the plans of all these quivers read one table of atom classes, keyed
-    # by ranks, dualities and bound; at every imax their caps equal caps
-    # made on their own ring from an empty table, and the table is shared
+def test_plan_caps_equal_caps_made_through_chern_atom():
+    # at every imax the caps of the plans of all these quivers, shifted from
+    # atom classes in local generators, equal caps made on their own ring
+    # through chern_atom
     framed_k3, _ = frame_quiver(K3, {"v": 1, "w": 2})
     binarized_k2, _, _ = binarize_quiver(K2, DimVector({"v": 2, "w": 2}))
     rng, pairs = random.Random(71), []
@@ -726,16 +725,10 @@ def test_plan_caps_from_the_shared_atom_table_equal_fresh_ones(monkeypatch):
             a, b = (DimVector({v: rng.randint(0, 2) for v in q.vertices}) for _ in range(2))
             if a and b:
                 pairs.append((q, a, b))
-    table, asked = charclass._ATOM_MEMO, set()
     for imax in range(1, 7):
-        plans = [(q, vertexalg._bracket_plan(q, a, b, imax)) for q, a, b in pairs]
-        for q, plan in plans:
-            for _, atom in charclass.ext_pairing_kexpr(q):
-                if min(imax, charclass.atom_rank(atom, plan.ring)) > 0:
-                    asked.add((atom, plan.ring, imax))
-            assert plan.caps == _fresh_caps(monkeypatch, q, plan.ring, imax)
-        monkeypatch.setattr(charclass, "_ATOM_MEMO", table)
-    assert 0 < len(table) < len(asked) / 2
+        for q, a, b in pairs:
+            plan = vertexalg._bracket_plan(q, a, b, imax)
+            assert plan.caps == _fresh_caps(q, plan.ring, imax)
 
 
 def test_bracket_plan_reads_the_euler_form_once_each_way(monkeypatch):
